@@ -11,9 +11,10 @@ job starts when the previous one has exited.
 
 The seed draws one round of jobs: their order and the parameters picked
 from fixed size classes, so a round does the same work whatever the seed.
-A run repeats that round at least MIN_ROUNDS times, and again while another
-round still fits in `--seconds`; throughput and CPU per job take each job's
-best time over the rounds.
+A run repeats that round while another round still fits in `--seconds`,
+and runs it at least once.  Every time is scaled to a reference host
+speed by a calibration timed next to each job (see spawner.py), and
+throughput and CPU per job take each job's median over the rounds.
 
 With `--trace 0` the last line of output is a JSON object with the
 end-to-end metrics; with `--trace 1` the round runs once untraced and once
@@ -49,8 +50,16 @@ RV_DEGREES = (60, 80, 100)
 LFUN_BITS = (128, 256, 384, 512, 256, 384)
 HABIRO_LEVELS = (8, 10, 12, 14)
 
-SETUP_SAMPLES = 11
-MIN_ROUNDS = 2
+SETUP_SAMPLES = 15
+# CPU time of one repetition of spawner.calibration_work on the reference
+# host: a 2-vCPU Intel Xeon VM in its fast phases.  Reported times are what
+# the jobs would take on a host where calibration takes this long.
+CAL_REF_S = 0.0015
+# Wall time of a bare `python -c pass` on the reference host.  Interpreter
+# start-up (exec, page faults, unmarshalling) drifts with the host unlike the
+# calibration computation, so setup time is scaled by a bare interpreter
+# start timed right before each import instead.
+BARE_START_REF_S = 0.05
 RUN_DEADLINE_S = 165  # a run may take 180 s; jobs still running at this point are killed
 
 
@@ -128,6 +137,7 @@ class Outcome:
     wall_s: float  # net of the steal time of the job's CPU
     steal_s: float
     cpu_s: float
+    speed: float  # CAL_REF_S over the calibration time around the job
     rss_kb: int
     bytes_written: int
     error: str | None  # None when the job exited 0 and passed its check
@@ -136,6 +146,21 @@ class Outcome:
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    @property
+    def ref_wall_s(self) -> float:
+        return self.wall_s * self.speed
+
+    @property
+    def ref_cpu_s(self) -> float:
+        return self.cpu_s * self.speed
+
+
+def speed(usage: dict) -> float:
+    """Reference over measured calibration time per repetition, from the
+    calibrations before, during and after the job: below 1 while the host
+    runs slow."""
+    return CAL_REF_S * usage["cal_reps"] / usage["cal_s"]
 
 
 class Runner:
@@ -204,6 +229,7 @@ class Runner:
             wall_s=usage["wall_s"] - usage["steal_s"],
             steal_s=usage["steal_s"],
             cpu_s=usage["cpu_s"],
+            speed=speed(usage),
             rss_kb=usage["rss_kb"],
             bytes_written=written,
             error=error,
@@ -230,13 +256,19 @@ def warm_up(runner: Runner) -> str:
 
 
 def measure_setup(runner: Runner) -> float:
-    """Median time for a fresh interpreter to import zetapoly.cli and exit."""
-    return statistics.median(runner.python("import zetapoly.cli")[0] for _ in range(SETUP_SAMPLES))
+    """Time for a fresh interpreter to import zetapoly.cli and exit, at the
+    reference speed: BARE_START_REF_S times the median ratio of that time to
+    the time of a bare interpreter started right before it."""
+    ratios = []
+    for _ in range(SETUP_SAMPLES):
+        bare = runner.python("pass")[0]
+        ratios.append(runner.python("import zetapoly.cli")[0] / bare)
+    return BARE_START_REF_S * statistics.median(ratios)
 
 
 def closed_loop(runner: Runner, jobs: list, seconds: float) -> list:
     """Run the round `jobs` again and again, one job at a time: at least
-    MIN_ROUNDS times, and once more whenever another round would still end
+    once, and once more whenever another round would still end
     within `seconds`.  Returns the outcomes of each round."""
     rounds = []
     start = time.monotonic()
@@ -249,7 +281,7 @@ def closed_loop(runner: Runner, jobs: list, seconds: float) -> list:
             if runner.past_deadline():
                 break
         now = time.monotonic()
-        if len(rounds) >= MIN_ROUNDS and now - start + (now - round_start) > seconds:
+        if now - start + (now - round_start) > seconds:
             break
     return rounds
 
@@ -257,7 +289,7 @@ def closed_loop(runner: Runner, jobs: list, seconds: float) -> list:
 def print_job(o: Outcome, tag: str = "job") -> None:
     status = "ok" if o.ok else f"FAILED ({o.error})"
     print(f"{tag} {o.job.key:<20} wall {o.wall_s:7.3f} s (+{o.steal_s:.2f} s stolen)  cpu {o.cpu_s:7.3f} s  "
-          f"rss {o.rss_kb / 1024:5.1f} MB  {status}", flush=True)
+          f"speed {o.speed:5.3f}  rss {o.rss_kb / 1024:5.1f} MB  {status}", flush=True)
 
 
 def print_failures(outcomes: list) -> None:
@@ -270,12 +302,11 @@ def print_failures(outcomes: list) -> None:
 
 def end_to_end(rounds: list, setup_s: float) -> dict:
     """Throughput and CPU per successful job of one round, each job at its
-    best wall and CPU time over the rounds (best-of-N: the host's speed
-    swings by a quarter within seconds, and only slows jobs down)."""
+    median wall and CPU time over the rounds, at the reference speed."""
     runs = [[r[i] for r in rounds if i < len(r)] for i in range(len(rounds[0]))]
     ok = sum(all(o.ok for o in job_runs) for job_runs in runs)
-    wall = sum(min(o.wall_s for o in job_runs) for job_runs in runs)
-    cpu = sum(min(o.cpu_s for o in job_runs) for job_runs in runs)
+    wall = sum(statistics.median(o.ref_wall_s for o in job_runs) for job_runs in runs)
+    cpu = sum(statistics.median(o.ref_cpu_s for o in job_runs) for job_runs in runs)
     outcomes = [o for r in rounds for o in r]
     return {
         "ok_jobs_per_min": (ok / (wall / 60), "1/min"),
@@ -336,7 +367,8 @@ def environment(seed: int, mpmath_backend: str) -> dict:
 
 def run_untraced(runner: Runner, jobs: list, seconds: int):
     setup_s = measure_setup(runner)
-    print(f"setup_s {setup_s:.4f} s (median of {SETUP_SAMPLES} imports of zetapoly.cli)")
+    print(f"setup_s {setup_s:.4f} s (median of {SETUP_SAMPLES} imports of zetapoly.cli, each over a bare "
+          f"interpreter start, times {BARE_START_REF_S} s)")
     rounds = closed_loop(runner, jobs, seconds)
     outcomes = [o for r in rounds for o in r]
     print_failures(outcomes)
@@ -344,9 +376,12 @@ def run_untraced(runner: Runner, jobs: list, seconds: int):
     failed = sum(not o.ok for o in outcomes)
     print(f"failed_frac {failed / len(outcomes):.6f} frac ({failed} of {len(outcomes)} jobs)")
     wall = sum(o.wall_s for o in outcomes)
-    print(f"average over the run: {60 * (len(outcomes) - failed) / wall:.3f} ok jobs/min, "
+    speeds = [o.speed for o in outcomes]
+    print(f"average over the run, as measured: {60 * (len(outcomes) - failed) / wall:.3f} ok jobs/min, "
           f"{sum(o.cpu_s for o in outcomes) / max(len(outcomes) - failed, 1):.4f} cpu s per ok job, "
           f"{len(rounds)} rounds of {len(jobs)} jobs in {wall:.1f} s")
+    print(f"host speed: median {statistics.median(speeds):.3f}, range {min(speeds):.3f}-{max(speeds):.3f} "
+          f"of the reference")
     metrics = end_to_end(rounds, setup_s)
     return outcomes, {name: {"value": v, "unit": u} for name, (v, u) in metrics.items()}
 
@@ -362,9 +397,10 @@ def run_traced(runner: Runner, jobs: list):
     print_failures(traced)
     values = tracer.summarize(
         runner.span_files,
+        [o.speed for o in traced],
         bytes_written=sum(o.bytes_written for o in traced),
-        untraced_wall_s=sum(o.wall_s for o in plain),
-        traced_wall_s=sum(o.wall_s for o in traced),
+        untraced_wall_s=sum(o.ref_wall_s for o in plain),
+        traced_wall_s=sum(o.ref_wall_s for o in traced),
     )
     jobs_s = values["trace.jobs_s"]
     for layer in tracer.LAYERS:

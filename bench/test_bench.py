@@ -1,6 +1,7 @@
 """Tests of the benchmark itself: tiny jobs through the real runner, the
-checker rejecting corrupted output, failed jobs being counted, the tracer's
-counts repeating, and the benchmark refusing to run without the sources.
+calibration sampled while a job runs, the checker rejecting corrupted
+output, failed jobs being counted, the tracer's counts repeating, and the
+benchmark refusing to run without the sources.
 
     PYTHONPATH=src python -m pytest -q bench/test_bench.py
 """
@@ -20,6 +21,7 @@ import pytest
 import checks
 import make_reference
 import run
+import spawner
 import tracer
 
 TINY_JOBS = (run.Job("habiro", level=3), run.Job("rv", weight=16, d=6), run.Job("lfun", weight=12, bits=64))
@@ -87,6 +89,15 @@ def test_corrupted_lfun_and_habiro_fail(tmp_path):
     assert "frobenius_toric" in checks.check(habiro, 0, json.dumps(payload).encode(), tmp_path, None)
 
 
+def test_calibration_is_sampled_while_a_job_runs(runner, tmp_path):
+    argv = [sys.executable, "-c", "sum(i * i for i in range(5_000_000))"]
+    usage = runner.spawn(argv, tmp_path, tmp_path / "out", tmp_path / "err")
+    assert usage["exit_code"] == 0
+    assert usage["cal_reps"] > 2 * spawner.EDGE_REPS  # samples taken with the job stopped
+    assert abs(usage["wall_s"] - usage["cpu_s"]) < 0.1  # the pauses are not the job's time
+    assert run.speed(usage) > 0
+
+
 def test_512_bit_lfun_is_counted_not_dropped(runner):
     ok = runner.run(run.Job("lfun", weight=12, bits=64))
     high = runner.run(run.Job("lfun", weight=12, bits=512))
@@ -108,7 +119,7 @@ def test_traced_counts_repeat_and_outputs_unchanged(runner):
     job = run.Job("rv", weight=16, d=6)
     outcomes = [runner.run(job, traced=True) for _ in range(2)]
     assert [o.error for o in outcomes] == [None, None]
-    first, second = (tracer.summarize([f], 0, 1.0, 1.0) for f in runner.span_files)
+    first, second = (tracer.summarize([f], [1.0], 0, 1.0, 1.0) for f in runner.span_files)
     assert [first[n] for n in EXACT_COUNTS] == [second[n] for n in EXACT_COUNTS]
     assert all(first[n] > 0 for n in EXACT_COUNTS)
     assert first["rvtransform.rv_polynomial.calls"] == 1 and first["rvtransform.max_d"] == 6
@@ -155,4 +166,4 @@ def test_refuses_to_run_without_sources(tmp_path):
 
 
 def _outcome() -> run.Outcome:
-    return run.Outcome(run.Job("habiro", level=3), 0, 1.0, 0.0, 1.0, 20000, 10, None, "")
+    return run.Outcome(run.Job("habiro", level=3), 0, 1.0, 0.0, 1.0, 1.0, 20000, 10, None, "")

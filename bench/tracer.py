@@ -268,8 +268,9 @@ def main(argv) -> int:
 # ---------------------------------------------------------------------
 
 
-def summarize(span_files, bytes_written: int, untraced_wall_s: float, traced_wall_s: float) -> dict:
-    """Per-layer metrics {name: value} over the span files of one traced run."""
+def summarize(span_files, speeds, bytes_written: int, untraced_wall_s: float, traced_wall_s: float) -> dict:
+    """Per-layer metrics {name: value} over the span files of one traced run.
+    Span times are scaled by `speeds`, one per file (see run.speed)."""
     keys = list(LAYERS) + list(GROUPS)
     bit = {key: 1 << i for i, key in enumerate(keys)}
     busy = Counter()
@@ -280,7 +281,7 @@ def summarize(span_files, bytes_written: int, untraced_wall_s: float, traced_wal
     unique_kernels = 0
     cache_hits = cache_lookups = 0
     jobs_ns = 0
-    for path in span_files:
+    for path, speed in zip(span_files, speeds):
         data = json.loads(Path(path).read_text())
         names = data["names"]
         name_bits = []
@@ -292,7 +293,7 @@ def summarize(span_files, bytes_written: int, untraced_wall_s: float, traced_wal
             name_bits.append(b)
         nid, parent, start, end = data["name"], data["parent"], data["start"], data["end"]
         n = len(nid)
-        dur = [end[i] - start[i] for i in range(n)]
+        dur = [(end[i] - start[i]) * speed for i in range(n)]
         child = [0] * n
         mask = [0] * n
         for i in range(n):
