@@ -1,7 +1,7 @@
 """Batch command-line interface.
 
-Exit codes: 0 = all checks passed, 1 = computation ran but a check failed,
-2 = invalid or unsupported input.
+Exit codes: 0 = all checks passed, 1 = computation ran but a check or an
+internal contract failed, 2 = invalid or unsupported input.
 """
 
 from __future__ import annotations
@@ -10,11 +10,11 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
+from mpmath import mp
+
 from . import habiro, modforms, periods, rvtransform, zerocert
-from .exactcore import RatPoly
 
 WEIGHTS = modforms.ONE_DIM_WEIGHTS
 
@@ -42,58 +42,29 @@ def _emit(payload, out):
 
 
 def cmd_periods(args) -> int:
-    try:
-        payload = periods.periods_json_dict(args.weight)
-    except (modforms.UnsupportedWeightError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(payload, args.out)
+    _emit(periods.periods_json_dict(args.weight), args.out)
     return 0
 
 
 def cmd_rv(args) -> int:
-    k = args.weight
-    if k not in WEIGHTS:
-        print(f"error: weight {k} unsupported (dim S_k = 1 weights: {WEIGHTS})",
-              file=sys.stderr)
-        return 2
-    e = k - 12
-    if args.d is not None and args.d <= e:
-        print(f"error: d must exceed e = {e}", file=sys.stderr)
-        return 2
-    record, circle, line = zeta_record_for_weight(k, args.d)
-    payload = record.to_json_dict()
-    payload["unit_circle"] = circle.to_json_dict()
-    payload["critical_line_certificate"] = line.to_json_dict()
-    _emit(payload, args.out)
-    return 0 if circle.passed and line.passed else 1
-
-
-def cmd_certify(args) -> int:
-    k = args.weight
-    if k not in WEIGHTS:
-        print(f"error: weight {k} unsupported (dim S_k = 1 weights: {WEIGHTS})",
-              file=sys.stderr)
-        return 2
-    e = k - 12
-    if args.d is not None and args.d <= e:
-        print(f"error: d must exceed e = {e}", file=sys.stderr)
-        return 2
-    record, circle, line = zeta_record_for_weight(k, args.d)
-    payload = {
-        "weight": k,
-        "d": record.d,
-        "unit_circle": circle.to_json_dict(),
-        "critical_line": line.to_json_dict(),
-    }
+    """Both `rv` (the full record) and `certify` (certificates only)."""
+    record, circle, line = zeta_record_for_weight(args.weight, args.d)
+    if args.command == "rv":
+        payload = record.to_json_dict()
+        payload["unit_circle"] = circle.to_json_dict()
+        payload["critical_line_certificate"] = line.to_json_dict()
+    else:
+        payload = {
+            "weight": args.weight,
+            "d": record.d,
+            "unit_circle": circle.to_json_dict(),
+            "critical_line": line.to_json_dict(),
+        }
     _emit(payload, args.out)
     return 0 if circle.passed and line.passed else 1
 
 
 def cmd_habiro(args) -> int:
-    if args.level < 1:
-        print("error: level must be >= 1", file=sys.stderr)
-        return 2
     results = habiro.habiro_battery(args.level)
     payload = {"level": args.level, "checks": results}
     _emit(payload, args.out)
@@ -102,18 +73,13 @@ def cmd_habiro(args) -> int:
 
 def cmd_lfun(args) -> int:
     k = args.weight
-    if k not in WEIGHTS:
-        print(f"error: weight {k} unsupported (dim S_k = 1 weights: {WEIGHTS})",
-              file=sys.stderr)
-        return 2
-    f = modforms.eigenform(k)
+    f = modforms.eigenform(k, modforms.qexp_prec_for(k, args.prec_bits))
     ss = [args.s] if args.s is not None else list(range(1, k))
     values = {}
     for s in ss:
-        if not (1 <= s <= k - 1):
-            print(f"error: s = {s} outside 1..{k - 1}", file=sys.stderr)
-            return 2
-        values[str(s)] = str(modforms.lambda_numeric(f, s, args.prec_bits).value)
+        value = modforms.lambda_numeric(f, s, args.prec_bits).value
+        with mp.workprec(args.prec_bits):
+            values[str(s)] = str(value)
     _emit({"weight": k, "prec_bits": args.prec_bits, "lambda": values}, args.out)
     return 0
 
@@ -155,6 +121,13 @@ def cmd_report(args) -> int:
     return 1 if any_failed else 0
 
 
+def _prec_bits(text: str) -> int:
+    bits = int(text)
+    if bits < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return bits
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zetapoly",
@@ -178,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_certify)
+    p.set_defaults(func=cmd_rv)
 
     p = sub.add_parser("habiro", help="run the Habiro-ring verification battery")
     p.add_argument("--level", type=int, required=True)
@@ -188,13 +161,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lfun", help="completed L-values of the eigenform")
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--s", type=int, default=None)
-    p.add_argument("--prec-bits", type=int, default=128)
+    p.add_argument("--prec-bits", type=_prec_bits, default=128)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_lfun)
 
     p = sub.add_parser("report", help="sweep all weights and d = e+1..e+6")
     p.add_argument("--out-dir", default="report")
-    p.add_argument("--prec-bits", type=int, default=128)
+    p.add_argument("--prec-bits", type=_prec_bits, default=128)
     p.set_defaults(func=cmd_report)
 
     return parser
@@ -204,9 +177,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, habiro.LevelError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a failed internal contract
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -19,10 +19,6 @@ def rational_to_str(x: Rational) -> str:
     return str(Fraction(x))
 
 
-def rational_from_str(s: str) -> Rational:
-    return Fraction(s)
-
-
 class RatPoly:
     """Immutable dense polynomial over Q."""
 

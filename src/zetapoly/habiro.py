@@ -33,12 +33,9 @@ def cyclotomic_poly(m: int) -> RatPoly:
     for d in range(1, m):
         if m % d == 0:
             num, rem = divmod(num, cyclotomic_poly(d))
-            assert rem.is_zero()
+            if not rem.is_zero():
+                raise RuntimeError(f"Phi_{d} does not divide x^{m} - 1")
     return num
-
-
-def _euler_phi(m: int) -> int:
-    return cyclotomic_poly(m).degree if m > 1 else 1
 
 
 @dataclass(frozen=True)
@@ -103,7 +100,8 @@ class HabiroTrunc:
             raise LevelError("level must be >= 1")
         red = poly % qpochhammer(level)
         for c in red.coeffs:
-            assert c.denominator == 1
+            if c.denominator != 1:
+                raise ValueError("Habiro residues must have integer coefficients")
         return cls(level=level, residue=red)
 
     def _check(self, other: "HabiroTrunc"):

@@ -50,11 +50,6 @@ class QExpansion:
     def is_cuspidal(self) -> bool:
         return self.coeffs[0] == 0
 
-    def truncate(self, prec: int) -> "QExpansion":
-        if prec > self.prec:
-            raise PrecisionError("cannot extend a truncated series")
-        return QExpansion(self.weight, self.coeffs[: prec + 1])
-
     def __add__(self, other: "QExpansion") -> "QExpansion":
         if self.weight != other.weight:
             raise ValueError("weights differ")
@@ -150,7 +145,8 @@ def cuspform_basis(k: int, prec: int = DEFAULT_QEXP_PREC) -> list:
         rem = k - 12 * c
         b = 0 if rem % 4 == 0 else 1
         a = (rem - 6 * b) // 4
-        assert a >= 0 and 4 * a + 6 * b + 12 * c == k
+        if a < 0 or 4 * a + 6 * b + 12 * c != k:
+            raise RuntimeError(f"no monomial E4^a E6^b Delta^{c} of weight {k}")
         f = delta
         for _ in range(c - 1):
             f = f * delta
@@ -215,11 +211,12 @@ def eigenform(k: int, prec: int = DEFAULT_QEXP_PREC) -> QExpansion:
     """The unique normalized Hecke eigenform of weight k, dim S_k = 1 only."""
     if k not in ONE_DIM_WEIGHTS:
         raise UnsupportedWeightError(
-            f"weight {k} not supported: requires dim S_k = 1 "
+            f"weight {k} unsupported: requires dim S_k = 1 "
             f"(supported weights: {ONE_DIM_WEIGHTS})"
         )
     f = cuspform_basis(k, prec)[0]
-    assert f.coeffs[0] == 0 and f.coeffs[1] == 1
+    if f.coeffs[0] != 0 or f.coeffs[1] != 1:
+        raise RuntimeError(f"cusp form of weight {k} is not normalized")
     for m in (2, 3):
         tf = hecke_Tm(f, m)
         lam = f.coeffs[m]
@@ -250,6 +247,23 @@ def _upper_gamma_int(s: int, x):
     return mp.e ** (-x) * acc
 
 
+def _tail_bound(x, n: int, k: int):
+    # tail estimate: |a_n| <= d(n) n^((k-1)/2) and Gamma(t, x)/x^t ~ e^-x
+    return mp.e ** (-x) * mpf(n + 1) ** k * 4
+
+
+def qexp_prec_for(k: int, prec_bits: int) -> int:
+    """Number of q-terms at which lambda_numeric's tail bound meets a
+    prec_bits target for weight k, and never fewer than DEFAULT_QEXP_PREC."""
+    with mp.workprec(prec_bits + 48):
+        twopi = 2 * mp.pi
+        tol = mpf(2) ** (-(prec_bits + 16))
+        n = 1
+        while _tail_bound(twopi * n, n, k) >= tol:
+            n += 1
+    return max(n, DEFAULT_QEXP_PREC)
+
+
 def lambda_numeric(f: QExpansion, s: int, prec_bits: int = 128) -> LValue:
     """Completed L-value Lambda(f, s) = integral of f(iy) y^(s-1) on (0, inf).
 
@@ -274,9 +288,7 @@ def lambda_numeric(f: QExpansion, s: int, prec_bits: int = 128) -> LValue:
                 _upper_gamma_int(s, x) / x**s
                 + sign * _upper_gamma_int(k - s, x) / x ** (k - s)
             )
-            # tail estimate: |a_n| <= d(n) n^((k-1)/2) and Gamma(t, x)/x^t ~ e^-x
-            bound = mp.e ** (-x) * mpf(n + 1) ** k * 4
-            if bound < tol:
+            if _tail_bound(x, n, k) < tol:
                 converged = True
                 break
         if not converged:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import List
 
 from .exactcore import RatPoly, is_self_inversive
@@ -67,20 +68,22 @@ def slash_action(r: RatPoly, g: MoebiusGen, w: int) -> RatPoly:
     return out
 
 
-def _relation_image(r: RatPoly, w: int) -> List[Fraction]:
-    """Stacked coefficient vector of r|_w(1+S) and r|_w(1+U+U^2)."""
-    rel_s = r + slash_action(r, S_GEN, w)
-    ru = slash_action(r, U_GEN, w)
-    ruu = slash_action(ru, U_GEN, w)
-    rel_u = r + ru + ruu
-    vec = [rel_s[i] for i in range(w + 1)]
-    vec += [rel_u[i] for i in range(w + 1)]
-    return vec
+def _relation_image(j: int, w: int) -> List[int]:
+    """Stacked coefficient vector of z^j|_w(1+S) and z^j|_w(1+U+U^2), from
+    z^j|S = (-1)^j z^(w-j), z^j|U = z^(w-j) (z-1)^j, z^j|U^2 = (1-z)^(w-j)."""
+    rel_s = [0] * (w + 1)
+    rel_s[j] += 1
+    rel_s[w - j] += (-1) ** j
+    rel_u = [(-1) ** i * comb(w - j, i) for i in range(w + 1)]
+    rel_u[j] += 1
+    for m in range(j + 1):
+        rel_u[w - j + m] += (-1) ** (j - m) * comb(j, m)
+    return rel_s + rel_u
 
 
-def _rational_nullspace(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
+def _rational_nullspace(rows: List[list], ncols: int) -> List[List[Fraction]]:
     """Basis of the right nullspace, by exact Gauss-Jordan elimination."""
-    mat = [list(row) for row in rows]
+    mat = [[Fraction(v) for v in row] for row in rows]
     pivots = []  # (row, col)
     row = 0
     for col in range(ncols):
@@ -125,7 +128,7 @@ def relations_kernel(w: int, parity: str = "all") -> PeriodSpace:
         exps = [j for j in range(w + 1) if j % 2 == 1]
     else:
         exps = list(range(w + 1))
-    cols = [_relation_image(RatPoly.monomial(j), w) for j in exps]
+    cols = [_relation_image(j, w) for j in exps]
     nrows = 2 * (w + 1)
     rows = [[cols[c][r] for c in range(len(exps))] for r in range(nrows)]
     basis = []
@@ -142,7 +145,7 @@ def odd_period_polynomial(k: int) -> RatPoly:
     coefficients with positive leading coefficient (dim S_k = 1 weights only)."""
     if k not in ONE_DIM_WEIGHTS:
         raise UnsupportedWeightError(
-            f"weight {k} not supported: the odd kernel is one-dimensional only "
+            f"weight {k} unsupported: the odd kernel is one-dimensional only "
             f"for weights {ONE_DIM_WEIGHTS}"
         )
     space = relations_kernel(k - 2, "odd")

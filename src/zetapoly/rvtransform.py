@@ -68,21 +68,18 @@ def series_coefficients(U: RatPoly, d: int, N: int) -> List[Fraction]:
     return out
 
 
-def _lagrange_interpolate(points) -> RatPoly:
-    """Exact interpolating polynomial through (x_i, y_i)."""
-    result = RatPoly.zero()
-    xs = [p[0] for p in points]
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
+def _zeta_interpolant(U: RatPoly, d: int) -> RatPoly:
+    """H(x) = sum_j u_j C(x-j+d-1, d-1)
+         = (1/(d-1)!) sum_j u_j prod_{i=1}^{d-1} (x+i-j)."""
+    H = RatPoly.zero()
+    for j, u in enumerate(U.coeffs):
+        if u == 0:
             continue
-        num = RatPoly((yi,))
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j != i:
-                num = num * RatPoly((-xj, 1))
-                denom *= xi - xj
-        result = result + num * (1 / denom)
-    return result
+        term = RatPoly((u,))
+        for i in range(1, d):
+            term = term * RatPoly((i - j, 1))
+        H = H + term
+    return H * Fraction(1, math.factorial(d - 1))
 
 
 def functional_equation_defect(H: RatPoly, d: int, e: int) -> RatPoly:
@@ -92,8 +89,9 @@ def functional_equation_defect(H: RatPoly, d: int, e: int) -> RatPoly:
 
 
 def rv_polynomial(U: RatPoly, d: int, weight: Optional[int] = None) -> ZetaPolyRecord:
-    """Interpolate H from the exact series coefficients of U(z)/(1-z)^d and
-    verify all its contracts before returning the record."""
+    """Build H in closed form and verify it against the exact series
+    coefficients of U(z)/(1-z)^d, and all its other contracts, before
+    returning the record."""
     if U.is_zero():
         raise ValueError("U must be nonzero")
     e = U.degree
@@ -102,9 +100,9 @@ def rv_polynomial(U: RatPoly, d: int, weight: Optional[int] = None) -> ZetaPolyR
     if not is_self_inversive(U):
         raise ValueError("U must be self-inversive: U(1/z) z^e == U(z)")
     coeffs = series_coefficients(U, d, 2 * d)
-    H = _lagrange_interpolate([(Fraction(n), coeffs[n]) for n in range(d)])
+    H = _zeta_interpolant(U, d)
     if H.degree != d - 1:
-        raise RuntimeError(f"interpolant degree {H.degree} != d-1 = {d - 1}")
+        raise RuntimeError(f"deg H = {H.degree} != d-1 = {d - 1}")
     for n in range(2 * d + 1):
         if H(Fraction(n)) != coeffs[n]:
             raise RuntimeError(f"H({n}) disagrees with the series coefficient")

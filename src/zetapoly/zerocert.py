@@ -196,7 +196,7 @@ def critical_line_certify(Q: RatPoly, c: Fraction, sign: int) -> Certificate:
 # ---------------------------------------------------------------------
 
 
-def _as_mpc_coeffs(p, prec: int) -> List:
+def _as_mpc_coeffs(p) -> List:
     if isinstance(p, RatPoly):
         return [mpf(c.numerator) / c.denominator for c in p.coeffs]
     return [mpc(c) for c in p]
@@ -215,7 +215,7 @@ def roots_numeric(p, prec_bits: int = 128) -> List:
     (constant first).  Guarantees |p(root)| < 2^(-prec_bits/2) * max |coeff|.
     """
     with mp.workprec(prec_bits + 64):
-        coeffs = _as_mpc_coeffs(p, prec_bits + 64)
+        coeffs = _as_mpc_coeffs(p)
         while coeffs and abs(coeffs[-1]) == 0:
             coeffs.pop()
         if len(coeffs) <= 1:

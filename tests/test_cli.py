@@ -2,7 +2,9 @@ import csv
 import json
 
 import pytest
+from mpmath import mp, mpf
 
+from zetapoly import cli
 from zetapoly.cli import main
 
 
@@ -60,6 +62,12 @@ class TestCertifyCommand:
         assert payload["unit_circle"]["passed"] is True
         assert payload["critical_line"]["passed"] is True
 
+    def test_unsupported_weight(self, capsys):
+        assert run(capsys, ["certify", "--weight", "28"])[0] == 2
+
+    def test_d_not_above_e(self, capsys):
+        assert run(capsys, ["certify", "--weight", "26", "--d", "14"])[0] == 2
+
 
 class TestHabiroCommand:
     def test_level_8(self, capsys):
@@ -84,6 +92,43 @@ class TestLfunCommand:
 
     def test_out_of_strip(self, capsys):
         assert run(capsys, ["lfun", "--weight", "12", "--s", "12"])[0] == 2
+
+    def test_unsupported_weight(self, capsys):
+        assert run(capsys, ["lfun", "--weight", "28"])[0] == 2
+
+    def test_values_printed_at_prec_bits(self, capsys):
+        argv = ["lfun", "--weight", "12", "--s", "5", "--prec-bits"]
+        _, out128 = run(capsys, argv + ["128"])
+        _, out256 = run(capsys, argv + ["256"])
+        text = json.loads(out256)["lambda"]["5"]
+        mantissa = text.split("e")[0].replace("-", "").replace(".", "").lstrip("0")
+        assert len(mantissa) >= 70
+        with mp.workprec(256):
+            v128, v256 = mpf(json.loads(out128)["lambda"]["5"]), mpf(text)
+            assert abs(v256 - v128) < mpf("1e-35") * abs(v256)
+
+    def test_512_bits(self, capsys):
+        assert run(capsys, ["lfun", "--weight", "26", "--s", "3", "--prec-bits", "512"])[0] == 0
+
+    @pytest.mark.parametrize("command", [["lfun", "--weight", "12"], ["report"]])
+    @pytest.mark.parametrize("bits", ["0", "-5"])
+    def test_nonpositive_prec_bits_invalid(self, capsys, tmp_path, command, bits):
+        argv = command + ["--prec-bits", bits]
+        if command == ["report"]:
+            argv += ["--out-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+class TestInternalFailure:
+    def test_runtime_error_exits_1_with_message(self, capsys, monkeypatch):
+        def broken(k, d=None):
+            raise RuntimeError("functional equation fails")
+
+        monkeypatch.setattr(cli, "zeta_record_for_weight", broken)
+        assert main(["rv", "--weight", "12"]) == 1
+        assert "error: functional equation fails" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
 from zetapoly.exactcore import RatPoly
@@ -45,6 +51,26 @@ class TestCyclotomic:
                 if m % d == 0:
                     prod = prod * cyclotomic_poly(d)
             assert prod == RatPoly.monomial(m) - 1
+
+
+class TestHabiroTruncMake:
+    def test_non_integer_residue_rejected(self):
+        with pytest.raises(ValueError):
+            HabiroTrunc.make(3, RatPoly((Fraction(1, 2),)))
+
+    def test_non_integer_residue_rejected_under_optimize(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "from fractions import Fraction\n"
+            "from zetapoly.exactcore import RatPoly\n"
+            "from zetapoly.habiro import HabiroTrunc\n"
+            "HabiroTrunc.make(3, RatPoly((Fraction(1, 2),)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode != 0
+        assert "ValueError" in proc.stderr
 
 
 class TestHabiroR:

@@ -1,15 +1,17 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from zetapoly.exactcore import RatPoly, is_self_inversive
-from zetapoly.modforms import UnsupportedWeightError
+from zetapoly.modforms import UnsupportedWeightError, dim_cuspforms
 from zetapoly.periods import (
     CFIQuotient,
     DivisibilityError,
     MoebiusGen,
     S_GEN,
     U_GEN,
+    _relation_image,
     cfi_divisor,
     cfi_quotient,
     odd_period_polynomial,
@@ -59,7 +61,25 @@ class TestSlashAction:
             slash_action(RatPoly.monomial(5), S_GEN, 4)
 
 
+class TestRelationImage:
+    @pytest.mark.parametrize("w", range(2, 41, 2))
+    def test_closed_form_matches_slash_action(self, w):
+        for j in range(w + 1):
+            r = RatPoly.monomial(j)
+            rel_s = r + slash_action(r, S_GEN, w)
+            ru = slash_action(r, U_GEN, w)
+            rel_u = r + ru + slash_action(ru, U_GEN, w)
+            expected = [rel_s[i] for i in range(w + 1)] + [rel_u[i] for i in range(w + 1)]
+            assert _relation_image(j, w) == expected
+
+
 class TestRelationsKernel:
+    def test_w60_odd_budget(self):
+        t0 = time.perf_counter()
+        space = relations_kernel(60, "odd")
+        assert time.perf_counter() - t0 < 2.0
+        assert len(space.basis) == dim_cuspforms(62)
+
     def test_w10_odd_is_golden(self):
         space = relations_kernel(10, "odd")
         assert len(space.basis) == 1

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,13 @@ class TestRvPolynomial:
         coeffs = series_coefficients(U, 9, 50)
         for n in range(51):
             assert rec.H(Fraction(n)) == coeffs[n]
+
+    def test_weight26_d200_budget(self):
+        U = cfi_quotient(odd_period_polynomial(26), 26).U_poly
+        t0 = time.perf_counter()
+        rec = rv_polynomial(U, 200, weight=26)
+        assert time.perf_counter() - t0 < 20.0
+        assert rec.H.degree == 199 and rec.Q.degree == 14
 
     def test_degree_bookkeeping(self):
         for k in (12, 16, 18):
