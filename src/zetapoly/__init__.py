@@ -3,7 +3,7 @@ with Sturm-sequence certification of their zero loci, and a truncated
 Habiro-ring engine for the toric and Chebyshev Frobenius-lift structures.
 """
 
-from .exactcore import RatPoly, Rational, is_self_inversive
+from .exactcore import RatPoly, is_self_inversive
 from .modforms import (
     QExpansion,
     LValue,

@@ -111,7 +111,7 @@ def cmd_report(args) -> int:
                         json.dumps(roots_payload, indent=2, sort_keys=True) + "\n"
                     )
             except Exception as exc:  # keep the sweep going, record the failure
-                funceq = uc = cl = f"error:{type(exc).__name__}"
+                funceq = uc = cl = f"error:{type(exc).__name__}: {exc}"
                 any_failed = True
             rows.append([k, e, d, funceq, uc, cl])
     with open(out_dir / "summary.csv", "w", newline="") as fh:

@@ -1,22 +1,64 @@
-"""Dense univariate polynomials with exact rational coefficients.
+"""Dense univariate polynomials with exact rational coefficients, and exact
+row reduction.
 
 Coefficients are stored constant-first, so ``coeffs[i]`` is the coefficient
 of ``z**i``.  The zero polynomial has an empty coefficient tuple and degree -1.
 All values are immutable; every operation returns a new polynomial.
+A coefficient is an ``int`` when integral and a ``Fraction`` otherwise;
+``_exact`` enforces this and ``_quo`` does every exact division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Rational = Fraction
+
+def _exact(c):
+    """c as an int when it is integral, else as a Fraction; anything that is
+    not an exact rational (float, complex, mpmath) raises TypeError."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError(f"inexact coefficient {c!r}; use int or Fraction")
 
 
-def rational_to_str(x: Rational) -> str:
+def _quo(a, b):
+    """The exact quotient a / b of two rationals."""
+    return _exact(Fraction(a, b))
+
+
+def rational_to_str(x) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1."""
-    return str(Fraction(x))
+    return str(_exact(x))
+
+
+def rref(rows: Sequence[Sequence]) -> tuple[list, list]:
+    """Reduced row echelon form over Q by Gauss-Jordan elimination.
+
+    Returns the nonzero reduced rows, each with a 1 in its pivot column and
+    zeros in the other pivot columns, and the list of pivot columns.
+    """
+    mat = [[_exact(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(len(mat[0]) if mat else 0):
+        top = len(pivots)
+        pick = next((r for r in range(top, len(mat)) if mat[r][col] != 0), None)
+        if pick is None:
+            continue
+        mat[top], mat[pick] = mat[pick], mat[top]
+        lead = mat[top][col]
+        prow = mat[top] = [_quo(v, lead) for v in mat[top]]
+        for r, row in enumerate(mat):
+            fac = row[col]
+            if r != top and fac != 0:
+                mat[r] = [_exact(v - fac * p) for v, p in zip(row, prow)]
+        pivots.append(col)
+    return mat[: len(pivots)], pivots
 
 
 class RatPoly:
@@ -25,7 +67,7 @@ class RatPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -66,12 +108,12 @@ class RatPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __getitem__(self, i: int) -> Rational:
+    def __getitem__(self, i: int):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Fraction(0)
+        return 0
 
-    def leading(self) -> Rational:
+    def leading(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -139,7 +181,7 @@ class RatPoly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return RatPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -170,9 +212,9 @@ class RatPoly:
         lead = other.coeffs[-1]
         if len(rem) <= dq:
             return RatPoly.zero(), self
-        quot = [Fraction(0)] * (len(rem) - dq)
+        quot = [0] * (len(rem) - dq)
         for i in range(len(rem) - dq - 1, -1, -1):
-            c = rem[i + dq] / lead
+            c = _quo(rem[i + dq], lead)
             quot[i] = c
             if c != 0:
                 for j, b in enumerate(other.coeffs):
@@ -199,13 +241,15 @@ class RatPoly:
         return result
 
     def __call__(self, x):
-        """Evaluate by Horner; works for Fraction, float, complex, mpmath."""
+        """Evaluate by Horner: exactly at an int or Fraction, and in the
+        numeric type of x for float, complex or mpmath."""
         result = 0 * x
-        for c in reversed(self.coeffs):
-            if isinstance(x, Fraction):
+        if isinstance(x, (int, Fraction)):
+            for c in reversed(self.coeffs):
                 result = result * x + c
-            else:
-                result = result * x + _num(c, x)
+            return _exact(result)
+        for c in reversed(self.coeffs):
+            result = result * x + _num(c, x)
         return result
 
     # -- gcd machinery ------------------------------------------------
@@ -213,7 +257,7 @@ class RatPoly:
     def monic(self) -> "RatPoly":
         if self.is_zero():
             return self
-        return self * (1 / self.leading())
+        return self * _quo(1, self.leading())
 
     def gcd(self, other: "RatPoly") -> "RatPoly":
         """Monic gcd by the Euclidean algorithm over Q."""
@@ -233,17 +277,10 @@ class RatPoly:
         """Scale to integer coefficients with content 1 and positive leading."""
         if self.is_zero():
             return self
-        denom_lcm = 1
-        for c in self.coeffs:
-            denom_lcm = denom_lcm * c.denominator // _int_gcd(denom_lcm, c.denominator)
-        ints = [c * denom_lcm for c in self.coeffs]
-        content = 0
-        for c in ints:
-            content = _int_gcd(content, abs(int(c)))
-        out = [c / content for c in ints]
-        if out[-1] < 0:
-            out = [-c for c in out]
-        return RatPoly(out)
+        denom = lcm(*(c.denominator for c in self.coeffs))
+        ints = [c.numerator * (denom // c.denominator) for c in self.coeffs]
+        content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+        return RatPoly(c // content for c in ints)
 
     def reversed_coeffs(self) -> "RatPoly":
         """z^deg * self(1/z)."""
@@ -258,7 +295,7 @@ def _coerce(v) -> RatPoly:
     return None
 
 
-def _num(c: Fraction, like):
+def _num(c, like):
     # convert an exact rational to the numeric type of `like` without
     # an intermediate float
     return (0 * like + c.numerator) / c.denominator

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .exactcore import RatPoly
@@ -49,12 +48,9 @@ class CycloInt:
     @classmethod
     def from_poly(cls, m: int, poly: RatPoly) -> "CycloInt":
         red = poly % cyclotomic_poly(m)
-        coords = []
-        for c in red.coeffs:
-            if c.denominator != 1:
-                raise ValueError("non-integer coordinate")
-            coords.append(int(c))
-        return cls(conductor=m, coords=tuple(coords))
+        if any(c.denominator != 1 for c in red.coeffs):
+            raise ValueError("non-integer coordinate")
+        return cls(conductor=m, coords=red.coeffs)
 
     def as_poly(self) -> RatPoly:
         return RatPoly(self.coords)
@@ -129,6 +125,8 @@ class HabiroTrunc:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power")
         result = habiro_one(self.level)
         base = self
         while n:
@@ -148,7 +146,7 @@ class HabiroTrunc:
         return {
             "level": n,
             "modulus_degree": n * (n + 1) // 2,
-            "residue": [int(c) for c in self.residue.coeffs],
+            "residue": list(self.residue.coeffs),
         }
 
 
@@ -210,7 +208,7 @@ def chebyshev_T(k: int) -> RatPoly:
 
 
 def _substitute_power(poly: RatPoly, k: int) -> RatPoly:
-    out = [Fraction(0)] * (poly.degree * k + 1 if poly.coeffs else 1)
+    out = [0] * (poly.degree * k + 1 if poly.coeffs else 1)
     for i, c in enumerate(poly.coeffs):
         out[i * k] += c
     return RatPoly(out)
@@ -262,7 +260,7 @@ def frobenius_congruence_check(p: int, x: RatPoly) -> bool:
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     defect = psi_chebyshev(x, p) - x**p
-    return all(c.denominator == 1 and int(c) % p == 0 for c in defect.coeffs)
+    return all(c % p == 0 for c in defect.coeffs)
 
 
 def frobenius_congruence_toric(p: int, x: HabiroTrunc) -> bool:
@@ -270,7 +268,7 @@ def frobenius_congruence_toric(p: int, x: HabiroTrunc) -> bool:
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     defect = (psi_toric(x, p) - x**p).residue
-    return all(c.denominator == 1 and int(c) % p == 0 for c in defect.coeffs)
+    return all(c % p == 0 for c in defect.coeffs)
 
 
 def substitute_r(p: RatPoly, x: HabiroTrunc) -> HabiroTrunc:
@@ -279,7 +277,7 @@ def substitute_r(p: RatPoly, x: HabiroTrunc) -> HabiroTrunc:
     for c in reversed(p.coeffs):
         if c.denominator != 1:
             raise ValueError("polynomial must have integer coefficients")
-        acc = acc * x + int(c)
+        acc = acc * x + c
     return acc
 
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from mpmath import mp, mpf, mpc
+
+from .exactcore import _exact, rref
 
 DEFAULT_QEXP_PREC = 64
 
@@ -36,7 +37,7 @@ class QExpansion:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(_exact(c) for c in self.coeffs))
         if self.prec < 2:
             raise ValueError("need at least 3 coefficients (prec >= 2)")
 
@@ -44,7 +45,7 @@ class QExpansion:
     def prec(self) -> int:
         return len(self.coeffs) - 1
 
-    def a(self, n: int) -> Fraction:
+    def a(self, n: int):
         return self.coeffs[n]
 
     def is_cuspidal(self) -> bool:
@@ -59,13 +60,13 @@ class QExpansion:
         )
 
     def __sub__(self, other: "QExpansion") -> "QExpansion":
-        return self + (other * Fraction(-1))
+        return self + (other * -1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return QExpansion(self.weight, [c * other for c in self.coeffs])
         n = min(self.prec, other.prec)
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)
         for i in range(n + 1):
             if self.coeffs[i] == 0:
                 continue
@@ -106,7 +107,7 @@ def eisenstein_qexp(k: int, prec: int = DEFAULT_QEXP_PREC) -> QExpansion:
         raise ValueError("prec must be >= 2")
     factor = 240 if k == 4 else -504
     e = k - 1
-    coeffs = [Fraction(1)] + [Fraction(factor * _sigma(n, e)) for n in range(1, prec + 1)]
+    coeffs = [1] + [factor * _sigma(n, e) for n in range(1, prec + 1)]
     return QExpansion(k, coeffs)
 
 
@@ -155,32 +156,9 @@ def cuspform_basis(k: int, prec: int = DEFAULT_QEXP_PREC) -> list:
         for _ in range(b):
             f = f * e6
         forms.append(f)
-    if not forms:
-        return []
-    # Gaussian elimination with pivots at q^1..q^dim
-    rows = [list(f.coeffs) for f in forms]
-    basis = []
-    for pivot in range(1, dim + 1):
-        pick = None
-        for r in rows:
-            if r[pivot] != 0:
-                pick = r
-                break
-        if pick is None:
-            raise RuntimeError("monomial basis unexpectedly degenerate")
-        rows.remove(pick)
-        pick = [c / pick[pivot] for c in pick]
-        for r in rows:
-            if r[pivot] != 0:
-                fac = r[pivot]
-                for i in range(len(r)):
-                    r[i] -= fac * pick[i]
-        for b in basis:
-            if b[pivot] != 0:
-                fac = b[pivot]
-                for i in range(len(b)):
-                    b[i] -= fac * pick[i]
-        basis.append(pick)
+    basis, pivots = rref([f.coeffs for f in forms])
+    if pivots != list(range(1, dim + 1)):
+        raise RuntimeError("monomial basis unexpectedly degenerate")
     return [QExpansion(k, b) for b in basis]
 
 
@@ -198,7 +176,7 @@ def hecke_Tm(f: QExpansion, m: int) -> QExpansion:
     k = f.weight
     out = []
     for n in range(out_prec + 1):
-        total = Fraction(0)
+        total = 0
         g = m if n == 0 else math.gcd(m, n)
         for d in range(1, g + 1):
             if g % d == 0:
@@ -231,7 +209,7 @@ def eigenform(k: int, prec: int = DEFAULT_QEXP_PREC) -> QExpansion:
 # ---------------------------------------------------------------------
 
 
-def _mpq(x: Fraction):
+def _mpq(x):
     return mpf(x.numerator) / x.denominator
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb
 from typing import List
 
-from .exactcore import RatPoly, is_self_inversive
+from .exactcore import RatPoly, is_self_inversive, rref
 from .modforms import ONE_DIM_WEIGHTS, UnsupportedWeightError
 
 
@@ -81,36 +81,16 @@ def _relation_image(j: int, w: int) -> List[int]:
     return rel_s + rel_u
 
 
-def _rational_nullspace(rows: List[list], ncols: int) -> List[List[Fraction]]:
-    """Basis of the right nullspace, by exact Gauss-Jordan elimination."""
-    mat = [[Fraction(v) for v in row] for row in rows]
-    pivots = []  # (row, col)
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, len(mat)):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [v * inv for v in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col] != 0:
-                fac = mat[r][col]
-                mat[r] = [v - fac * p for v, p in zip(mat[r], mat[row])]
-        pivots.append((row, col))
-        row += 1
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+def _rational_nullspace(rows: List[list], ncols: int) -> List[list]:
+    """Basis of the right nullspace, one vector per free column of the
+    reduced row echelon form."""
+    reduced, pivots = rref(rows)
     basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for prow, pcol in pivots:
-            vec[pcol] = -mat[prow][fc]
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[fc] = 1
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[fc]
         basis.append(vec)
     return basis
 
@@ -133,7 +113,7 @@ def relations_kernel(w: int, parity: str = "all") -> PeriodSpace:
     rows = [[cols[c][r] for c in range(len(exps))] for r in range(nrows)]
     basis = []
     for vec in _rational_nullspace(rows, len(exps)):
-        coeffs = [Fraction(0)] * (w + 1)
+        coeffs = [0] * (w + 1)
         for x, j in zip(vec, exps):
             coeffs[j] = x
         basis.append(RatPoly(coeffs))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import Optional
 
 from mpmath import mp, mpf
 
@@ -50,7 +50,7 @@ class ScaledPoly:
     log_scale: int
 
 
-def series_coefficients(U: RatPoly, d: int, N: int) -> List[Fraction]:
+def series_coefficients(U: RatPoly, d: int, N: int) -> list:
     """First N+1 Taylor coefficients of U(z)/(1-z)^d: the convolution
     c_n = sum_j u_j C(n-j+d-1, d-1)."""
     if d < 1:
@@ -59,7 +59,7 @@ def series_coefficients(U: RatPoly, d: int, N: int) -> List[Fraction]:
         raise ValueError("N must be >= 0")
     out = []
     for n in range(N + 1):
-        c = Fraction(0)
+        c = 0
         for j, u in enumerate(U.coeffs):
             if j > n:
                 break
@@ -104,13 +104,13 @@ def rv_polynomial(U: RatPoly, d: int, weight: Optional[int] = None) -> ZetaPolyR
     if H.degree != d - 1:
         raise RuntimeError(f"deg H = {H.degree} != d-1 = {d - 1}")
     for n in range(2 * d + 1):
-        if H(Fraction(n)) != coeffs[n]:
+        if H(n) != coeffs[n]:
             raise RuntimeError(f"H({n}) disagrees with the series coefficient")
     if not functional_equation_defect(H, d, e).is_zero():
         raise RuntimeError("functional equation fails")
     strip = RatPoly.one()
     for j in range(1, d - e):
-        if H(Fraction(-j)) != 0:
+        if H(-j) != 0:
             raise RuntimeError(f"missing trivial zero at -{j}")
         strip = strip * RatPoly((j, 1))
     Q, rem = divmod(H, strip)

@@ -121,10 +121,10 @@ def unit_circle_certify(U: RatPoly) -> Certificate:
         return Certificate("unit_circle", True, 0, 0, "constant, trivially certified")
     V = chebyshev_basis_decompose(U)
     squarefree = V.gcd(V.derivative()).degree == 0
-    count = sturm_count(V, Fraction(-2), Fraction(2))
-    if V(Fraction(2)) == 0:
+    count = sturm_count(V, -2, 2)
+    if V(2) == 0:
         count -= 1
-    endpoints_clear = V(Fraction(2)) != 0 and V(Fraction(-2)) != 0
+    endpoints_clear = V(2) != 0 and V(-2) != 0
     passed = squarefree and endpoints_clear and count == half
     return Certificate(
         kind="unit_circle",
@@ -142,7 +142,7 @@ def _nonpositive_real_roots_with_multiplicity(A: RatPoly) -> int:
     B = A
     while B.degree > 0:
         sf = B.squarefree_part()
-        total += sturm_count(sf, None, Fraction(0))
+        total += sturm_count(sf, None, 0)
         B = B // sf
     return total
 

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
@@ -129,6 +130,32 @@ class TestInternalFailure:
         monkeypatch.setattr(cli, "zeta_record_for_weight", broken)
         assert main(["rv", "--weight", "12"]) == 1
         assert "error: functional equation fails" in capsys.readouterr().err
+
+
+class TestReportFailureCause:
+    def test_failed_rows_keep_their_message(self, capsys, tmp_path, monkeypatch):
+        real = cli.zeta_record_for_weight
+
+        def broken_at_20(k, d=None):
+            if k == 20:
+                raise RuntimeError("functional equation fails, d = %d" % d)
+            return real(k, d)
+
+        monkeypatch.setattr(cli, "zeta_record_for_weight", broken_at_20)
+        code, _ = run(capsys, ["report", "--out-dir", str(tmp_path)])
+        assert code == 1
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / "summary.csv"
+        with open(reference, newline="") as fh:
+            expected = list(csv.reader(fh))
+        assert len(rows) == len(expected) == 37
+        for row, ref in zip(rows, expected):
+            if row[0] == "20":
+                cause = f"error:RuntimeError: functional equation fails, d = {row[2]}"
+                assert row[:3] == ref[:3] and row[3:] == [cause] * 3
+            else:
+                assert row == ref
 
 
 class TestDeterminism:

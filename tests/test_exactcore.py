@@ -3,8 +3,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from mpmath import mpf
 
-from zetapoly.exactcore import RatPoly, is_self_inversive, rational_to_str
+from zetapoly.exactcore import RatPoly, is_self_inversive, rational_to_str, rref
+from zetapoly.habiro import habiro_r
+from zetapoly.modforms import eigenform
+from zetapoly.periods import cfi_quotient, odd_period_polynomial, relations_kernel
+from zetapoly.rvtransform import rv_polynomial
 
 
 def P(*coeffs):
@@ -70,6 +75,63 @@ class TestEval:
 
     def test_root_of_squared_factor(self):
         assert P(0, 4, 0, -25, 0, 42, 0, -25, 0, 4)(Fraction(1)) == 0
+
+
+class TestCoefficientConvention:
+    @pytest.mark.parametrize("bad", [0.1, 2.0, 1j, mpf(3)])
+    def test_inexact_coefficient_rejected(self, bad):
+        with pytest.raises(TypeError):
+            RatPoly((1, bad))
+
+    def test_inexact_scalar_rejected(self):
+        with pytest.raises(TypeError):
+            P(1, 2) * 0.5
+
+    def test_integral_values_are_ints(self):
+        assert P(Fraction(4, 2), Fraction(1, 3)).coeffs == (2, Fraction(1, 3))
+        assert type(P(Fraction(4, 2))[0]) is int
+        value = P(1, 2)(3)
+        assert value == 7 and type(value) is int
+        assert type(P(Fraction(1, 2), Fraction(1, 2))(Fraction(1))) is int
+
+    def test_float_point_still_evaluates_numerically(self):
+        assert P(1, 2)(0.5) == 2.0
+
+    def test_exact_division_has_no_float(self):
+        quot, rem = divmod(P(1, 0, 3), P(0, 2))
+        assert quot == P(0, Fraction(3, 2)) and rem == P(1)
+        assert P(3, 6).monic() == P(Fraction(1, 2), 1)
+        assert P(Fraction(1, 2), Fraction(-3, 4)).primitive_integer().coeffs == (-2, 3)
+
+    def test_pipeline_outputs_follow_the_convention(self):
+        def exact(c):
+            return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+        U = cfi_quotient(odd_period_polynomial(26), 26).U_poly
+        record = rv_polynomial(U, 60)
+        polys = list(relations_kernel(24).basis) + [record.H, record.Q, habiro_r(12).residue]
+        assert all(exact(c) for p in polys for c in p.coeffs)
+        assert any(type(c) is Fraction for c in record.H.coeffs)
+        assert all(exact(c) for c in eigenform(26, 77).coeffs)
+
+
+class TestRref:
+    def test_full_rank(self):
+        rows, pivots = rref([[2, 4], [1, 3]])
+        assert rows == [[1, 0], [0, 1]] and pivots == [0, 1]
+
+    def test_rank_deficient(self):
+        rows, pivots = rref([[0, 2, 4, 2], [0, 1, 2, 3], [0, 3, 6, 5]])
+        assert pivots == [1, 3]
+        assert rows == [[0, 1, 2, 0], [0, 0, 0, 1]]
+        assert all(type(v) is int for row in rows for v in row)
+
+    def test_rational_entries(self):
+        rows, pivots = rref([[3, 1], [0, 0]])
+        assert rows == [[1, Fraction(1, 3)]] and pivots == [0]
+
+    def test_empty(self):
+        assert rref([]) == ([], [])
 
 
 class TestSquarefree:

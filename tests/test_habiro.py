@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from zetapoly.habiro import (
     fixed_seed_elements,
     frobenius_congruence_check,
     frobenius_congruence_toric,
+    habiro_battery,
     habiro_one,
     habiro_q,
     habiro_qinv,
@@ -252,6 +254,25 @@ class TestInvolution:
         for m in range(1, 13):
             for p in (RatPoly.x(), P(1, -3, 1), P(2, 0, 1, 1)):
                 assert involution_invariance_check(p, m)
+
+
+class TestPower:
+    def test_negative_power_raises(self):
+        with pytest.raises(ValueError, match="negative power"):
+            habiro_q(3) ** -1
+
+    def test_zero_and_positive_powers(self):
+        q = habiro_q(4)
+        assert q**0 == habiro_one(4)
+        assert q**3 == q * q * q
+
+
+def test_battery_level_24_budget():
+    t0 = time.perf_counter()
+    results = habiro_battery(24)
+    elapsed = time.perf_counter() - t0
+    assert all(results.values())
+    assert elapsed < 10.0
 
 
 class TestReductionCoherence:
