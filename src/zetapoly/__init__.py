@@ -6,7 +6,6 @@ Habiro-ring engine for the toric and Chebyshev Frobenius-lift structures.
 from .exactcore import RatPoly, is_self_inversive
 from .modforms import (
     QExpansion,
-    LValue,
     eisenstein_qexp,
     delta_qexp,
     cuspform_basis,
@@ -36,7 +35,6 @@ from .rvtransform import (
 )
 from .zerocert import (
     Certificate,
-    SturmChain,
     sturm_count,
     unit_circle_certify,
     critical_line_certify,

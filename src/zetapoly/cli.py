@@ -1,7 +1,8 @@
 """Batch command-line interface.
 
 Exit codes: 0 = all checks passed, 1 = computation ran but a check or an
-internal contract failed, 2 = invalid or unsupported input.
+internal contract failed, 2 = invalid or unsupported input, or an output
+path that cannot be written.
 """
 
 from __future__ import annotations
@@ -74,12 +75,12 @@ def cmd_habiro(args) -> int:
 def cmd_lfun(args) -> int:
     k = args.weight
     f = modforms.eigenform(k, modforms.qexp_prec_for(k, args.prec_bits))
-    ss = [args.s] if args.s is not None else list(range(1, k))
-    values = {}
-    for s in ss:
-        value = modforms.lambda_numeric(f, s, args.prec_bits).value
-        with mp.workprec(args.prec_bits):
-            values[str(s)] = str(value)
+    if args.s is not None and not 1 <= args.s <= k - 1:
+        raise ValueError(f"s = {args.s} outside the critical strip 1..{k - 1}")
+    lam = modforms.lambda_numeric(f, args.prec_bits)
+    ss = [args.s] if args.s is not None else range(1, k)
+    with mp.workprec(args.prec_bits):
+        values = {str(s): str(lam[s - 1]) for s in ss}
     _emit({"weight": k, "prec_bits": args.prec_bits, "lambda": values}, args.out)
     return 0
 
@@ -177,7 +178,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # invalid input or an unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # a failed internal contract

@@ -80,15 +80,6 @@ class QExpansion:
         return {"weight": self.weight, "coeffs": [str(c) for c in self.coeffs]}
 
 
-@dataclass(frozen=True)
-class LValue:
-    """Completed L-value Lambda(f, s) at an integer point of the critical strip."""
-
-    s: int
-    value: object  # mpmath mpf
-    prec_bits: int
-
-
 def _sigma(n: int, e: int) -> int:
     total = 0
     for d in range(1, int(math.isqrt(n)) + 1):
@@ -213,18 +204,6 @@ def _mpq(x):
     return mpf(x.numerator) / x.denominator
 
 
-def _upper_gamma_int(s: int, x):
-    """Gamma(s, x) for integer s >= 1 via the finite closed form
-    e^(-x) (s-1)! sum_{j<s} x^j / j!."""
-    acc = mpf(0)
-    term = mpf(math.factorial(s - 1))  # (s-1)!/0! * x^0
-    acc += term
-    for j in range(1, s):
-        term = term * x / j * 1  # (s-1)!/j! x^j from previous
-        acc += term
-    return mp.e ** (-x) * acc
-
-
 def _tail_bound(x, n: int, k: int):
     # tail estimate: |a_n| <= d(n) n^((k-1)/2) and Gamma(t, x)/x^t ~ e^-x
     return mp.e ** (-x) * mpf(n + 1) ** k * 4
@@ -242,39 +221,42 @@ def qexp_prec_for(k: int, prec_bits: int) -> int:
     return max(n, DEFAULT_QEXP_PREC)
 
 
-def lambda_numeric(f: QExpansion, s: int, prec_bits: int = 128) -> LValue:
-    """Completed L-value Lambda(f, s) = integral of f(iy) y^(s-1) on (0, inf).
+def lambda_numeric(f: QExpansion, prec_bits: int = 128) -> list:
+    """Completed L-values [Lambda(f, 1), ..., Lambda(f, k-1)], where
+    Lambda(f, s) = integral of f(iy) y^(s-1) on (0, inf).
 
-    Computed from the incomplete-gamma series obtained by splitting the
-    integral at y = 1 and using modularity of f.
+    Splitting the integral at y = 1 and using modularity of f gives
+    Lambda(f, s) = P_s + (-1)^(k/2) P_(k-s), P_s = sum_n a_n Gamma(s, x_n) / x_n^s
+    with x_n = 2 pi n.  For integer s, Gamma(s, x) / x^s is
+    e^(-x) sum_(m=1..s) (s-1)!/(s-m)! x^(-m), so every P_s is a finite
+    combination of the moments S_m = sum_n a_n e^(-x_n) x_n^(-m), m = 1..k-1,
+    which one pass over n accumulates.
     """
     k = f.weight
-    if not (1 <= s <= k - 1):
-        raise ValueError(f"s = {s} outside the critical strip 1..{k - 1}")
     if not f.is_cuspidal():
         raise ValueError("cusp form required")
     sign = (-1) ** (k // 2)
     with mp.workprec(prec_bits + 48):
         twopi = 2 * mp.pi
         tol = mpf(2) ** (-(prec_bits + 16))
-        total = mpf(0)
-        converged = False
+        moments = [mpf(0)] * k  # moments[m] = S_m; index 0 unused
         for n in range(1, f.prec + 1):
             x = twopi * n
-            an = _mpq(f.coeffs[n])
-            total += an * (
-                _upper_gamma_int(s, x) / x**s
-                + sign * _upper_gamma_int(k - s, x) / x ** (k - s)
-            )
+            term = _mpq(f.coeffs[n]) * mp.exp(-x)
+            for m in range(1, k):
+                term /= x
+                moments[m] += term
             if _tail_bound(x, n, k) < tol:
-                converged = True
                 break
-        if not converged:
+        else:
             raise PrecisionError(
                 f"q-expansion with {f.prec} terms too short for {prec_bits}-bit target"
             )
-        value = +total
-    return LValue(s, value, prec_bits)
+        P = [  # P[s - 1] = P_s
+            mp.fsum(math.perm(s - 1, m - 1) * moments[m] for m in range(1, s + 1))
+            for s in range(1, k)
+        ]
+        return [P[s - 1] + sign * P[k - s - 1] for s in range(1, k)]
 
 
 def period_polynomial_numeric(f: QExpansion, prec_bits: int = 128) -> list:
@@ -282,13 +264,14 @@ def period_polynomial_numeric(f: QExpansion, prec_bits: int = 128) -> list:
 
         r_f(z) = sum_n C(w,n) (-z)^(w-n) i^(n+1) Lambda(f, n+1).
 
-    The odd-degree coefficients come out real (up to rounding); this is
-    asserted before returning.
+    The odd-degree coefficients come out real (up to rounding); a
+    RuntimeError is raised if one has an imaginary part above
+    2^(-prec_bits/2) of the largest coefficient.
     """
     k = f.weight
     w = k - 2
+    lam = lambda_numeric(f, prec_bits)
     with mp.workprec(prec_bits + 48):
-        lam = [lambda_numeric(f, n + 1, prec_bits).value for n in range(w + 1)]
         coeffs = []
         for j in range(w + 1):
             n = w - j

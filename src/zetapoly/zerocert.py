@@ -25,12 +25,6 @@ class RootConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SturmChain:
-    squarefree_input: RatPoly
-    polys: tuple  # squarefree part, derivative, then negated remainders
-
-
-@dataclass(frozen=True)
 class Certificate:
     kind: str  # "unit_circle" | "critical_line"
     passed: bool
@@ -48,17 +42,6 @@ class Certificate:
         }
 
 
-def sturm_chain(p: RatPoly) -> SturmChain:
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    sf = p.squarefree_part()
-    chain = [sf, sf.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
-    return SturmChain(squarefree_input=sf, polys=tuple(chain))
-
-
 def _sign_at(q: RatPoly, x: Optional[Fraction], end: int) -> int:
     """Sign of q at x, or at -inf/+inf when x is None (end = -1 or +1)."""
     if q.is_zero():
@@ -72,19 +55,23 @@ def _sign_at(q: RatPoly, x: Optional[Fraction], end: int) -> int:
     return (v > 0) - (v < 0)
 
 
-def _variations(chain: SturmChain, x: Optional[Fraction], end: int) -> int:
-    signs = [s for s in (_sign_at(q, x, end) for q in chain.polys) if s != 0]
+def _variations(chain: list, x: Optional[Fraction], end: int) -> int:
+    signs = [s for s in (_sign_at(q, x, end) for q in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def sturm_count(p: RatPoly, a: Optional[Fraction], b: Optional[Fraction]) -> int:
     """Number of distinct real roots of p in (a, b]; None means -inf / +inf."""
-    chain = sturm_chain(p)
-    if chain.squarefree_input.degree == 0:
+    if a is not None and b is not None and a > b:
+        raise ValueError(f"reversed interval: a = {a} > b = {b}")
+    sf = p.squarefree_part()  # raises ValueError on the zero polynomial
+    if sf.degree == 0:
         return 0
-    va = _variations(chain, a, -1)
-    vb = _variations(chain, b, +1)
-    return va - vb
+    # Sturm chain: squarefree part, derivative, then negated remainders
+    chain = [sf, sf.derivative()]
+    while chain[-1].degree > 0:
+        chain.append(-(chain[-2] % chain[-1]))
+    return _variations(chain, a, -1) - _variations(chain, b, +1)
 
 
 def chebyshev_basis_decompose(U: RatPoly) -> RatPoly:

@@ -94,6 +94,13 @@ class TestLfunCommand:
     def test_out_of_strip(self, capsys):
         assert run(capsys, ["lfun", "--weight", "12", "--s", "12"])[0] == 2
 
+    @pytest.mark.parametrize("s", ["0", "26"])
+    def test_strip_edges_invalid(self, capsys, s):
+        assert main(["lfun", "--weight", "26", "--s", s]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: s = {s} outside the critical strip 1..25\n"
+
     def test_unsupported_weight(self, capsys):
         assert run(capsys, ["lfun", "--weight", "28"])[0] == 2
 
@@ -130,6 +137,23 @@ class TestInternalFailure:
         monkeypatch.setattr(cli, "zeta_record_for_weight", broken)
         assert main(["rv", "--weight", "12"]) == 1
         assert "error: functional equation fails" in capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    def test_periods_out_in_missing_directory(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["periods", "--weight", "12", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(out) in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_report_out_dir_is_a_file(self, capsys, tmp_path):
+        out_dir = tmp_path / "file"
+        out_dir.write_text("")
+        assert main(["report", "--out-dir", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(out_dir) in captured.err
+        assert out_dir.read_text() == ""
 
 
 class TestReportFailureCause:

@@ -119,13 +119,14 @@ class TestLambda:
     def test_functional_equation_delta(self):
         f = eigenform(12)
         with mp.workprec(160):
-            l5 = lambda_numeric(f, 5).value
-            l7 = lambda_numeric(f, 7).value
+            lam = lambda_numeric(f)
+            l5 = lam[4]
+            l7 = lam[6]
             assert abs(l5 - l7) < mpf(2) ** -120
 
     def test_positivity_and_quadrature_oracle(self):
         f = eigenform(12)
-        val = lambda_numeric(f, 6).value
+        val = lambda_numeric(f)[5]
         assert val > 0
         # independent oracle: numeric quadrature of the integral folded onto
         # [1, inf) by the modular transformation (s = 6 is self-dual)
@@ -143,26 +144,47 @@ class TestLambda:
     def test_edge_points_equal(self):
         f = eigenform(12)
         with mp.workprec(160):
-            l1 = lambda_numeric(f, 1).value
-            l11 = lambda_numeric(f, 11).value
+            lam = lambda_numeric(f)
+            l1 = lam[0]
+            l11 = lam[10]
             assert abs(l1 - l11) < mpf(2) ** -120
-
-    def test_range_error(self):
-        f = eigenform(12)
-        with pytest.raises(ValueError):
-            lambda_numeric(f, 0)
-        with pytest.raises(ValueError):
-            lambda_numeric(f, 12)
 
     @pytest.mark.parametrize("k", modforms.ONE_DIM_WEIGHTS)
     def test_functional_equation_all_weights(self, k):
         f = eigenform(k)
         sign = (-1) ** (k // 2)
         with mp.workprec(160):
+            lam = lambda_numeric(f)
             for s in range(1, k):
-                ls = lambda_numeric(f, s).value
-                lks = lambda_numeric(f, k - s).value
+                ls = lam[s - 1]
+                lks = lam[k - s - 1]
                 assert abs(ls - sign * lks) < mpf(2) ** -120
+
+
+class TestLambdaMomentForm:
+    @pytest.mark.parametrize("bits", [128, 512])
+    @pytest.mark.parametrize("k", [12, 26])
+    def test_matches_incomplete_gamma_series(self, k, bits):
+        # independent oracle: the direct series over n with mpmath's own
+        # upper incomplete gamma, sum_n a_n [G(s,x)/x^s + eps G(k-s,x)/x^(k-s)]
+        f = eigenform(k, modforms.qexp_prec_for(k, bits))
+        lam = lambda_numeric(f, bits)
+        assert len(lam) == k - 1
+        sign = (-1) ** (k // 2)
+        with mp.workprec(bits + 48):
+            xs = [2 * mp.pi * n for n in range(1, f.prec + 1)]
+            for s in range(1, k):
+                direct = mp.fsum(
+                    int(f.coeffs[n]) * (
+                        mp.gammainc(s, x) / x**s + sign * mp.gammainc(k - s, x) / x ** (k - s)
+                    )
+                    for n, x in enumerate(xs, start=1)
+                )
+                assert abs(lam[s - 1] - direct) <= abs(direct) * mpf(2) ** -(bits - 8)
+
+    def test_short_expansion_raises(self):
+        with pytest.raises(PrecisionError):
+            lambda_numeric(eigenform(26, 64), 512)
 
 
 class TestPeriodPolynomialNumeric:

@@ -36,6 +36,13 @@ class TestSturmCount:
         with pytest.raises(ValueError):
             sturm_count(RatPoly.zero(), None, None)
 
+    def test_reversed_interval_raises(self):
+        with pytest.raises(ValueError):
+            sturm_count(P(-1, 0, 1), 2, -2)
+
+    def test_point_interval_is_empty(self):
+        assert sturm_count(P(-1, 0, 1), 1, 1) == 0
+
     def test_multiplicities_collapsed(self):
         p = P(-1, 1) ** 3 * P(-2, 1)
         assert sturm_count(p, Fraction(0), Fraction(3)) == 2
