@@ -20,18 +20,20 @@ from . import habiro, modforms, periods, rvtransform, zerocert
 WEIGHTS = modforms.ONE_DIM_WEIGHTS
 
 
-def zeta_record_for_weight(k: int, d=None):
-    """Full pipeline: odd period polynomial -> U -> zeta polynomial record,
-    with both certificates."""
-    rminus = periods.odd_period_polynomial(k)
-    quot = periods.cfi_quotient(rminus, k)
-    e = quot.e
+def weight_stages(k: int):
+    """Per-weight part of the pipeline: odd period polynomial -> U, with the
+    unit-circle certificate of U."""
+    quot = periods.cfi_quotient(periods.odd_period_polynomial(k), k)
+    return quot, zerocert.unit_circle_certify(quot.U_poly)
+
+
+def zeta_record_for_d(quot, d=None):
+    """Per-d part: the zeta polynomial record of U at d (default e + 2),
+    with its critical-line certificate."""
     if d is None:
-        d = e + 2
-    record = rvtransform.rv_polynomial(quot.U_poly, d, weight=k)
-    circle = zerocert.unit_circle_certify(quot.U_poly)
-    line = zerocert.critical_line_certify(record.Q, record.critical_line, +1)
-    return record, circle, line
+        d = quot.e + 2
+    record = rvtransform.rv_polynomial(quot.U_poly, d, weight=quot.weight)
+    return record, zerocert.critical_line_certify(record.Q, record.critical_line, +1)
 
 
 def _emit(payload, out):
@@ -49,7 +51,8 @@ def cmd_periods(args) -> int:
 
 def cmd_rv(args) -> int:
     """Both `rv` (the full record) and `certify` (certificates only)."""
-    record, circle, line = zeta_record_for_weight(args.weight, args.d)
+    quot, circle = weight_stages(args.weight)
+    record, line = zeta_record_for_d(quot, args.d)
     if args.command == "rv":
         payload = record.to_json_dict()
         payload["unit_circle"] = circle.to_json_dict()
@@ -92,9 +95,16 @@ def cmd_report(args) -> int:
     any_failed = False
     for k in WEIGHTS:
         e = k - 12
+        try:
+            quot, circle = weight_stages(k)
+            weight_error = None
+        except Exception as exc:  # every row of this weight records it
+            weight_error = exc
         for d in range(e + 1, e + 7):
             try:
-                record, circle, line = zeta_record_for_weight(k, d)
+                if weight_error is not None:
+                    raise weight_error
+                record, line = zeta_record_for_d(quot, d)
                 funceq = "pass"
                 uc = "pass" if circle.passed else "fail"
                 cl = "pass" if line.passed else "fail"

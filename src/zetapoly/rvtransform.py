@@ -69,17 +69,17 @@ def series_coefficients(U: RatPoly, d: int, N: int) -> list:
 
 
 def _zeta_interpolant(U: RatPoly, d: int) -> RatPoly:
-    """H(x) = sum_j u_j C(x-j+d-1, d-1)
-         = (1/(d-1)!) sum_j u_j prod_{i=1}^{d-1} (x+i-j)."""
-    H = RatPoly.zero()
+    """(d-1)! H(x), where H(x) = sum_j u_j C(x-j+d-1, d-1):
+    the polynomial sum_j u_j prod_{i=1}^{d-1} (x+i-j), integral when U is."""
+    G = RatPoly.zero()
     for j, u in enumerate(U.coeffs):
         if u == 0:
             continue
         term = RatPoly((u,))
         for i in range(1, d):
             term = term * RatPoly((i - j, 1))
-        H = H + term
-    return H * Fraction(1, math.factorial(d - 1))
+        G = G + term
+    return G
 
 
 def functional_equation_defect(H: RatPoly, d: int, e: int) -> RatPoly:
@@ -99,31 +99,34 @@ def rv_polynomial(U: RatPoly, d: int, weight: Optional[int] = None) -> ZetaPolyR
         raise ValueError(f"d = {d} must exceed deg U = {e}")
     if not is_self_inversive(U):
         raise ValueError("U must be self-inversive: U(1/z) z^e == U(z)")
+    # The checks run on G = (d-1)! H, which has the zeros and the functional
+    # equation of H and integer coefficients when U has.
+    scale = math.factorial(d - 1)
     coeffs = series_coefficients(U, d, 2 * d)
-    H = _zeta_interpolant(U, d)
-    if H.degree != d - 1:
-        raise RuntimeError(f"deg H = {H.degree} != d-1 = {d - 1}")
+    G = _zeta_interpolant(U, d)
+    if G.degree != d - 1:
+        raise RuntimeError(f"deg H = {G.degree} != d-1 = {d - 1}")
     for n in range(2 * d + 1):
-        if H(n) != coeffs[n]:
+        if G(n) != scale * coeffs[n]:
             raise RuntimeError(f"H({n}) disagrees with the series coefficient")
-    if not functional_equation_defect(H, d, e).is_zero():
+    if not functional_equation_defect(G, d, e).is_zero():
         raise RuntimeError("functional equation fails")
     strip = RatPoly.one()
     for j in range(1, d - e):
-        if H(-j) != 0:
+        if G(-j) != 0:
             raise RuntimeError(f"missing trivial zero at -{j}")
         strip = strip * RatPoly((j, 1))
-    Q, rem = divmod(H, strip)
+    GQ, rem = divmod(G, strip)
     if not rem.is_zero():
         raise RuntimeError("trivial-zero factor does not divide H")
-    if Q.degree != e:
-        raise RuntimeError(f"deg Q = {Q.degree} != e = {e}")
+    if GQ.degree != e:
+        raise RuntimeError(f"deg Q = {GQ.degree} != e = {e}")
     return ZetaPolyRecord(
         weight=weight,
         e=e,
         d=d,
-        H=H,
-        Q=Q,
+        H=G * Fraction(1, scale),
+        Q=GQ * Fraction(1, scale),
         critical_line=Fraction(-(d - e), 2),
     )
 

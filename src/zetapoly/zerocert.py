@@ -4,6 +4,7 @@ claims, plus floating-point root extraction for reports.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
@@ -196,10 +197,55 @@ def _poly_eval(coeffs, z):
     return acc
 
 
+def _double_seeds(coeffs, start) -> Optional[List]:
+    """The Aberth sweep of roots_numeric in complex doubles from `start`,
+    until every step is below 1e-14 relative to its point.  None when the
+    doubles cannot carry it: a coefficient or a modulus out of double range,
+    a division by zero, or a non-finite or repeated point."""
+    c = [complex(x) for x in coeffs]
+    if any(not cmath.isfinite(x) or (x == 0) != (y == 0) for x, y in zip(c, coeffs)):
+        return None
+    deriv = [i * x for i, x in enumerate(c)][1:]
+    zs = [complex(z) for z in start]
+    n = len(zs)
+    try:
+        for _ in range(200):
+            done = True
+            for i in range(n):
+                z = zs[i]
+                pv = dv = 0j
+                for x in reversed(c):
+                    pv = pv * z + x
+                for x in reversed(deriv):
+                    dv = dv * z + x
+                if dv == 0:
+                    zs[i] = z + 1e-8 * (1 + abs(z))
+                    done = False
+                    continue
+                newton = pv / dv
+                repulse = sum(1 / (z - w) for j, w in enumerate(zs) if j != i)
+                denom = 1 - newton * repulse
+                step = newton if denom == 0 else newton / denom
+                zs[i] = z - step
+                if not cmath.isfinite(zs[i]):
+                    return None
+                done = done and abs(step) <= 1e-14 * abs(zs[i])
+            if done:
+                break
+    except (ZeroDivisionError, OverflowError):  # abs() overflows past 1.8e308
+        return None
+    if len(set(zs)) < n:
+        return None
+    return [mpc(z) for z in zs]
+
+
 def roots_numeric(p, prec_bits: int = 128) -> List:
-    """All complex roots by Aberth simultaneous iteration from a perturbed
-    circle, with a Newton polish.  Accepts a RatPoly or a coefficient list
-    (constant first).  Guarantees |p(root)| < 2^(-prec_bits/2) * max |coeff|.
+    """All complex roots by Aberth simultaneous iteration, with a Newton
+    polish.  The sweep runs first in complex doubles from a perturbed circle
+    and then at working precision from where the doubles stopped, or from
+    the circle when they failed (precision escalation, as in MPSolve).
+    Accepts a RatPoly or a coefficient list (constant first).  Guarantees
+    |p(root)| < 2^(-prec_bits/2) * max |coeff|.
     """
     with mp.workprec(prec_bits + 64):
         coeffs = _as_mpc_coeffs(p)
@@ -220,6 +266,7 @@ def roots_numeric(p, prec_bits: int = 128) -> List:
                 radius * mp.e ** (mpc(0, 1) * (2 * mp.pi * (i + mpf("0.25")) / n + mpf("0.003") * i))
                 for i in range(n)
             ]
+            zs = _double_seeds(coeffs, zs) or zs
             tol = mpf(2) ** (-(prec_bits + 24))
             scale = max(abs(c) for c in coeffs)
             for _ in range(200):
@@ -248,7 +295,10 @@ def roots_numeric(p, prec_bits: int = 128) -> List:
                     dv = _poly_eval(deriv, zs[i])
                     if dv == 0 or abs(pv) == 0:
                         break
-                    zs[i] -= pv / dv
+                    step = pv / dv
+                    zs[i] -= step
+                    if abs(step) < tol:
+                        break
             roots.extend(zs)
             bound = mpf(2) ** (-(prec_bits // 2)) * scale
             bad = [z for z in zs if abs(_poly_eval(coeffs, z)) >= bound]

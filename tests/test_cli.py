@@ -7,6 +7,10 @@ from mpmath import mp, mpf
 
 from zetapoly import cli
 from zetapoly.cli import main
+from zetapoly.periods import DivisibilityError
+
+REFERENCE_CSV = Path(__file__).resolve().parents[1] / "bench" / "reference" / "summary.csv"
+REFERENCE_ROWS = list(csv.reader(REFERENCE_CSV.read_text().splitlines()))
 
 
 def run(capsys, argv):
@@ -131,10 +135,10 @@ class TestLfunCommand:
 
 class TestInternalFailure:
     def test_runtime_error_exits_1_with_message(self, capsys, monkeypatch):
-        def broken(k, d=None):
+        def broken(quot, d=None):
             raise RuntimeError("functional equation fails")
 
-        monkeypatch.setattr(cli, "zeta_record_for_weight", broken)
+        monkeypatch.setattr(cli, "zeta_record_for_d", broken)
         assert main(["rv", "--weight", "12"]) == 1
         assert "error: functional equation fails" in capsys.readouterr().err
 
@@ -158,28 +162,60 @@ class TestUnwritableOutput:
 
 class TestReportFailureCause:
     def test_failed_rows_keep_their_message(self, capsys, tmp_path, monkeypatch):
-        real = cli.zeta_record_for_weight
+        real = cli.zeta_record_for_d
 
-        def broken_at_20(k, d=None):
-            if k == 20:
+        def broken_at_20(quot, d=None):
+            if quot.weight == 20:
                 raise RuntimeError("functional equation fails, d = %d" % d)
-            return real(k, d)
+            return real(quot, d)
 
-        monkeypatch.setattr(cli, "zeta_record_for_weight", broken_at_20)
-        code, _ = run(capsys, ["report", "--out-dir", str(tmp_path)])
-        assert code == 1
-        with open(tmp_path / "summary.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / "summary.csv"
-        with open(reference, newline="") as fh:
-            expected = list(csv.reader(fh))
-        assert len(rows) == len(expected) == 37
-        for row, ref in zip(rows, expected):
+        monkeypatch.setattr(cli, "zeta_record_for_d", broken_at_20)
+        rows = self.report_rows(capsys, tmp_path)
+        for row, ref in zip(rows, REFERENCE_ROWS):
             if row[0] == "20":
                 cause = f"error:RuntimeError: functional equation fails, d = {row[2]}"
                 assert row[:3] == ref[:3] and row[3:] == [cause] * 3
             else:
                 assert row == ref
+
+    def test_failed_weight_fails_all_its_rows(self, capsys, tmp_path, monkeypatch):
+        real = cli.weight_stages
+
+        def broken_at_20(k):
+            if k == 20:
+                raise DivisibilityError("not divisible at weight 20")
+            return real(k)
+
+        monkeypatch.setattr(cli, "weight_stages", broken_at_20)
+        rows = self.report_rows(capsys, tmp_path)
+        assert not (tmp_path / "roots_w20_d9.json").exists()
+        for row, ref in zip(rows, REFERENCE_ROWS):
+            if row[0] == "20":
+                cause = "error:DivisibilityError: not divisible at weight 20"
+                assert row[:3] == ref[:3] and row[3:] == [cause] * 3
+            else:
+                assert row == ref
+
+    def test_weight_stages_run_once_per_weight(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        real = cli.periods.relations_kernel
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli.periods, "relations_kernel", counting)
+        assert self.report_rows(capsys, tmp_path, want_code=0) == REFERENCE_ROWS
+        assert len(calls) == len(cli.WEIGHTS)
+
+    @staticmethod
+    def report_rows(capsys, out_dir, want_code=1):
+        code, _ = run(capsys, ["report", "--out-dir", str(out_dir)])
+        assert code == want_code
+        with open(out_dir / "summary.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == len(REFERENCE_ROWS) == 37
+        return rows
 
 
 class TestDeterminism:

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
+from zetapoly import modforms, zerocert
 from zetapoly.exactcore import RatPoly
 from zetapoly.periods import cfi_quotient, odd_period_polynomial
 from zetapoly.rvtransform import rv_polynomial
@@ -155,6 +157,85 @@ class TestRootsNumeric:
                 close = [z for z in roots if abs(z - mpf(float(target))) < mpf("1e-10")]
                 want = expected.count(target)
                 assert len(close) == want, (target, close)
+
+
+@pytest.fixture(scope="module")
+def report_records():
+    """The 30 zeta polynomial records of `report` with a nonconstant Q."""
+    records = []
+    for k in (12, 16, 18, 20, 22, 26):
+        U = cfi_quotient(odd_period_polynomial(k), k).U_poly
+        e = k - 12
+        records += [rv_polynomial(U, d, weight=k) for d in range(e + 1, e + 7)]
+    return [rec for rec in records if rec.Q.degree > 0]
+
+
+def assert_same_roots(roots, oracle, tol):
+    """roots and oracle are equal as multisets, each root within tol."""
+    assert len(roots) == len(oracle)
+    left = list(oracle)
+    for z in roots:
+        nearest = min(left, key=lambda w: abs(z - w))
+        assert abs(z - nearest) < tol, (z, nearest)
+        left.remove(nearest)
+
+
+class TestRootsNumericSeeding:
+    @pytest.mark.parametrize("kind", ("huge", "tiny", "modulus"))
+    def test_outside_double_range_falls_back(self, kind):
+        with mp.workprec(192):
+            coeffs = {
+                "huge": [mpf(10) ** 400, 0, 1],  # overflows a double
+                "tiny": [mpf(10) ** -400, 0, 1],  # underflows to 0
+                "modulus": [mpc(-1.5e308, -1.5e308), 1],  # parts fit, |root| does not
+            }[kind]
+            coeffs = [mpc(c) for c in coeffs]
+            start = [mpc(1, 1), mpc(-1, -1)][: len(coeffs) - 1]
+            assert zerocert._double_seeds(coeffs, start) is None
+            roots = roots_numeric(coeffs, 128)
+            bound = mpf(2) ** -64 * max(abs(c) for c in coeffs)
+            assert len(roots) == len(coeffs) - 1
+            assert all(abs(zerocert._poly_eval(coeffs, z)) < bound for z in roots)
+
+    def test_roots_beyond_double_range(self):
+        with mp.workprec(192):
+            root = mpf(10) ** 200
+            oracle = [mpc(0, root), mpc(0, -root)]
+            assert_same_roots(roots_numeric(P(10**400, 0, 1), 128), oracle, root * mpf(2) ** -100)
+
+    def test_mpc_coefficients_converge(self):
+        # the numeric full period polynomial of the weight-12 form, as criterion 6 passes it
+        with mp.workprec(256):
+            coeffs = modforms.period_polynomial_numeric(modforms.eigenform(12), 128)
+            assert zerocert._double_seeds([mpc(c) for c in coeffs], [mpc(mp.expjpi(mpf(i) / 5)) for i in range(10)])
+            roots = roots_numeric(coeffs, 128)
+            oracle = mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=256)
+            assert_same_roots(roots, oracle, mpf(2) ** -100)
+
+    def test_report_roots_match_polyroots(self, report_records):
+        with mp.workprec(256):
+            for rec in report_records:
+                roots = roots_numeric(rec.Q, 128)
+                coeffs = [mpf(c.numerator) / c.denominator for c in reversed(rec.Q.coeffs)]
+                oracle = mpmath.polyroots(coeffs, maxsteps=200, extraprec=256)
+                assert_same_roots(roots, oracle, mpf(2) ** -100)
+                c = mpf(rec.critical_line.numerator) / rec.critical_line.denominator
+                assert all(abs(z.real - c) < mpf(2) ** -100 for z in roots)
+
+    def test_report_needs_few_mp_evaluations(self, report_records, monkeypatch):
+        # 8172 evaluations when the mp loop started from the circle
+        calls = []
+        real = zerocert._poly_eval
+
+        def counting(coeffs, z):
+            calls.append(z)
+            return real(coeffs, z)
+
+        monkeypatch.setattr(zerocert, "_poly_eval", counting)
+        for rec in report_records:
+            roots_numeric(rec.Q, 128)
+        assert len(report_records) == 30
+        assert len(calls) <= 8172 // 3
 
 
 class TestCertificateNumericAgreement:
