@@ -148,13 +148,11 @@ def critical_line_certify(Q: RatPoly, c: Fraction, sign: int) -> Certificate:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     R = Q.compose(RatPoly((c, 1)))
-    mirrored = R.compose(RatPoly((0, -1)))
-    if mirrored != sign * R:
-        raise SymmetryError(f"Q(2c - x) != {sign:+d} Q(x) at c = {c}")
+    # R(-u) = sign * R(u) exactly when R has no terms of the other parity
     offset = 0 if sign == 1 else 1
     for i in range(1 - offset, R.degree + 1, 2):
         if R[i] != 0:
-            raise SymmetryError("parity decomposition left a mixed term")
+            raise SymmetryError(f"Q(2c - x) != {sign:+d} Q(x) at c = {c}")
     A = RatPoly(R[2 * i + offset] for i in range((R.degree - offset) // 2 + 1))
     # reconstruction guard
     rec = RatPoly.zero()
@@ -191,61 +189,64 @@ def _as_mpc_coeffs(p) -> List:
 
 
 def _poly_eval(coeffs, z):
-    acc = mpc(0)
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * z + c
     return acc
 
 
+def _aberth(coeffs, deriv, zs, eps) -> None:
+    """Gauss-Seidel Aberth sweeps on zs in place, in whatever number type zs
+    holds, until every step is at most eps * |z| (200 sweeps at most)."""
+    n = len(zs)
+    for _ in range(200):
+        done = True
+        for i in range(n):
+            z = zs[i]
+            pv = _poly_eval(coeffs, z)
+            dv = _poly_eval(deriv, z)
+            if dv == 0:
+                zs[i] = z + 1e-8 * (1 + abs(z))
+                done = False
+                continue
+            newton = pv / dv
+            repulse = sum(1 / (z - w) for j, w in enumerate(zs) if j != i)
+            denom = 1 - newton * repulse
+            step = newton if denom == 0 else newton / denom
+            zs[i] = z - step
+            done = done and abs(step) <= eps * abs(zs[i])
+        if done:
+            return
+
+
 def _double_seeds(coeffs, start) -> Optional[List]:
-    """The Aberth sweep of roots_numeric in complex doubles from `start`,
-    until every step is below 1e-14 relative to its point.  None when the
-    doubles cannot carry it: a coefficient or a modulus out of double range,
-    a division by zero, or a non-finite or repeated point."""
+    """The Aberth sweep of roots_numeric in complex doubles from `start`, to
+    a relative step of 1e-14.  None when the doubles cannot carry it: a
+    coefficient or a modulus out of double range, a division by zero, or a
+    non-finite or repeated point."""
     c = [complex(x) for x in coeffs]
     if any(not cmath.isfinite(x) or (x == 0) != (y == 0) for x, y in zip(c, coeffs)):
         return None
-    deriv = [i * x for i, x in enumerate(c)][1:]
     zs = [complex(z) for z in start]
-    n = len(zs)
     try:
-        for _ in range(200):
-            done = True
-            for i in range(n):
-                z = zs[i]
-                pv = dv = 0j
-                for x in reversed(c):
-                    pv = pv * z + x
-                for x in reversed(deriv):
-                    dv = dv * z + x
-                if dv == 0:
-                    zs[i] = z + 1e-8 * (1 + abs(z))
-                    done = False
-                    continue
-                newton = pv / dv
-                repulse = sum(1 / (z - w) for j, w in enumerate(zs) if j != i)
-                denom = 1 - newton * repulse
-                step = newton if denom == 0 else newton / denom
-                zs[i] = z - step
-                if not cmath.isfinite(zs[i]):
-                    return None
-                done = done and abs(step) <= 1e-14 * abs(zs[i])
-            if done:
-                break
+        _aberth(c, [i * x for i, x in enumerate(c)][1:], zs, 1e-14)
     except (ZeroDivisionError, OverflowError):  # abs() overflows past 1.8e308
         return None
-    if len(set(zs)) < n:
+    if not all(map(cmath.isfinite, zs)) or len(set(zs)) < len(zs):
         return None
     return [mpc(z) for z in zs]
 
 
 def roots_numeric(p, prec_bits: int = 128) -> List:
-    """All complex roots by Aberth simultaneous iteration, with a Newton
-    polish.  The sweep runs first in complex doubles from a perturbed circle
-    and then at working precision from where the doubles stopped, or from
-    the circle when they failed (precision escalation, as in MPSolve).
-    Accepts a RatPoly or a coefficient list (constant first).  Guarantees
-    |p(root)| < 2^(-prec_bits/2) * max |coeff|.
+    """All complex roots by Aberth simultaneous iteration: one sweep, run
+    first in complex doubles from a perturbed circle and then at working
+    precision from where the doubles stopped, or from the circle when they
+    failed (precision escalation, as in MPSolve).  Each run stops once every
+    step is at most a fixed fraction of its root: 1e-14 in doubles,
+    2^(-prec_bits-24) at working precision.  Accepts a RatPoly or a
+    coefficient list (constant first).  Guarantees, for every root z,
+    |p(z)| < 2^(-prec_bits/2) * sum |c_i| |z|^i, or raises
+    RootConvergenceError.
     """
     with mp.workprec(prec_bits + 64):
         coeffs = _as_mpc_coeffs(p)
@@ -260,48 +261,18 @@ def roots_numeric(p, prec_bits: int = 128) -> List:
             coeffs = coeffs[1:]
         n = len(coeffs) - 1
         if n > 0:
-            deriv = [i * c for i, c in enumerate(coeffs)][1:]
             radius = (1 + (abs(coeffs[0] / coeffs[-1])) ** (mpf(1) / n)) / 2
             zs = [
                 radius * mp.e ** (mpc(0, 1) * (2 * mp.pi * (i + mpf("0.25")) / n + mpf("0.003") * i))
                 for i in range(n)
             ]
             zs = _double_seeds(coeffs, zs) or zs
-            tol = mpf(2) ** (-(prec_bits + 24))
-            scale = max(abs(c) for c in coeffs)
-            for _ in range(200):
-                moved = mpf(0)
-                for i in range(n):
-                    pv = _poly_eval(coeffs, zs[i])
-                    dv = _poly_eval(deriv, zs[i])
-                    if dv == 0:
-                        zs[i] += mpf("1e-8") * (1 + abs(zs[i]))
-                        moved = max(moved, mpf(1))
-                        continue
-                    newton = pv / dv
-                    repulse = mpc(0)
-                    for j in range(n):
-                        if j != i:
-                            repulse += 1 / (zs[i] - zs[j])
-                    denom = 1 - newton * repulse
-                    step = newton if denom == 0 else newton / denom
-                    zs[i] -= step
-                    moved = max(moved, abs(step))
-                if moved < tol:
-                    break
-            for i in range(n):
-                for _ in range(6):
-                    pv = _poly_eval(coeffs, zs[i])
-                    dv = _poly_eval(deriv, zs[i])
-                    if dv == 0 or abs(pv) == 0:
-                        break
-                    step = pv / dv
-                    zs[i] -= step
-                    if abs(step) < tol:
-                        break
+            deriv = [i * c for i, c in enumerate(coeffs)][1:]
+            _aberth(coeffs, deriv, zs, mpf(2) ** (-(prec_bits + 24)))
             roots.extend(zs)
-            bound = mpf(2) ** (-(prec_bits // 2)) * scale
-            bad = [z for z in zs if abs(_poly_eval(coeffs, z)) >= bound]
+            sizes = [abs(c) for c in coeffs]
+            bound = mpf(2) ** (-(prec_bits // 2))
+            bad = [z for z in zs if abs(_poly_eval(coeffs, z)) >= bound * _poly_eval(sizes, abs(z))]
             if bad:
                 raise RootConvergenceError(
                     f"{len(bad)} root(s) failed the residual bound", roots

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -125,6 +126,12 @@ class TestCriticalLineCertify:
         with pytest.raises(SymmetryError):
             critical_line_certify(P(1, 1), Fraction(0), +1)
 
+    @pytest.mark.parametrize("q,sign", (((1, 1), +1), ((1, 0, 1), -1), ((0, 1, 1), -1)))
+    def test_symmetry_error_names_the_condition(self, q, sign):
+        # x + 1 is not even about 0, x^2 + 1 and x^2 + x are not odd
+        with pytest.raises(SymmetryError, match=re.escape(f"Q(2c - x) != {sign:+d} Q(x) at c = 0")):
+            critical_line_certify(P(*q), Fraction(0), sign)
+
     def test_weight16_d5(self):
         U = cfi_quotient(odd_period_polynomial(16), 16).U_poly
         rec = rv_polynomial(U, 5, weight=16)
@@ -192,6 +199,12 @@ class TestRootsNumericSeeding:
             coeffs = [mpc(c) for c in coeffs]
             start = [mpc(1, 1), mpc(-1, -1)][: len(coeffs) - 1]
             assert zerocert._double_seeds(coeffs, start) is None
+            if kind == "tiny":
+                # true roots +-10^-200 i: the circle start cannot reach them in 200
+                # sweeps, and the per-root residual bound refuses what it reaches
+                with pytest.raises(zerocert.RootConvergenceError):
+                    roots_numeric(coeffs, 128)
+                return
             roots = roots_numeric(coeffs, 128)
             bound = mpf(2) ** -64 * max(abs(c) for c in coeffs)
             assert len(roots) == len(coeffs) - 1
@@ -222,20 +235,36 @@ class TestRootsNumericSeeding:
                 c = mpf(rec.critical_line.numerator) / rec.critical_line.denominator
                 assert all(abs(z.real - c) < mpf(2) ** -100 for z in roots)
 
-    def test_report_needs_few_mp_evaluations(self, report_records, monkeypatch):
-        # 8172 evaluations when the mp loop started from the circle
+    @staticmethod
+    def count_mp_evaluations(monkeypatch):
+        """Record every _poly_eval at an mp point; the double pass is not counted.
+        Any run makes at least 3 per root (one mp sweep of p and p', then the
+        residual), so a count below that means the sweep bypassed _poly_eval."""
         calls = []
         real = zerocert._poly_eval
 
         def counting(coeffs, z):
-            calls.append(z)
+            if isinstance(z, (mpc, mpf)):
+                calls.append(z)
             return real(coeffs, z)
 
         monkeypatch.setattr(zerocert, "_poly_eval", counting)
+        return calls
+
+    def test_report_needs_few_mp_evaluations(self, report_records, monkeypatch):
+        # 8172 evaluations when the mp loop started from the circle, 2088 with
+        # double seeds and a Newton polish
+        calls = self.count_mp_evaluations(monkeypatch)
         for rec in report_records:
             roots_numeric(rec.Q, 128)
         assert len(report_records) == 30
-        assert len(calls) <= 8172 // 3
+        assert 3 * sum(rec.Q.degree for rec in report_records) <= len(calls) <= 2088
+
+    def test_large_roots_stop_early(self, monkeypatch):
+        # an absolute stop rule never stops here: 200 sweeps, 826 evaluations
+        calls = self.count_mp_evaluations(monkeypatch)
+        roots_numeric(P(10**400, 0, 1), 128)
+        assert 3 * 2 <= len(calls) <= 60
 
 
 class TestCertificateNumericAgreement:
