@@ -38,6 +38,7 @@ from .zerocert import (
     sturm_count,
     unit_circle_certify,
     critical_line_certify,
+    critical_line_roots,
     roots_numeric,
 )
 from .habiro import (

@@ -13,8 +13,6 @@ import json
 import sys
 from pathlib import Path
 
-from mpmath import mp
-
 from . import habiro, modforms, periods, rvtransform, zerocert
 
 WEIGHTS = modforms.ONE_DIM_WEIGHTS
@@ -76,6 +74,8 @@ def cmd_habiro(args) -> int:
 
 
 def cmd_lfun(args) -> int:
+    from mpmath import mp
+
     k = args.weight
     f = modforms.eigenform(k, modforms.qexp_prec_for(k, args.prec_bits))
     if args.s is not None and not 1 <= args.s <= k - 1:
@@ -111,7 +111,12 @@ def cmd_report(args) -> int:
                 if not (circle.passed and line.passed):
                     any_failed = True
                 if record.Q.degree > 0:
-                    roots = zerocert.roots_numeric(record.Q, args.prec_bits)
+                    try:
+                        roots = zerocert.critical_line_roots(
+                            line.A, record.critical_line, args.prec_bits, line.offset
+                        )
+                    except RuntimeError as exc:
+                        raise RuntimeError(f"weight {k}, d {d}: {exc}") from exc
                     roots_payload = {
                         "weight": k,
                         "d": d,

@@ -2,7 +2,8 @@
 and high-precision completed L-values / Eichler integrals.
 
 All q-expansion arithmetic is exact over Q; floating-point work is done
-with mpmath at a configurable mantissa (default 128 bits).
+with mpmath at a configurable mantissa (default 128 bits), imported only by
+the numeric functions.
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath import mp, mpf, mpc
 
 from .exactcore import _exact, rref
 
@@ -201,10 +200,14 @@ def eigenform(k: int, prec: int = DEFAULT_QEXP_PREC) -> QExpansion:
 
 
 def _mpq(x):
+    from mpmath import mpf
+
     return mpf(x.numerator) / x.denominator
 
 
 def _tail_bound(x, n: int, k: int):
+    from mpmath import mp, mpf
+
     # tail estimate: |a_n| <= d(n) n^((k-1)/2) and Gamma(t, x)/x^t ~ e^-x
     return mp.e ** (-x) * mpf(n + 1) ** k * 4
 
@@ -212,6 +215,8 @@ def _tail_bound(x, n: int, k: int):
 def qexp_prec_for(k: int, prec_bits: int) -> int:
     """Number of q-terms at which lambda_numeric's tail bound meets a
     prec_bits target for weight k, and never fewer than DEFAULT_QEXP_PREC."""
+    from mpmath import mp, mpf
+
     with mp.workprec(prec_bits + 48):
         twopi = 2 * mp.pi
         tol = mpf(2) ** (-(prec_bits + 16))
@@ -232,6 +237,8 @@ def lambda_numeric(f: QExpansion, prec_bits: int = 128) -> list:
     combination of the moments S_m = sum_n a_n e^(-x_n) x_n^(-m), m = 1..k-1,
     which one pass over n accumulates.
     """
+    from mpmath import mp, mpf
+
     k = f.weight
     if not f.is_cuspidal():
         raise ValueError("cusp form required")
@@ -268,6 +275,8 @@ def period_polynomial_numeric(f: QExpansion, prec_bits: int = 128) -> list:
     RuntimeError is raised if one has an imaginary part above
     2^(-prec_bits/2) of the largest coefficient.
     """
+    from mpmath import mp, mpc, mpf
+
     k = f.weight
     w = k - 2
     lam = lambda_numeric(f, prec_bits)
@@ -289,6 +298,8 @@ def eichler_integral_numeric(f: QExpansion, z, prec_bits: int = 128):
 
     Requires Im z > 0 for convergence.
     """
+    from mpmath import mp, mpc, mpf
+
     k = f.weight
     with mp.workprec(prec_bits + 48):
         z = mpc(z)

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from mpmath import mp, mpf
-
 from .exactcore import RatPoly, is_self_inversive
 
 
@@ -143,6 +141,8 @@ def zeta_projective_space(k: int) -> ScaledPoly:
 
 def gamma_c(s, prec_bits: int = 128):
     """The finite complex gamma factor (2 pi)^(-s) Gamma(s) for real s > 0."""
+    from mpmath import mp, mpf
+
     with mp.workprec(prec_bits + 16):
         s = mpf(s)
         if s <= 0:

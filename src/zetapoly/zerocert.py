@@ -1,15 +1,14 @@
 """Exact Sturm-sequence certificates for unit-circle and critical-line zero
-claims, plus floating-point root extraction for reports.
+claims, plus floating-point root extraction for reports.  mpmath is
+imported only by the functions that compute floating-point roots.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional
-
-from mpmath import mp, mpc, mpf
 
 from .exactcore import RatPoly, is_self_inversive
 from .habiro import chebyshev_T
@@ -32,6 +31,9 @@ class Certificate:
     counted_roots: int
     expected_roots: int
     witness: str
+    # critical_line only, and not in the JSON: Q(c + u) = u^offset A(u^2)
+    A: Optional[RatPoly] = field(default=None, repr=False, compare=False)
+    offset: int = field(default=0, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -123,16 +125,20 @@ def unit_circle_certify(U: RatPoly) -> Certificate:
     )
 
 
-def _nonpositive_real_roots_with_multiplicity(A: RatPoly) -> int:
-    """Multiplicity-weighted count of real roots <= 0, by peeling squarefree
-    layers."""
-    total = 0
+def _squarefree_layers(A: RatPoly):
+    """Peel A into squarefree layers: layer j holds, once each, the roots of
+    multiplicity >= j, so a root lies in as many layers as its multiplicity."""
     B = A
     while B.degree > 0:
         sf = B.squarefree_part()
-        total += sturm_count(sf, None, 0)
+        yield sf
         B = B // sf
-    return total
+
+
+def _nonpositive_real_roots_with_multiplicity(A: RatPoly) -> int:
+    """Multiplicity-weighted count of real roots <= 0, by peeling squarefree
+    layers."""
+    return sum(sturm_count(sf, None, 0) for sf in _squarefree_layers(A))
 
 
 def critical_line_certify(Q: RatPoly, c: Fraction, sign: int) -> Certificate:
@@ -164,7 +170,7 @@ def critical_line_certify(Q: RatPoly, c: Fraction, sign: int) -> Certificate:
         counted = offset
         return Certificate(
             "critical_line", counted == Q.degree, counted, Q.degree,
-            "A constant, trivially certified",
+            "A constant, trivially certified", A, offset,
         )
     counted = 2 * _nonpositive_real_roots_with_multiplicity(A) + offset
     passed = counted == Q.degree
@@ -174,6 +180,8 @@ def critical_line_certify(Q: RatPoly, c: Fraction, sign: int) -> Certificate:
         counted_roots=counted,
         expected_roots=Q.degree,
         witness=f"A(v), deg {A.degree}",
+        A=A,
+        offset=offset,
     )
 
 
@@ -183,6 +191,8 @@ def critical_line_certify(Q: RatPoly, c: Fraction, sign: int) -> Certificate:
 
 
 def _as_mpc_coeffs(p) -> List:
+    from mpmath import mpc, mpf
+
     if isinstance(p, RatPoly):
         return [mpf(c.numerator) / c.denominator for c in p.coeffs]
     return [mpc(c) for c in p]
@@ -224,6 +234,8 @@ def _double_seeds(coeffs, start) -> Optional[List]:
     a relative step of 1e-14.  None when the doubles cannot carry it: a
     coefficient or a modulus out of double range, a division by zero, or a
     non-finite or repeated point."""
+    from mpmath import mpc
+
     c = [complex(x) for x in coeffs]
     if any(not cmath.isfinite(x) or (x == 0) != (y == 0) for x, y in zip(c, coeffs)):
         return None
@@ -237,17 +249,49 @@ def _double_seeds(coeffs, start) -> Optional[List]:
     return [mpc(z) for z in zs]
 
 
+def _start_points(coeffs) -> List:
+    """Aberth start points from the Newton polygon (Bini 1996): for each edge
+    (i, j) of the upper convex hull of the points (i, log|c_i|), j - i points
+    spread round the circle of radius |c_i / c_j|^(1/(j - i)), where the
+    polynomial has j - i roots of about that modulus.  The first and last
+    coefficients must be nonzero."""
+    from mpmath import mp, mpf
+
+    with mp.workprec(53):  # start points need no more than double precision
+        hull = []  # vertices (i, log|c_i|), left to right
+        for j, c in enumerate(coeffs):
+            if abs(c) == 0:
+                continue
+            y = mp.log(abs(c))
+            while len(hull) > 1:  # drop the last vertex while it is on or below the chord
+                (i0, y0), (i1, y1) = hull[-2:]
+                if (y1 - y0) * (j - i0) > (y - y0) * (i1 - i0):
+                    break
+                hull.pop()
+            hull.append((j, y))
+        zs = []
+        for (i, log_i), (j, log_j) in zip(hull, hull[1:]):
+            radius = mp.exp((log_i - log_j) / (j - i))
+            zs += [
+                radius * mp.expj(2 * mp.pi * (k - i + mpf("0.25")) / (j - i) + mpf("0.003") * k)
+                for k in range(i, j)
+            ]
+    return zs
+
+
 def roots_numeric(p, prec_bits: int = 128) -> List:
     """All complex roots by Aberth simultaneous iteration: one sweep, run
-    first in complex doubles from a perturbed circle and then at working
-    precision from where the doubles stopped, or from the circle when they
-    failed (precision escalation, as in MPSolve).  Each run stops once every
-    step is at most a fixed fraction of its root: 1e-14 in doubles,
-    2^(-prec_bits-24) at working precision.  Accepts a RatPoly or a
+    first in complex doubles from the Newton-polygon circles and then at
+    working precision from where the doubles stopped, or from the circles
+    when they failed (precision escalation, as in MPSolve).  Each run stops
+    once every step is at most a fixed fraction of its root: 1e-14 in
+    doubles, 2^(-prec_bits-24) at working precision.  Accepts a RatPoly or a
     coefficient list (constant first).  Guarantees, for every root z,
     |p(z)| < 2^(-prec_bits/2) * sum |c_i| |z|^i, or raises
     RootConvergenceError.
     """
+    from mpmath import mp, mpc, mpf
+
     with mp.workprec(prec_bits + 64):
         coeffs = _as_mpc_coeffs(p)
         while coeffs and abs(coeffs[-1]) == 0:
@@ -261,11 +305,7 @@ def roots_numeric(p, prec_bits: int = 128) -> List:
             coeffs = coeffs[1:]
         n = len(coeffs) - 1
         if n > 0:
-            radius = (1 + (abs(coeffs[0] / coeffs[-1])) ** (mpf(1) / n)) / 2
-            zs = [
-                radius * mp.e ** (mpc(0, 1) * (2 * mp.pi * (i + mpf("0.25")) / n + mpf("0.003") * i))
-                for i in range(n)
-            ]
+            zs = _start_points(coeffs)
             zs = _double_seeds(coeffs, zs) or zs
             deriv = [i * c for i, c in enumerate(coeffs)][1:]
             _aberth(coeffs, deriv, zs, mpf(2) ** (-(prec_bits + 24)))
@@ -278,6 +318,109 @@ def roots_numeric(p, prec_bits: int = 128) -> List:
                     f"{len(bad)} root(s) failed the residual bound", roots
                 )
         return [mpc(z) for z in roots]
+
+
+def _dyadic_sign(a, x: Fraction) -> int:
+    """Sign of the integer polynomial a (constant first) at the dyadic
+    x = n / 2^s, by Horner on 2^(s deg a) a(x): integers only."""
+    n, s = x.numerator, x.denominator.bit_length() - 1
+    acc = 0
+    for k, c in enumerate(reversed(a)):
+        acc = acc * n + (c << (s * k))
+    return (acc > 0) - (acc < 0)
+
+
+def _negative_roots(S: RatPoly, prec_bits: int) -> List:
+    """The roots of a squarefree S, each with a witness that it is real and
+    < 0, at the working precision of the caller; raises RuntimeError when a
+    witness fails.
+
+    Seeds come from the Aberth sweep in doubles, or at working precision
+    when S is out of double range.  Each is polished by real Newton steps
+    until a step is at most 2^-(prec_bits+8) max(1, |v|), then boxed in
+    (v - h, min(v + h, 0)) with h = 2^-(prec_bits+4) max(1, |v|).  The ends
+    are dyadic, and S must change sign across every box, evaluated
+    exactly on the integer multiple of S.  deg S pairwise disjoint boxes then
+    hold deg S distinct roots, which are all the roots of S.
+    """
+    from mpmath import mp, mpf
+    from mpmath.libmp import to_rational
+
+    roots = []
+    if S[0] == 0:  # a squarefree layer has 0 as a root at most once
+        roots.append(mpf(0))
+        S = RatPoly(S.coeffs[1:])
+    if S.degree <= 0:
+        return roots
+    coeffs = _as_mpc_coeffs(S)
+    deriv = [i * c for i, c in enumerate(coeffs)][1:]
+    start = _start_points(coeffs)
+    zs = _double_seeds(coeffs, start)
+    if zs is None:  # out of double range: run the sweep at working precision
+        zs = start
+        _aberth(coeffs, deriv, zs, mpf(2) ** -53)
+    ints = S.primitive_integer().coeffs
+    tol, box = mpf(2) ** -(prec_bits + 8), mpf(2) ** -(prec_bits + 4)
+    boxes = []
+    for z in zs:
+        v = z.real
+        for _ in range(64):  # a few steps from a double seed; the cap stops a divergent one
+            dv = _poly_eval(deriv, v)
+            if dv == 0:
+                break
+            step = _poly_eval(coeffs, v) / dv
+            v -= step
+            if abs(step) <= tol * max(1, abs(v)):
+                break
+        h = box * max(1, abs(v))
+        lo, hi = (Fraction(*to_rational(x._mpf_)) for x in (v - h, v + h))
+        hi = min(hi, 0)
+        if not (lo < hi and _dyadic_sign(ints, lo) * _dyadic_sign(ints, hi) < 0):
+            raise RuntimeError(
+                f"sign test fails: A has no certified negative root near {mp.nstr(v, 12)}"
+            )
+        boxes.append((lo, hi, v))
+    boxes.sort(key=lambda b: b[0])
+    for left, right in zip(boxes, boxes[1:]):
+        if left[1] >= right[0]:
+            raise RuntimeError(
+                f"sign test fails: boxes around roots {mp.nstr(left[2], 12)} and "
+                f"{mp.nstr(right[2], 12)} of A overlap"
+            )
+    return roots + [v for _, _, v in boxes]
+
+
+def critical_line_roots(A: RatPoly, c, prec_bits: int = 128, offset: int = 0) -> List:
+    """All zeros of the Q with Q(c + u) = u^offset A(u^2), which
+    critical_line_certify builds, as c +- i sqrt(-v) over the roots v of A,
+    in ascending imaginary part, each repeated by its multiplicity.
+
+    A is solved in real arithmetic at half the degree of Q, and one
+    squarefree layer at a time when it is not squarefree (see
+    _negative_roots), so every root carries an integer sign-change witness
+    at about prec_bits.  A failed witness raises
+    RuntimeError; there is no fallback to a complex solve.
+    """
+    from mpmath import mp, mpc, mpf
+
+    c = Fraction(c)
+    with mp.workprec(prec_bits + 64):
+        # A itself first: its witness also proves it squarefree, and spares
+        # the gcd that peeling the layers costs
+        try:
+            vs = _negative_roots(A, prec_bits)
+        except RuntimeError:
+            layers = list(_squarefree_layers(A))
+            if len(layers) == 1:
+                raise
+            vs = [v for S in layers for v in _negative_roots(S, prec_bits)]
+        ys = sorted(mp.sqrt(max(-v, 0)) for v in vs)  # v may be just above a root in (-h, 0)
+        cm = mpf(c.numerator) / c.denominator
+        return (
+            [mpc(cm, -y) for y in reversed(ys)]
+            + [mpc(cm)] * offset
+            + [mpc(cm, y) for y in ys]
+        )
 
 
 def roots_json(roots) -> list:

@@ -1,11 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
 
-from zetapoly import cli
+import zetapoly
+from zetapoly import cli, zerocert
 from zetapoly.cli import main
 from zetapoly.periods import DivisibilityError
 
@@ -196,6 +200,28 @@ class TestReportFailureCause:
             else:
                 assert row == ref
 
+    def test_failed_sign_test_keeps_its_message(self, capsys, tmp_path, monkeypatch):
+        real_record, real_sign = cli.zeta_record_for_d, zerocert._dyadic_sign
+        weights = []
+
+        def recording(quot, d=None):
+            weights.append(quot.weight)
+            return real_record(quot, d)
+
+        def no_sign_change_at_20(a, x):
+            return 0 if weights[-1] == 20 else real_sign(a, x)
+
+        monkeypatch.setattr(cli, "zeta_record_for_d", recording)
+        monkeypatch.setattr(zerocert, "_dyadic_sign", no_sign_change_at_20)
+        rows = self.report_rows(capsys, tmp_path)
+        assert not (tmp_path / "roots_w20_d9.json").exists()
+        for row, ref in zip(rows, REFERENCE_ROWS):
+            if row[0] == "20":
+                cause = f"error:RuntimeError: weight 20, d {row[2]}: sign test fails: "
+                assert row[:3] == ref[:3] and row[3].startswith(cause) and row[3:] == [row[3]] * 3
+            else:
+                assert row == ref
+
     def test_weight_stages_run_once_per_weight(self, capsys, tmp_path, monkeypatch):
         calls = []
         real = cli.periods.relations_kernel
@@ -216,6 +242,25 @@ class TestReportFailureCause:
             rows = list(csv.reader(fh))
         assert len(rows) == len(REFERENCE_ROWS) == 37
         return rows
+
+
+class TestLazyMpmath:
+    def test_exact_commands_never_import_mpmath(self):
+        script = (
+            "import contextlib, io, sys\n"
+            "import zetapoly.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(['certify', '--weight', '26', '--d', '15']),\n"
+            "             cli.main(['habiro', '--level', '8']),\n"
+            "             cli.main(['periods', '--weight', '12'])]\n"
+            "print(codes, 'mpmath' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(zetapoly.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[0, 0, 0] False\n"
 
 
 class TestDeterminism:

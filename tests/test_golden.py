@@ -1,14 +1,16 @@
 """Byte identity of CLI output: sha256 of stdout, recorded before the
 moment-series L-values replaced the per-s incomplete-gamma series, and
-sha256 of every file `report` writes, recorded before the multiprecision
-Aberth loop was seeded by a complex-double pass.  The roots files hold
-doubles, so `report` writes the same bytes at 128 and at 512 bits.
+sha256 of every file `report` writes, recorded when `report` began to take
+its roots from the critical-line witness and list them in ascending
+imaginary part.  The roots files hold doubles, so `report` writes the same
+bytes at every precision from 53 to 1024 bits.
 
 A refactor must keep these digests.  Change one only with a change that
 means to alter the output, and say so in that change.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -36,38 +38,79 @@ GOLDEN = {
 }
 
 REPORT_GOLDEN = {
-    "roots_w16_d10.json": "06612200520d8f80bd74797a9335da80d464caef24096637599b080611044408",
-    "roots_w16_d5.json": "08eaac6550fadedb9997870b0d167248148a10da403d8fd6bca87c9d8b2dcc2d",
-    "roots_w16_d6.json": "086500a832fcf6e11967070c1e128653378539e73b529f7cd6425e8ffea7ee41",
-    "roots_w16_d7.json": "41fb1b9a720b05e7238a181fe5181be54be39df21daa1a880e8d1dcbeb7d202c",
-    "roots_w16_d8.json": "965099a3d555c8680880787f8e7aeaf482e47aac55394dbe59c14388988145c5",
-    "roots_w16_d9.json": "9449a4be6e828ef2937b4bf96f5158e8f6d7be62e0b1e901d6fe0606cbe7aae4",
-    "roots_w18_d10.json": "323d1ccc3a7d6977b50320ff1286f76cbb25afb501de1ec89d44611b01c35285",
-    "roots_w18_d11.json": "896499e21a10952b7bb012b80abde35033bb72be1edbf9d3cd5b29133a93078e",
-    "roots_w18_d12.json": "2d37e5b87020c3fc1d26ce09efaa5e8eb5de3b5d14456f3e34537969e9816a3b",
-    "roots_w18_d7.json": "6460a77964fc93630d1ecdf33a0f57b8ad3e5be06617ac6ecfca8908376677a9",
-    "roots_w18_d8.json": "c72424d6884e67b89b478f352cf756779963ebbb756994fe9d95e3d2fffe8759",
-    "roots_w18_d9.json": "a854502180356c8af2b28f354d2a3b6f24c2812fc4bf0320a3290189c95053a9",
-    "roots_w20_d10.json": "40292ef141c9be980d1663d9011c1cb55650c3b24803ff670c92a1fd4baacf41",
-    "roots_w20_d11.json": "1eceb58120220345ae411cd5be2e696e537fe737bf9b7384014a5e096ee97ab2",
-    "roots_w20_d12.json": "904ffb0aa94f98552484423d7ebfdae54ad85e721a660bf6c2aa307502243b05",
-    "roots_w20_d13.json": "c66ccb4c32cd9a018998e29d8d751b5859f510ca21c84bd61f79715dace7a13a",
-    "roots_w20_d14.json": "e7c27a36731a6b95e3e67912f3149c9bcb4e47cf2662b5c29db876c9314e3f06",
-    "roots_w20_d9.json": "f935691c7c77af1961e8eebc19bf1d15938346e79aa3b18d81cfee850c7f4237",
-    "roots_w22_d11.json": "011b87c5c7bf3c61f3c84387ac75fda1b16145f631d62564d1fb308ffa910cd4",
-    "roots_w22_d12.json": "ffe91f5b6428f8f5a4af5a712f385f3f32d33edf35a4987e88121e560db490fb",
-    "roots_w22_d13.json": "5fe294f135fab5dcfaa079998b5f9d6d7ba2f351afe27b3435822fb3ac4e4ec4",
-    "roots_w22_d14.json": "1c7250fc269cbd5dc967420a1475bab2eecb87a99ab267b9cb07c333d66cddfc",
-    "roots_w22_d15.json": "dc2887bfdbf3decb5824849dc3df786aebec82e731107414ef308317c5ab8df4",
-    "roots_w22_d16.json": "041ab2643fd4f11d328b0313391c97ef4ade2644e74948e3ff625e4dff3fffd4",
-    "roots_w26_d15.json": "e561022ba06618280168063382bdd091e0519899f2215efbe51420f2ac9ed79f",
-    "roots_w26_d16.json": "96414ceddb83ab4ad007054507f07d7fc3a9db2e5ddc94de56f557dc24415611",
-    "roots_w26_d17.json": "2cecbd5a3a312ba2af93d8f4bc3ba52f006c03e4c378aac83658d78f9a3c3554",
-    "roots_w26_d18.json": "79aff0df803d761e973243244d38775bf6287354c866fd370faaae3769b87392",
-    "roots_w26_d19.json": "99d76ede8e7e17c416ba43dacb68ccdfa20d1e70c1c16c0d34bdee9ca370a39f",
-    "roots_w26_d20.json": "d1464c56a49398bf22e791c9b1928cb7276546a1072295cf68d47d0dcdaf17de",
+    "roots_w16_d10.json": "59bda2a0141c1f8034ce6f71ff728a8750c0f9b24452915a943b4f6a7a885d81",
+    "roots_w16_d5.json": "2a6dfda6967f8a362d4acea3f5d41044867d4e66eb9debe82c14922af42115c1",
+    "roots_w16_d6.json": "4cb1a03da95de8293b7c8b31254d9a0298ace48b3c3470312ad7e594397aa427",
+    "roots_w16_d7.json": "6ca82d2c4c6e2a5e4cefc5e0727eb7c04d6270ed743123aa6df57eddc1d84372",
+    "roots_w16_d8.json": "fa52d5fa553d049410a8c158ced2fcf3592af47dba64aba5c90cde9e308c3259",
+    "roots_w16_d9.json": "219eaf95659167f5fea42dba9e75840bde49a74336968aa04b6285889f01f555",
+    "roots_w18_d10.json": "8c31721acdc35901c2fa4a64d6a817ccd3d7dd74607515784d94c30134ba110f",
+    "roots_w18_d11.json": "c9941075bf4f78f07b47798166b05ec0dd2715c2ea81dab22508a61ae582f79f",
+    "roots_w18_d12.json": "ca06a19a5fa1485764bb9eaab12574600e2a89b49f6a824e71c0ce8977cb2a3e",
+    "roots_w18_d7.json": "20d61440292724d5f6036db606eccd98373bc9d274d356f30b70f1c27b0308a9",
+    "roots_w18_d8.json": "d4a50b673f4ccc025b6d54acef019bf7310a592f858a55130d5c8f9197679b65",
+    "roots_w18_d9.json": "1fd8c1960ae051a145da0a83a67167f05e8f70d66b6cb97c875d61cf9392a4e7",
+    "roots_w20_d10.json": "680eda93bc7f5ea7f505f18bcdd78041a2a53d7e0af99e8b05082bd11f35be43",
+    "roots_w20_d11.json": "9efbe2c56f92b7abb844f4ba564bd66a3f43c9961921fc02a0f1d2fb95656a58",
+    "roots_w20_d12.json": "ed6d8fcb24540163874fdd431ea05161e90813828043d00b7f14f294e9bfc470",
+    "roots_w20_d13.json": "d7b1e9e9ca4ef2621ad4274357be33c9956604b7d593761e5610ff136cbf8092",
+    "roots_w20_d14.json": "0fb18eb720fbc07841754f3860c0c019dc634027ae771572fdcf090086de860a",
+    "roots_w20_d9.json": "9bcca7a6bebe67ef6eaa5784ad9b71e71148a6fc98bc813753cc316d1a092c4c",
+    "roots_w22_d11.json": "deef14808a0db8f940817e73bdb25123f85b437121d8edf15038f07087b343c7",
+    "roots_w22_d12.json": "b5a64a56f6ff3f9c75eac49292afbef60c62a5a69bff2db3af24206211d7af65",
+    "roots_w22_d13.json": "e2daeacb251cb416c67d1332b9a48f40049cfd21cb43f396c5ba292f348b580c",
+    "roots_w22_d14.json": "8dd70c7b0747cbe82b191f203123502e3fdc8cbd7dc1678a7a73e0ef2c82e63b",
+    "roots_w22_d15.json": "2f63db870443a473ac8484342c3e339475292192ecdc08a5aec609b35fd1ea60",
+    "roots_w22_d16.json": "c00c8582b4485471c1596a2693e049e51f2095d0db06c20bef95eac0ac3c4857",
+    "roots_w26_d15.json": "2a6f410af03d9024d883e3193ccb5e7c2aa1c41729ceeb10ce15047880ecb418",
+    "roots_w26_d16.json": "e924fb3043ad6f6619e401e364ffff0ed87950738b522e11f9413b33d2c51fef",
+    "roots_w26_d17.json": "1a1978535ae93b8ffca1306f1ef79b0cc631c127bb2da74cc8c45c6c0e0a80df",
+    "roots_w26_d18.json": "4c8fe6cb68096381543ac5f22925684cc6164e65eeb55fa321ce39068537f2b4",
+    "roots_w26_d19.json": "ad8ed9ccd18b8c0c76227c9bff1dece253f6f8e4f5b408638390f1b60fe83604",
+    "roots_w26_d20.json": "ebe6332f376c01a7b9c59254a7f062962982cf8819e449a2d14e58134e6a0b8b",
     "summary.csv": "e639522fe6d6f34e3b819c68b4d7534979fb03589f4afaadb0da8d7f86159d72",
 }
+
+# sha256 of repr(sorted((re, im) pairs)) of each roots file: the roots as a
+# multiset of doubles, whatever order the file lists them in.  Recorded while
+# `report` still solved each Q by complex Aberth; the same at every precision.
+ROOTS_MULTISET = {
+    "roots_w16_d10.json": "1f980a7e97c15deefc7518057b8fa70d08587a55ec52dbc41fad16ad46a8215c",
+    "roots_w16_d5.json": "9c2603f7bd31b11602443bd2e0c912a251726fa19179b1baa43d54616ddb6784",
+    "roots_w16_d6.json": "1401d76ebf9b6b46ff9e539152c0ae0c1ec846771c30dc379a2c5a972803f401",
+    "roots_w16_d7.json": "abbf03609f5d7fc570ca7408663a6803a52846a47af702065e76c4ce205a37e1",
+    "roots_w16_d8.json": "5e66217aafe8114d07f95bce8fdd5ffeccc2708bcce3917d05c337621a0562d7",
+    "roots_w16_d9.json": "ae6cfd5dcbb2c16eff74495fee65705dbc12a99b75987633baaaa6df4fa0f62a",
+    "roots_w18_d10.json": "8f14c021152103a4931d319171bfa17e9d820b487f7eec99e5844bd0604db819",
+    "roots_w18_d11.json": "2b7120d70bb3fbcef1bb301839b035e1bb5648cc9682f1fb540b59a978434ee8",
+    "roots_w18_d12.json": "3da9b01595be1a6200f3e87841dc88c15269fe57aa46a78e5d806acaec3ab477",
+    "roots_w18_d7.json": "e47fe7eed30b43d5550b3395dc0d3d1b4a47598c0fa5086add9b855326ddc960",
+    "roots_w18_d8.json": "05861709e9949beb80a490199dc18eb63dc409ac4a4edd6e41cc1807913a8216",
+    "roots_w18_d9.json": "6f8f170257c0540105be020cdd7197183e0ce7e19eb82aec5427fe271afb7800",
+    "roots_w20_d10.json": "2e85397d285a6335c33f066967efa07c780a60999243357ca3da77474ccc6dc4",
+    "roots_w20_d11.json": "b4515c3e0135153ab681a05618e58d29a53f994dd4ade05a061e1ebbdeec667d",
+    "roots_w20_d12.json": "4c5073ae45bb95ce9ebacb21f09b8557186de178f3bc622f9753f4205be4431a",
+    "roots_w20_d13.json": "4a463cad3665dc13515d763e4c6f76ed1a57b099e6fc63232dece654697454f1",
+    "roots_w20_d14.json": "cea62577bfec5341367dec256e2a35359802ced1c8e7dbe5b8511616ac242776",
+    "roots_w20_d9.json": "bfeaaa15e2b476c9fda69e64b33d86c47b321ea72ccc7694460ae7bcdea947a9",
+    "roots_w22_d11.json": "c6977a9eb376846e881d68441c7c68d5a3af6b544d269f7265163909b8e29809",
+    "roots_w22_d12.json": "2ba4d0b06fad78313e576e1ed6824f063df357d44f35ffbd762f107773b76557",
+    "roots_w22_d13.json": "e1b2d37c558f646872cc5b84f4a435cc1301e6c46c7379747ea14ce4f76ba298",
+    "roots_w22_d14.json": "5a2b1085b9b24dc1c03836934c648be2f57755ea1e23003d38e71bfe0b17b7e1",
+    "roots_w22_d15.json": "de87dde37bb590ae665393dc6069461023ac989163bbcdde16a0b4b508676188",
+    "roots_w22_d16.json": "a88990ddd4dc110cd5db10c8a36d7efeecd2626336fca2e450ab95a6d672381f",
+    "roots_w26_d15.json": "ccececf6a638b4d51645e8b2f983a536cc25dbee27932a0bee45ac4a00468070",
+    "roots_w26_d16.json": "c1a1f2168280bb306742abb4db481aca11eb8ff4fccdcb54d204d23e1688a71c",
+    "roots_w26_d17.json": "1c1cb5d5394b688298e51fe516764d1c0bfe84a901a24ec5ec829338ce9e918c",
+    "roots_w26_d18.json": "7bced68b78a5c5f851fbbcd8baa6af77b8316207c4601b1836af190059e87550",
+    "roots_w26_d19.json": "dc93fa688ff8666809af0600b07ea367fb4bcb0aab1f4ba520fae777dd646e00",
+    "roots_w26_d20.json": "ceef09c8e19dcb3ff301c14d265f40abf6bf79fb55d2fd84053ca3800b5b040a",
+}
+
+
+def roots_multiset_digest(path) -> str:
+    roots = json.loads(path.read_text())["roots"]
+    return hashlib.sha256(repr(sorted((r["re"], r["im"]) for r in roots)).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("command, weight, bits", list(GOLDEN))
@@ -86,3 +129,12 @@ def test_report_file_digests(tmp_path, bits):
     assert main(["report", "--out-dir", str(tmp_path), "--prec-bits", str(bits)]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == REPORT_GOLDEN
+
+
+@pytest.mark.parametrize("bits", (53, 128, 256, 512, 1024))
+def test_report_root_multisets(tmp_path, bits):
+    assert main(["report", "--out-dir", str(tmp_path), "--prec-bits", str(bits)]) == 0
+    written = {p.name: roots_multiset_digest(p) for p in tmp_path.glob("roots_*.json")}
+    assert written == ROOTS_MULTISET
+    summary = hashlib.sha256((tmp_path / "summary.csv").read_bytes()).hexdigest()
+    assert summary == REPORT_GOLDEN["summary.csv"]

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
 from zetapoly import modforms, zerocert
@@ -14,6 +15,7 @@ from zetapoly.zerocert import (
     SymmetryError,
     chebyshev_basis_decompose,
     critical_line_certify,
+    critical_line_roots,
     roots_numeric,
     sturm_count,
     unit_circle_certify,
@@ -200,10 +202,10 @@ class TestRootsNumericSeeding:
             start = [mpc(1, 1), mpc(-1, -1)][: len(coeffs) - 1]
             assert zerocert._double_seeds(coeffs, start) is None
             if kind == "tiny":
-                # true roots +-10^-200 i: the circle start cannot reach them in 200
-                # sweeps, and the per-root residual bound refuses what it reaches
-                with pytest.raises(zerocert.RootConvergenceError):
-                    roots_numeric(coeffs, 128)
+                # the Newton polygon puts the start circle at the roots' modulus
+                root = mpf(10) ** -200
+                oracle = [mpc(0, root), mpc(0, -root)]
+                assert_same_roots(roots_numeric(coeffs, 128), oracle, root * mpf(2) ** -100)
                 return
             roots = roots_numeric(coeffs, 128)
             bound = mpf(2) ** -64 * max(abs(c) for c in coeffs)
@@ -265,6 +267,75 @@ class TestRootsNumericSeeding:
         calls = self.count_mp_evaluations(monkeypatch)
         roots_numeric(P(10**400, 0, 1), 128)
         assert 3 * 2 <= len(calls) <= 60
+
+
+def line_product(c, ts, multiplicities=None):
+    """Q = prod ((x - c)^2 + t)^m over ts, with all roots on Re x = c."""
+    shift = P(-c, 1)
+    Q = RatPoly.one()
+    for t, m in zip(ts, multiplicities or [1] * len(ts)):
+        Q = Q * (shift * shift + P(t)) ** m
+    return Q
+
+
+class TestCriticalLineRoots:
+    @pytest.mark.parametrize(
+        "A, cause",
+        (
+            (P(-2, 1, 1), "A has no certified negative root near 1.0"),  # (v - 1)(v + 2)
+            (P(1, 1, 1), "A has no certified negative root near -0.5"),  # a complex pair
+            # (v + 1)((v + 3/2)^2 + 1/4): Newton takes the pair's seeds to -1
+            (P(5, 11, 8, 2), "boxes around roots -1.0 and -1.0 of A overlap"),
+        ),
+    )
+    def test_sign_test_refuses_a_root_off_the_line(self, A, cause):
+        with pytest.raises(RuntimeError, match=re.escape("sign test fails: " + cause)):
+            critical_line_roots(A, Fraction(-1, 2), 128)
+
+    def test_repeated_roots_keep_their_multiplicity(self):
+        c = Fraction(-3, 2)
+        Q = line_product(c, (1, 4), (2, 1))  # ((x-c)^2 + 1)^2 ((x-c)^2 + 4)
+        cert = critical_line_certify(Q, c, +1)
+        assert cert.passed
+        roots = critical_line_roots(cert.A, c, 128, cert.offset)
+        assert [complex(z) for z in roots] == [-1.5 + y * 1j for y in (-2, -1, -1, 1, 1, 2)]
+
+    def test_roots_at_c_and_odd_sign(self):
+        # x^3 (x^2 + 4): a root 0 of A and, for sign -1, the extra root c
+        cert = critical_line_certify(P(0, 0, 0, 4, 0, 1), Fraction(0), -1)
+        assert cert.passed and cert.offset == 1
+        roots = critical_line_roots(cert.A, 0, 128, cert.offset)
+        assert [complex(z) for z in roots] == [-2j, 0, 0, 0, 2j]
+
+    def test_out_of_double_range_seeds_at_working_precision(self):
+        # A = (v + 10^400)(v + 1): the doubles cannot carry it, the mp sweep seeds it
+        A = P(10**400, 10**400 + 1, 1)
+        with mp.workprec(192):
+            assert zerocert._double_seeds(zerocert._as_mpc_coeffs(A), [mpc(-1), mpc(-2)]) is None
+            big = mpf(10) ** 200
+            oracle = [mpc(0, -big), mpc(0, -1), mpc(0, 1), mpc(0, big)]
+            roots = critical_line_roots(A, 0, 128)
+            for z, w in zip(roots, oracle):
+                assert abs(z - w) < abs(w) * mpf(2) ** -100
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.fractions(min_value=-6, max_value=6, max_denominator=5),
+        st.lists(
+            st.fractions(min_value=0, max_value=50, max_denominator=7).filter(lambda t: t > 0),
+            min_size=1, max_size=5, unique=True,
+        ),
+    )
+    def test_matches_polyroots(self, c, ts):
+        Q = line_product(c, ts)
+        cert = critical_line_certify(Q, c, +1)
+        with mp.workprec(256):
+            roots = critical_line_roots(cert.A, c, 128, cert.offset)
+            coeffs = [mpf(q.numerator) / q.denominator for q in reversed(Q.coeffs)]
+            oracle = mpmath.polyroots(coeffs, maxsteps=200, extraprec=256)
+            scale = max(1, max(abs(z) for z in oracle))
+            assert_same_roots(roots, oracle, scale * mpf(2) ** -100)
+        assert [z.imag for z in roots] == sorted(z.imag for z in roots)
 
 
 class TestCertificateNumericAgreement:
