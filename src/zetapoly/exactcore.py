@@ -6,10 +6,18 @@ of ``z**i``.  The zero polynomial has an empty coefficient tuple and degree -1.
 All values are immutable; every operation returns a new polynomial.
 A coefficient is an ``int`` when integral and a ``Fraction`` otherwise;
 ``_exact`` enforces this and ``_quo`` does every exact division.
+
+When every coefficient of both operands is an ``int``, products and
+divisions by a divisor with leading coefficient +-1 stay in integers: a
+product of two long polynomials is one big-integer product by Kronecker
+substitution (``_kronecker_mul``), and the rest is integer schoolbook.
 """
 
 from __future__ import annotations
 
+import operator
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -67,12 +75,22 @@ class RatPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_exact(c) for c in coeffs]
+        cs = [c if type(c) is int else _exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _of_ints(cls, cs: list) -> "RatPoly":
+        """The polynomial with the int coefficients cs, without re-checking
+        their type; cs is consumed."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", tuple(cs))
+        return p
 
     @classmethod
     def zero(cls) -> "RatPoly":
@@ -181,13 +199,12 @@ class RatPoly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return RatPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RatPoly(out)
+        a, b = self.coeffs, other.coeffs
+        if _all_int(a) and _all_int(b):
+            if min(len(a), len(b)) >= _KRONECKER_MIN_LEN:
+                return RatPoly._of_ints(_kronecker_mul(a, b))
+            return RatPoly._of_ints(_schoolbook_mul(a, b))
+        return RatPoly(_schoolbook_mul(a, b))
 
     __rmul__ = __mul__
 
@@ -212,13 +229,11 @@ class RatPoly:
         lead = other.coeffs[-1]
         if len(rem) <= dq:
             return RatPoly.zero(), self
-        quot = [0] * (len(rem) - dq)
-        for i in range(len(rem) - dq - 1, -1, -1):
-            c = _quo(rem[i + dq], lead)
-            quot[i] = c
-            if c != 0:
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= c * b
+        if lead in (1, -1) and _all_int(rem) and _all_int(other.coeffs):
+            # 1/lead = lead: every quotient coefficient is an int
+            quot = _schoolbook_divmod(rem, other.coeffs, operator.mul)
+            return RatPoly._of_ints(quot), RatPoly._of_ints(rem)
+        quot = _schoolbook_divmod(rem, other.coeffs, _quo)
         return RatPoly(quot), RatPoly(rem)
 
     def __floordiv__(self, other) -> "RatPoly":
@@ -285,6 +300,95 @@ class RatPoly:
     def reversed_coeffs(self) -> "RatPoly":
         """z^deg * self(1/z)."""
         return RatPoly(reversed(self.coeffs))
+
+
+# -- integer fast paths ---------------------------------------------
+
+# Products whose shorter operand has at least this many coefficients go by
+# Kronecker substitution; below it integer schoolbook is faster.
+_KRONECKER_MIN_LEN = 12
+
+# Signed array type codes by item size in bytes: digits of these widths are
+# packed and unpacked by the array module instead of one by one.
+_ARRAY_CODES = {array(t).itemsize: t for t in "bhiq"}
+
+
+def _all_int(cs) -> bool:
+    return all(type(c) is int for c in cs)
+
+
+def _schoolbook_mul(a: Sequence, b: Sequence) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _kronecker_mul(a: Sequence, b: Sequence) -> list:
+    """Kronecker substitution: a(2^w) * b(2^w) as one big-integer product,
+    read back digit by digit.  Every product coefficient is at most
+    max|a| * max|b| * min(len) in absolute value, so a signed digit of w bits
+    (w a multiple of 8) above that bound holds it without overlap."""
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = (bound.bit_length() + 8) // 8  # bytes
+    width = next((w for w in _ARRAY_CODES if w >= width), width)
+    x = _pack(a, width)
+    y = x if a is b else _pack(b, width)
+    return _unpack(x * y, width, len(a) + len(b) - 1)
+
+
+def _sign_bits(width: int, n: int) -> int:
+    """The integer with only the top bit of each of n digits of width bytes
+    set.  Adding it to a packed value makes every signed digit d into
+    d + 2^(8 width - 1) >= 0 with no carry between digits; XOR with it then
+    turns that into the two's-complement bits of d."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+
+
+def _pack(cs: Sequence, width: int) -> int:
+    """sum_i cs[i] * 2^(8 width i) for ints with |cs[i]| < 2^(8 width - 1)."""
+    code = _ARRAY_CODES.get(width)
+    if code:
+        digits = array(code, cs)
+        if sys.byteorder == "big":
+            digits.byteswap()
+        raw = digits.tobytes()
+    else:
+        raw = b"".join(c.to_bytes(width, "little", signed=True) for c in cs)
+    top = _sign_bits(width, len(cs))
+    return (int.from_bytes(raw, "little") ^ top) - top
+
+
+def _unpack(v: int, width: int, n: int) -> list:
+    """The n signed digits of width bytes of v, the inverse of _pack."""
+    top = _sign_bits(width, n)
+    raw = ((v + top) ^ top).to_bytes(width * n, "little")
+    code = _ARRAY_CODES.get(width)
+    if code:
+        digits = array(code, raw)
+        if sys.byteorder == "big":
+            digits.byteswap()
+        return digits.tolist()
+    return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width)]
+
+
+def _schoolbook_divmod(rem: list, div: Sequence, quo) -> list:
+    """Schoolbook division of the coefficients rem by div, whose leading
+    coefficient is lead; quo(c, lead) gives each quotient coefficient.
+    Returns the quotient; rem is left holding the remainder."""
+    dq = len(div) - 1
+    lead = div[-1]
+    terms = [(j, b) for j, b in enumerate(div[:-1]) if b]
+    quot = [0] * (len(rem) - dq)
+    for i in range(len(rem) - dq - 1, -1, -1):
+        c = quot[i] = quo(rem[i + dq], lead)
+        if c:
+            for j, b in terms:
+                rem[i + j] -= c * b
+    del rem[dq:]
+    return quot
 
 
 def _coerce(v) -> RatPoly:

@@ -82,6 +82,42 @@ def qpochhammer(n: int) -> RatPoly:
     return qpochhammer(n - 1) * (RatPoly.one() - RatPoly.monomial(n))
 
 
+@lru_cache(maxsize=None)
+def _qpochhammer_inverse(n: int, k: int) -> RatPoly:
+    """1 / rev((q)_n) mod z^k for k a power of two, where rev((q)_n) is (q)_n
+    with its coefficients reversed.  Its constant term is +-1, so the Newton
+    step h -> h (2 - rev((q)_n) h), which doubles the precision of the
+    inverse mod z^(k/2), stays in integers."""
+    g = qpochhammer(n).reversed_coeffs()
+    if k == 1:
+        return RatPoly((g[0],))
+    h = _qpochhammer_inverse(n, k // 2)
+    gh = RatPoly(g.coeffs[:k]) * h
+    return RatPoly((h * (2 - RatPoly(gh.coeffs[:k]))).coeffs[:k])
+
+
+def _reduce(poly: RatPoly, n: int) -> RatPoly:
+    """poly mod (q)_n.  With (q)_n of degree m and poly of degree m + k - 1,
+    the quotient's k coefficients, high first, are those of
+    rev(poly) / rev((q)_n) mod z^k: one product with the cached inverse.  The
+    remainder needs only the quotient's low m coefficients, a second product.
+
+    The inverse is kept to (q)_n: the coefficients of 1 / rev((q)_n) grow
+    only polynomially (they count partitions into parts <= n), while for an
+    arbitrary monic divisor they can grow like its coefficients to the power
+    k, so schoolbook division stays the general path."""
+    g = qpochhammer(n)
+    m = g.degree
+    k = len(poly.coeffs) - m
+    if k <= 0:
+        return poly
+    h = _qpochhammer_inverse(n, 1 << (k - 1).bit_length())
+    rev_quot = RatPoly(poly.coeffs[m:][::-1]) * RatPoly(h.coeffs[:k])
+    low_quot = RatPoly(rev_quot[k - 1 - i] for i in range(min(k, m)))
+    low_prod = low_quot * RatPoly(g.coeffs[:m])
+    return RatPoly(poly.coeffs[:m]) - RatPoly(low_prod.coeffs[:m])
+
+
 @dataclass(frozen=True)
 class HabiroTrunc:
     """Residue class modulo (q)_N; the residue is an integer polynomial of
@@ -94,7 +130,7 @@ class HabiroTrunc:
     def make(cls, level: int, poly: RatPoly) -> "HabiroTrunc":
         if level < 1:
             raise LevelError("level must be >= 1")
-        red = poly % qpochhammer(level)
+        red = _reduce(poly, level)
         for c in red.coeffs:
             if c.denominator != 1:
                 raise ValueError("Habiro residues must have integer coefficients")
@@ -158,6 +194,7 @@ def habiro_q(N: int) -> HabiroTrunc:
     return HabiroTrunc.make(N, RatPoly.x())
 
 
+@lru_cache(maxsize=None)
 def habiro_r(N: int) -> HabiroTrunc:
     """r = 1 + q + sum_{n>=1} q^n (q)_n; terms with n >= N vanish mod (q)_N."""
     acc = RatPoly((1, 1))

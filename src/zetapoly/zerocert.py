@@ -68,6 +68,11 @@ def sturm_count(p: RatPoly, a: Optional[Fraction], b: Optional[Fraction]) -> int
     if a is not None and b is not None and a > b:
         raise ValueError(f"reversed interval: a = {a} > b = {b}")
     sf = p.squarefree_part()  # raises ValueError on the zero polynomial
+    return _sturm_count_squarefree(sf, a, b)
+
+
+def _sturm_count_squarefree(sf: RatPoly, a: Optional[Fraction], b: Optional[Fraction]) -> int:
+    """sturm_count for an sf already known to be squarefree."""
     if sf.degree == 0:
         return 0
     # Sturm chain: squarefree part, derivative, then negated remainders
@@ -111,7 +116,7 @@ def unit_circle_certify(U: RatPoly) -> Certificate:
         return Certificate("unit_circle", True, 0, 0, "constant, trivially certified")
     V = chebyshev_basis_decompose(U)
     squarefree = V.gcd(V.derivative()).degree == 0
-    count = sturm_count(V, -2, 2)
+    count = _sturm_count_squarefree(V, -2, 2) if squarefree else sturm_count(V, -2, 2)
     if V(2) == 0:
         count -= 1
     endpoints_clear = V(2) != 0 and V(-2) != 0
@@ -138,7 +143,7 @@ def _squarefree_layers(A: RatPoly):
 def _nonpositive_real_roots_with_multiplicity(A: RatPoly) -> int:
     """Multiplicity-weighted count of real roots <= 0, by peeling squarefree
     layers."""
-    return sum(sturm_count(sf, None, 0) for sf in _squarefree_layers(A))
+    return sum(_sturm_count_squarefree(sf, None, 0) for sf in _squarefree_layers(A))
 
 
 def critical_line_certify(Q: RatPoly, c: Fraction, sign: int) -> Certificate:

@@ -1,12 +1,16 @@
-"""Differential tests: Sturm counts and the two zero-locus certificates
-against sympy, on polynomials that sympy builds by exact expansion."""
+"""Differential tests against sympy: Sturm counts and the two zero-locus
+certificates on polynomials that sympy builds by exact expansion, the
+integer product and division paths of RatPoly, and Habiro residues."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zetapoly.exactcore import RatPoly
+from zetapoly.exactcore import _KRONECKER_MIN_LEN, RatPoly
+from zetapoly.habiro import habiro_q, habiro_qinv, habiro_r, psi_toric
 from zetapoly.zerocert import critical_line_certify, sturm_count, unit_circle_certify
 
 sympy = pytest.importorskip("sympy")
@@ -111,3 +115,132 @@ def test_critical_line_fails_with_a_pair_off_the_line(factors, a, b):
     # roots c + a +- ib and c - a +- ib: symmetric about the line, not on it
     expr *= ((u - a) ** 2 + b**2) * ((u + a) ** 2 + b**2)
     assert not critical_line_certify(from_sympy(expr), c, sign).passed
+
+
+# -- integer products and divisions --------------------------------------
+
+def int_sympy(coeffs):
+    """sympy Poly over ZZ from constant-first int coefficients."""
+    return sympy.Poly(list(reversed(coeffs)) or [0], X, domain="ZZ")
+
+
+def sympy_coeffs(poly) -> list:
+    return [int(c) for c in reversed(poly.all_coeffs())] if not poly.is_zero else []
+
+
+def random_ints(rng, length, bits):
+    """length ints of up to `bits` bits; bits 0 draws from {-1, 0, 1}."""
+    if bits == 0:
+        return [rng.choice((-1, 0, 1)) for _ in range(length)]
+    return [rng.randint(-(1 << bits), 1 << bits) for _ in range(length)]
+
+
+T = _KRONECKER_MIN_LEN
+# shorter operand below, at and above the Kronecker threshold, balanced and not
+LENGTHS = [(1, 5), (T - 1, T - 1), (T - 1, 4 * T), (T, T), (T, 3 * T), (4 * T, 5 * T)]
+# coefficient bits: products that fit 8-bit, 16-bit and 64-bit digits, and
+# ones (from 62 bits up) that need the byte-string packing
+BITS = [0, 3, 20, 61, 62, 63, 64, 100, 300]
+
+
+@pytest.mark.parametrize("lengths", LENGTHS)
+@pytest.mark.parametrize("bits", BITS)
+def test_int_product_matches_sympy(lengths, bits):
+    rng = random.Random(str((lengths, bits)))
+    a = random_ints(rng, lengths[0], bits)
+    b = random_ints(rng, lengths[1], bits)
+    a[-1] = b[-1] = rng.choice((-1, 1)) << bits  # full length, both signs of lead
+    for x, y in ((a, b), (b, a), (a, a)):
+        got = RatPoly(x) * RatPoly(y)
+        assert list(got.coeffs) == sympy_coeffs(int_sympy(x) * int_sympy(y))
+        assert all(type(c) is int for c in got.coeffs)
+
+
+@pytest.mark.parametrize("lengths", [(T, T), (T + 3, 2 * T), (T, 6 * T)])
+def test_int_product_at_the_coefficient_bound(lengths):
+    """Constant coefficients +-M make the middle product coefficients reach
+    max|a| * max|b| * min(len) exactly, the bound the digit width is sized
+    from; M runs over every bit length so each digit width is met at its
+    edge."""
+    for bits in range(0, 140):
+        for m in ((1 << bits) - 1, 1 << bits):
+            a, b = [m] * lengths[0], [-m] * lengths[1]
+            for x, y in ((a, b), (b, b)):
+                got = RatPoly(x) * RatPoly(y)
+                assert list(got.coeffs) == sympy_coeffs(int_sympy(x) * int_sympy(y)), (bits, m)
+
+
+@pytest.mark.parametrize("length", [1, T - 1, T, 3 * T])
+def test_int_product_with_zero(length):
+    p = RatPoly(random_ints(random.Random(length), length, 64))
+    assert (p * RatPoly.zero()).is_zero() and (RatPoly.zero() * p).is_zero()
+
+
+@pytest.mark.parametrize("lead", [1, -1])
+@pytest.mark.parametrize("bits", [0, 20, 63, 100])
+@pytest.mark.parametrize("lengths", [(3 * T, 5), (3 * T, T), (T, T), (5, T), (1, 4), (0, 3)])
+def test_monic_int_division_matches_sympy(lead, bits, lengths):
+    rng = random.Random(str((lead, bits, lengths)))
+    f = random_ints(rng, lengths[0], bits)
+    g = random_ints(rng, lengths[1] - 1, bits) + [lead]
+    quot, rem = divmod(RatPoly(f), RatPoly(g))
+    want_q, want_r = int_sympy(f).div(int_sympy(g), auto=False)
+    assert list(quot.coeffs) == sympy_coeffs(want_q)
+    assert list(rem.coeffs) == sympy_coeffs(want_r)
+    assert all(type(c) is int for c in quot.coeffs + rem.coeffs)
+
+
+def test_division_with_huge_divisor_coefficient_stays_fast():
+    """Quotient coefficients of z^300-sized input over z^40 + 2^200 z^39 + 1
+    reach 2^(200 * 261); schoolbook handles them in well under a second."""
+    rng = random.Random(300)
+    f = random_ints(rng, 301, 30)
+    g = [1] + [0] * 38 + [1 << 200, 1]
+    start = time.perf_counter()
+    quot, rem = divmod(RatPoly(f), RatPoly(g))
+    elapsed = time.perf_counter() - start
+    want_q, want_r = int_sympy(f).div(int_sympy(g), auto=False)
+    assert list(quot.coeffs) == sympy_coeffs(want_q)
+    assert list(rem.coeffs) == sympy_coeffs(want_r)
+    assert elapsed < 1.0
+
+
+# -- Habiro residues -------------------------------------------------------
+
+def qpochhammer_coeffs(n, step=1):
+    """Constant-first coefficients of prod_{j<=n} (1 - q^(step j))."""
+    c = [1]
+    for j in range(1, n + 1):
+        s = step * j
+        c += [0] * s
+        for i in range(len(c) - 1, s - 1, -1):
+            c[i] -= c[i - s]
+    return c
+
+
+def pochhammer_sum(N, k, shift):
+    """Coefficients of sum_{n=1}^{N-1} q^(k n + shift) (q^k; q^k)_n."""
+    out = [0] * (shift + k * (N - 1) * (N + 2) // 2 + 1)
+    for n in range(1, N):
+        for i, c in enumerate(qpochhammer_coeffs(n, k)):
+            out[k * n + shift + i] += c
+    return out
+
+
+def sympy_rem_qpochhammer(coeffs, N):
+    return sympy_coeffs(int_sympy(coeffs).rem(int_sympy(qpochhammer_coeffs(N)), auto=False))
+
+
+@pytest.mark.parametrize("N", [8, 14, 24])
+def test_habiro_residues_match_sympy(N):
+    # r = 1 + q + sum q^n (q)_n, so psi^k(r) is the same sum in q^k
+    for k in range(1, 9):
+        r_k = pochhammer_sum(N, k, 0)
+        r_k[0] += 1
+        r_k[k] += 1
+        assert list(psi_toric(habiro_r(N), k).residue.coeffs) == sympy_rem_qpochhammer(r_k, N)
+    # q * q^-1 = q + sum q^(n+1) (q)_n
+    q_qinv = pochhammer_sum(N, 1, 1)
+    q_qinv[1] += 1
+    want = sympy_rem_qpochhammer(q_qinv, N)
+    assert list((habiro_q(N) * habiro_qinv(N)).residue.coeffs) == want == [1]
