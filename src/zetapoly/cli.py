@@ -8,30 +8,36 @@ path that cannot be written.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
 
-from . import habiro, modforms, periods, rvtransform, zerocert
+from .exactcore import ONE_DIM_WEIGHTS as WEIGHTS
 
-WEIGHTS = modforms.ONE_DIM_WEIGHTS
+# Each command imports the modules it runs inside its body, so a job loads
+# only those (mpmath only for `lfun` and `report`).
 
 
 def weight_stages(k: int):
     """Per-weight part of the pipeline: odd period polynomial -> U, with the
     unit-circle certificate of U."""
-    quot = periods.cfi_quotient(periods.odd_period_polynomial(k), k)
-    return quot, zerocert.unit_circle_certify(quot.U_poly)
+    from .periods import cfi_quotient, odd_period_polynomial
+    from .zerocert import unit_circle_certify
+
+    quot = cfi_quotient(odd_period_polynomial(k), k)
+    return quot, unit_circle_certify(quot.U_poly)
 
 
 def zeta_record_for_d(quot, d=None):
     """Per-d part: the zeta polynomial record of U at d (default e + 2),
     with its critical-line certificate."""
+    from .rvtransform import rv_polynomial
+    from .zerocert import critical_line_certify
+
     if d is None:
         d = quot.e + 2
-    record = rvtransform.rv_polynomial(quot.U_poly, d, weight=quot.weight)
-    return record, zerocert.critical_line_certify(record.Q, record.critical_line, +1)
+    record = rv_polynomial(quot.U_poly, d, weight=quot.weight)
+    return record, critical_line_certify(record.Q, record.critical_line, +1)
 
 
 def _emit(payload, out):
@@ -43,7 +49,9 @@ def _emit(payload, out):
 
 
 def cmd_periods(args) -> int:
-    _emit(periods.periods_json_dict(args.weight), args.out)
+    from .periods import periods_json_dict
+
+    _emit(periods_json_dict(args.weight), args.out)
     return 0
 
 
@@ -67,20 +75,24 @@ def cmd_rv(args) -> int:
 
 
 def cmd_habiro(args) -> int:
-    results = habiro.habiro_battery(args.level)
+    from .habiro import habiro_battery
+
+    results = habiro_battery(args.level)
     payload = {"level": args.level, "checks": results}
     _emit(payload, args.out)
     return 0 if all(results.values()) else 1
 
 
 def cmd_lfun(args) -> int:
+    # modforms before mpmath: this order keeps the job's peak RSS lower
+    from .modforms import eigenform, lambda_numeric, qexp_prec_for
     from mpmath import mp
 
     k = args.weight
-    f = modforms.eigenform(k, modforms.qexp_prec_for(k, args.prec_bits))
+    f = eigenform(k, qexp_prec_for(k, args.prec_bits))
     if args.s is not None and not 1 <= args.s <= k - 1:
         raise ValueError(f"s = {args.s} outside the critical strip 1..{k - 1}")
-    lam = modforms.lambda_numeric(f, args.prec_bits)
+    lam = lambda_numeric(f, args.prec_bits)
     ss = [args.s] if args.s is not None else range(1, k)
     with mp.workprec(args.prec_bits):
         values = {str(s): str(lam[s - 1]) for s in ss}
@@ -89,6 +101,10 @@ def cmd_lfun(args) -> int:
 
 
 def cmd_report(args) -> int:
+    import csv
+
+    from .zerocert import critical_line_roots, roots_json
+
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -112,7 +128,7 @@ def cmd_report(args) -> int:
                     any_failed = True
                 if record.Q.degree > 0:
                     try:
-                        roots = zerocert.critical_line_roots(
+                        roots = critical_line_roots(
                             line.A, record.critical_line, args.prec_bits, line.offset
                         )
                     except RuntimeError as exc:
@@ -121,7 +137,7 @@ def cmd_report(args) -> int:
                         "weight": k,
                         "d": d,
                         "critical_line": str(record.critical_line),
-                        "roots": zerocert.roots_json(roots),
+                        "roots": roots_json(roots),
                     }
                     (out_dir / f"roots_w{k}_d{d}.json").write_text(
                         json.dumps(roots_payload, indent=2, sort_keys=True) + "\n"

@@ -11,6 +11,10 @@ When every coefficient of both operands is an ``int``, products and
 divisions by a divisor with leading coefficient +-1 stay in integers: a
 product of two long polynomials is one big-integer product by Kronecker
 substitution (``_kronecker_mul``), and the rest is integer schoolbook.
+
+This is the one module every command loads, so it also holds the few names
+that several others share: the supported weights, ``UnsupportedWeightError``
+and the Chebyshev polynomials ``chebyshev_T``.
 """
 
 from __future__ import annotations
@@ -19,8 +23,16 @@ import operator
 import sys
 from array import array
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
+
+# weights k with dim S_k = 1 for PSL(2,Z)
+ONE_DIM_WEIGHTS = (12, 16, 18, 20, 22, 26)
+
+
+class UnsupportedWeightError(ValueError):
+    pass
 
 
 def _exact(c):
@@ -408,3 +420,16 @@ def _num(c, like):
 def is_self_inversive(p: RatPoly) -> bool:
     """True iff p(1/z) * z^deg(p) == p(z)."""
     return bool(p) and p.coeffs == tuple(reversed(p.coeffs))
+
+
+@lru_cache(maxsize=None)
+def chebyshev_T(k: int) -> RatPoly:
+    """Monic (k >= 1) integer polynomial with T_k(q + 1/q) = q^k + q^(-k):
+    T_0 = 2, T_1 = r, T_{k+1} = r T_k - T_{k-1}."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k == 0:
+        return RatPoly((2,))
+    if k == 1:
+        return RatPoly.x()
+    return RatPoly.x() * chebyshev_T(k - 1) - chebyshev_T(k - 2)

@@ -6,14 +6,17 @@ Chebyshev systems of commuting Frobenius lifts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .exactcore import RatPoly
+from .exactcore import RatPoly, chebyshev_T
 
 
 class LevelError(ValueError):
     pass
+
+
+def _frozen(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
 
 
 # ---------------------------------------------------------------------
@@ -37,13 +40,29 @@ def cyclotomic_poly(m: int) -> RatPoly:
     return num
 
 
-@dataclass(frozen=True)
 class CycloInt:
     """Element of Z[x]/Phi_m(x): the value of a Habiro element at a primitive
-    m-th root of unity."""
+    m-th root of unity.  coords are ints, degree < phi(m), trailing zeros
+    stripped."""
 
-    conductor: int
-    coords: tuple  # ints, degree < phi(m), trailing zeros stripped
+    __slots__ = ("conductor", "coords")
+
+    def __init__(self, conductor: int, coords: tuple):
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "coords", coords)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is not CycloInt:
+            return NotImplemented
+        return self.conductor == other.conductor and self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.conductor, self.coords))
+
+    def __repr__(self):
+        return f"CycloInt(conductor={self.conductor!r}, coords={self.coords!r})"
 
     @classmethod
     def from_poly(cls, m: int, poly: RatPoly) -> "CycloInt":
@@ -118,13 +137,28 @@ def _reduce(poly: RatPoly, n: int) -> RatPoly:
     return RatPoly(poly.coeffs[:m]) - RatPoly(low_prod.coeffs[:m])
 
 
-@dataclass(frozen=True)
 class HabiroTrunc:
     """Residue class modulo (q)_N; the residue is an integer polynomial of
     degree < N(N+1)/2."""
 
-    level: int
-    residue: RatPoly
+    __slots__ = ("level", "residue")
+
+    def __init__(self, level: int, residue: RatPoly):
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "residue", residue)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is not HabiroTrunc:
+            return NotImplemented
+        return self.level == other.level and self.residue == other.residue
+
+    def __hash__(self):
+        return hash((self.level, self.residue))
+
+    def __repr__(self):
+        return f"HabiroTrunc(level={self.level!r}, residue={self.residue!r})"
 
     @classmethod
     def make(cls, level: int, poly: RatPoly) -> "HabiroTrunc":
@@ -229,19 +263,6 @@ def eval_at_root(x: HabiroTrunc, m: int) -> CycloInt:
 # ---------------------------------------------------------------------
 # lambda-structures
 # ---------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def chebyshev_T(k: int) -> RatPoly:
-    """Monic (k >= 1) integer polynomial with T_k(q + 1/q) = q^k + q^(-k):
-    T_0 = 2, T_1 = r, T_{k+1} = r T_k - T_{k-1}."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return RatPoly((2,))
-    if k == 1:
-        return RatPoly.x()
-    return RatPoly.x() * chebyshev_T(k - 1) - chebyshev_T(k - 2)
 
 
 def _substitute_power(poly: RatPoly, k: int) -> RatPoly:

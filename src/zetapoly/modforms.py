@@ -12,16 +12,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactcore import _exact, rref
+from .exactcore import ONE_DIM_WEIGHTS, UnsupportedWeightError, _exact, rref
 
 DEFAULT_QEXP_PREC = 64
-
-# weights k with dim S_k = 1 for PSL(2,Z)
-ONE_DIM_WEIGHTS = (12, 16, 18, 20, 22, 26)
-
-
-class UnsupportedWeightError(ValueError):
-    pass
 
 
 class PrecisionError(ValueError):

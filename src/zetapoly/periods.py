@@ -10,8 +10,7 @@ from fractions import Fraction
 from math import comb
 from typing import List
 
-from .exactcore import RatPoly, is_self_inversive, rref
-from .modforms import ONE_DIM_WEIGHTS, UnsupportedWeightError
+from .exactcore import ONE_DIM_WEIGHTS, RatPoly, UnsupportedWeightError, is_self_inversive, rref
 
 
 class DivisibilityError(ValueError):

@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional
 
-from .exactcore import RatPoly, is_self_inversive
-from .habiro import chebyshev_T
+from .exactcore import RatPoly, chebyshev_T, is_self_inversive
 
 
 class SymmetryError(ValueError):

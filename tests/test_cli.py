@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp, mpf
 
 import zetapoly
-from zetapoly import cli, zerocert
+from zetapoly import cli, periods, zerocert
 from zetapoly.cli import main
 from zetapoly.periods import DivisibilityError
 
@@ -224,13 +224,13 @@ class TestReportFailureCause:
 
     def test_weight_stages_run_once_per_weight(self, capsys, tmp_path, monkeypatch):
         calls = []
-        real = cli.periods.relations_kernel
+        real = periods.relations_kernel
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli.periods, "relations_kernel", counting)
+        monkeypatch.setattr(periods, "relations_kernel", counting)
         assert self.report_rows(capsys, tmp_path, want_code=0) == REFERENCE_ROWS
         assert len(calls) == len(cli.WEIGHTS)
 
@@ -244,23 +244,67 @@ class TestReportFailureCause:
         return rows
 
 
-class TestLazyMpmath:
-    def test_exact_commands_never_import_mpmath(self):
+def loaded_modules(script, *argv, cwd=None):
+    """sys.modules, sorted, after `script` has run in a fresh interpreter."""
+    script += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(zetapoly.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, cwd=cwd, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+PIPELINE = ("exactcore", "periods", "rvtransform", "zerocert")
+
+# command -> (its arguments, the zetapoly modules besides cli it may load)
+COMMAND_MODULES = {
+    "habiro": (["--level", "8"], ("exactcore", "habiro")),
+    "lfun": (["--weight", "12"], ("exactcore", "modforms")),
+    "periods": (["--weight", "12"], ("exactcore", "periods")),
+    "rv": (["--weight", "16", "--d", "5"], PIPELINE),
+    "certify": (["--weight", "26", "--d", "15"], PIPELINE),
+    "report": ([], PIPELINE),
+}
+
+
+class TestLazyImports:
+    @pytest.mark.parametrize("command", COMMAND_MODULES)
+    def test_command_loads_only_its_modules(self, tmp_path, command):
+        args, modules = COMMAND_MODULES[command]
         script = (
             "import contextlib, io, sys\n"
             "import zetapoly.cli as cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    codes = [cli.main(['certify', '--weight', '26', '--d', '15']),\n"
-            "             cli.main(['habiro', '--level', '8']),\n"
-            "             cli.main(['periods', '--weight', '12'])]\n"
-            "print(codes, 'mpmath' in sys.modules)\n"
+            "    if cli.main(sys.argv[1:]) != 0:\n"
+            "        sys.exit('command failed')\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(zetapoly.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "[0, 0, 0] False\n"
+        loaded = loaded_modules(script, command, *args, cwd=tmp_path)
+        assert {m for m in loaded if m.startswith("zetapoly.")} == {
+            f"zetapoly.{m}" for m in ("cli",) + modules
+        }
+        # lfun's L-values and report's roots are numeric; nothing else is
+        assert ("mpmath" in loaded) == (command in ("lfun", "report"))
+        if command == "habiro":
+            assert "dataclasses" not in loaded
+
+    def test_import_package_loads_no_submodule(self):
+        loaded = loaded_modules("import zetapoly")
+        assert [m for m in loaded if m.startswith("zetapoly")] == ["zetapoly"]
+        loaded = loaded_modules("import zetapoly\nzetapoly.periods.relations_kernel")
+        assert [m for m in loaded if m.startswith("zetapoly")] == [
+            "zetapoly", "zetapoly.exactcore", "zetapoly.periods"
+        ]
+
+    def test_exports_are_the_submodules_objects(self):
+        assert len(zetapoly.__all__) == len(set(zetapoly.__all__))
+        for name in zetapoly.__all__:
+            obj = getattr(zetapoly, name)
+            assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            zetapoly.no_such_name
 
 
 class TestDeterminism:

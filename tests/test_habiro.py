@@ -75,6 +75,49 @@ class TestHabiroTruncMake:
         assert "ValueError" in proc.stderr
 
 
+class TestValueClasses:
+    def test_equal_values_are_equal_and_hash_alike(self):
+        x, y = habiro_r(6), HabiroTrunc.make(6, habiro_r(6).residue)
+        assert x is not y and x == y and hash(x) == hash(y)
+        u, v = eval_at_root(habiro_r(5), 3), CycloInt(3, (-1,))
+        assert u is not v and u == v and hash(u) == hash(v)
+        assert len({x, y}) == 1 and len({u, v}) == 1
+
+    def test_levels_and_conductors_tell_values_apart(self):
+        assert habiro_one(5) != habiro_one(6)
+        assert habiro_one(5) != habiro_one(5).residue
+        assert CycloInt(3, (1,)) != CycloInt(4, (1,))
+        assert CycloInt(3, (1,)) != (3, (1,))
+
+    def test_keyword_construction(self):
+        x = habiro_r(4)
+        assert HabiroTrunc(level=4, residue=x.residue) == HabiroTrunc(4, x.residue) == x
+        assert CycloInt(conductor=3, coords=(-1,)) == CycloInt(3, (-1,))
+
+    def test_repr_names_the_fields(self):
+        assert repr(habiro_one(2)) == "HabiroTrunc(level=2, residue=RatPoly(1))"
+        assert repr(CycloInt(3, (-1,))) == "CycloInt(conductor=3, coords=(-1,))"
+
+    @pytest.mark.parametrize(
+        "value, name",
+        [
+            (HabiroTrunc(4, RatPoly.one()), "level"),
+            (HabiroTrunc(4, RatPoly.one()), "residue"),
+            (CycloInt(3, (-1,)), "conductor"),
+            (CycloInt(3, (-1,)), "coords"),
+        ],
+    )
+    def test_fields_cannot_change(self, value, name):
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 5
+        assert getattr(value, name) == before
+
+
 class TestHabiroR:
     def test_level1_collapses_to_2(self):
         assert habiro_r(1).residue == P(2)
