@@ -129,7 +129,7 @@ def cmd_report(args) -> int:
                 if record.Q.degree > 0:
                     try:
                         roots = critical_line_roots(
-                            line.A, record.critical_line, args.prec_bits, line.offset
+                            line.layers, record.critical_line, args.prec_bits, line.offset
                         )
                     except RuntimeError as exc:
                         raise RuntimeError(f"weight {k}, d {d}: {exc}") from exc

@@ -35,6 +35,11 @@ class UnsupportedWeightError(ValueError):
     pass
 
 
+def _frozen(self, name, *value):
+    """__setattr__ and __delattr__ of the immutable value classes."""
+    raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
+
+
 def _exact(c):
     """c as an int when it is integral, else as a Fraction; anything that is
     not an exact rational (float, complex, mpmath) raises TypeError."""
@@ -91,6 +96,8 @@ class RatPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    __setattr__ = __delattr__ = _frozen
 
     # -- constructors -------------------------------------------------
 
@@ -202,7 +209,10 @@ class RatPoly:
         return self + (-other)
 
     def __rsub__(self, other) -> "RatPoly":
-        return _coerce(other) - self
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other) -> "RatPoly":
         if isinstance(other, (int, Fraction)):

@@ -8,15 +8,11 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .exactcore import RatPoly, chebyshev_T
+from .exactcore import RatPoly, _frozen, chebyshev_T
 
 
 class LevelError(ValueError):
     pass
-
-
-def _frozen(self, name, *value):
-    raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
 
 
 # ---------------------------------------------------------------------

@@ -202,7 +202,7 @@ def _tail_bound(x, n: int, k: int):
     from mpmath import mp, mpf
 
     # tail estimate: |a_n| <= d(n) n^((k-1)/2) and Gamma(t, x)/x^t ~ e^-x
-    return mp.e ** (-x) * mpf(n + 1) ** k * 4
+    return mp.exp(-x) * mpf(n + 1) ** k * 4
 
 
 def qexp_prec_for(k: int, prec_bits: int) -> int:

@@ -66,17 +66,27 @@ def series_coefficients(U: RatPoly, d: int, N: int) -> list:
     return out
 
 
+def _linear_product(lo: int, hi: int) -> RatPoly:
+    """prod_{t=lo}^{hi} (x + t), or 1 when hi < lo."""
+    p = RatPoly.one()
+    for t in range(lo, hi + 1):
+        p = p * RatPoly((t, 1))
+    return p
+
+
 def _zeta_interpolant(U: RatPoly, d: int) -> RatPoly:
-    """(d-1)! H(x), where H(x) = sum_j u_j C(x-j+d-1, d-1):
-    the polynomial sum_j u_j prod_{i=1}^{d-1} (x+i-j), integral when U is."""
+    """(d-1)! Q(x), where Q = H / prod_{t=1}^{d-e-1} (x+t) and
+    H(x) = sum_j u_j C(x-j+d-1, d-1).
+
+    (d-1)! H = sum_j u_j prod_{t=1-j}^{d-1-j} (x+t), and for 0 <= j <= e < d
+    every one of those products contains the strip t = 1..d-e-1, so
+    (d-1)! Q = sum_j u_j prod_{t=1-j}^{0} (x+t) prod_{t=d-e}^{d-1-j} (x+t),
+    a sum of products of e linear factors; integral when U is."""
+    e = U.degree
     G = RatPoly.zero()
     for j, u in enumerate(U.coeffs):
-        if u == 0:
-            continue
-        term = RatPoly((u,))
-        for i in range(1, d):
-            term = term * RatPoly((i - j, 1))
-        G = G + term
+        if u != 0:
+            G = G + u * _linear_product(1 - j, 0) * _linear_product(d - e, d - 1 - j)
     return G
 
 
@@ -87,9 +97,9 @@ def functional_equation_defect(H: RatPoly, d: int, e: int) -> RatPoly:
 
 
 def rv_polynomial(U: RatPoly, d: int, weight: Optional[int] = None) -> ZetaPolyRecord:
-    """Build H in closed form and verify it against the exact series
-    coefficients of U(z)/(1-z)^d, and all its other contracts, before
-    returning the record."""
+    """Build Q in closed form and H = Q prod_{t=1}^{d-e-1} (x+t), and verify H
+    against the exact series coefficients of U(z)/(1-z)^d, and all its other
+    contracts, before returning the record."""
     if U.is_zero():
         raise ValueError("U must be nonzero")
     e = U.degree
@@ -101,7 +111,8 @@ def rv_polynomial(U: RatPoly, d: int, weight: Optional[int] = None) -> ZetaPolyR
     # equation of H and integer coefficients when U has.
     scale = math.factorial(d - 1)
     coeffs = series_coefficients(U, d, 2 * d)
-    G = _zeta_interpolant(U, d)
+    GQ = _zeta_interpolant(U, d)
+    G = _linear_product(1, d - e - 1) * GQ
     if G.degree != d - 1:
         raise RuntimeError(f"deg H = {G.degree} != d-1 = {d - 1}")
     for n in range(2 * d + 1):
@@ -109,14 +120,9 @@ def rv_polynomial(U: RatPoly, d: int, weight: Optional[int] = None) -> ZetaPolyR
             raise RuntimeError(f"H({n}) disagrees with the series coefficient")
     if not functional_equation_defect(G, d, e).is_zero():
         raise RuntimeError("functional equation fails")
-    strip = RatPoly.one()
     for j in range(1, d - e):
         if G(-j) != 0:
             raise RuntimeError(f"missing trivial zero at -{j}")
-        strip = strip * RatPoly((j, 1))
-    GQ, rem = divmod(G, strip)
-    if not rem.is_zero():
-        raise RuntimeError("trivial-zero factor does not divide H")
     if GQ.degree != e:
         raise RuntimeError(f"deg Q = {GQ.degree} != e = {e}")
     return ZetaPolyRecord(
@@ -133,10 +139,7 @@ def zeta_projective_space(k: int) -> ScaledPoly:
     """s(s-1)...(s-k), carrying the symbolic prefactor (2 pi)^-(k+1)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    poly = RatPoly.x()
-    for j in range(1, k + 1):
-        poly = poly * RatPoly((-j, 1))
-    return ScaledPoly(poly=poly, log_scale=k + 1)
+    return ScaledPoly(poly=_linear_product(-k, 0), log_scale=k + 1)
 
 
 def gamma_c(s, prec_bits: int = 128):

@@ -8,7 +8,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .exactcore import RatPoly, chebyshev_T, is_self_inversive
 
@@ -30,8 +30,9 @@ class Certificate:
     counted_roots: int
     expected_roots: int
     witness: str
-    # critical_line only, and not in the JSON: Q(c + u) = u^offset A(u^2)
-    A: Optional[RatPoly] = field(default=None, repr=False, compare=False)
+    # critical_line only, and not in the JSON: Q(c + u) = u^offset A(u^2),
+    # and the squarefree layers of A that the count peeled
+    layers: Tuple[RatPoly, ...] = field(default=(), repr=False, compare=False)
     offset: int = field(default=0, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
@@ -114,8 +115,9 @@ def unit_circle_certify(U: RatPoly) -> Certificate:
     if e == 0:
         return Certificate("unit_circle", True, 0, 0, "constant, trivially certified")
     V = chebyshev_basis_decompose(U)
-    squarefree = V.gcd(V.derivative()).degree == 0
-    count = _sturm_count_squarefree(V, -2, 2) if squarefree else sturm_count(V, -2, 2)
+    sf = V.squarefree_part()
+    squarefree = sf.degree == V.degree
+    count = _sturm_count_squarefree(sf, -2, 2)
     if V(2) == 0:
         count -= 1
     endpoints_clear = V(2) != 0 and V(-2) != 0
@@ -139,12 +141,6 @@ def _squarefree_layers(A: RatPoly):
         B = B // sf
 
 
-def _nonpositive_real_roots_with_multiplicity(A: RatPoly) -> int:
-    """Multiplicity-weighted count of real roots <= 0, by peeling squarefree
-    layers."""
-    return sum(_sturm_count_squarefree(sf, None, 0) for sf in _squarefree_layers(A))
-
-
 def critical_line_certify(Q: RatPoly, c: Fraction, sign: int) -> Certificate:
     """Certify that all zeros of Q lie on the vertical line Re x = c.
 
@@ -164,27 +160,21 @@ def critical_line_certify(Q: RatPoly, c: Fraction, sign: int) -> Certificate:
         if R[i] != 0:
             raise SymmetryError(f"Q(2c - x) != {sign:+d} Q(x) at c = {c}")
     A = RatPoly(R[2 * i + offset] for i in range((R.degree - offset) // 2 + 1))
-    # reconstruction guard
-    rec = RatPoly.zero()
-    for i, co in enumerate(A.coeffs):
-        rec = rec + co * RatPoly.monomial(2 * i + offset)
-    if rec.compose(RatPoly((-c, 1))) != Q:
+    # reconstruction guard: spreading A back out must give R
+    rec = [0] * (offset + 2 * len(A.coeffs))
+    rec[offset::2] = A.coeffs
+    if RatPoly(rec) != R:
         raise RuntimeError("even/odd decomposition failed to reconstruct input")
-    if A.degree <= 0:
-        counted = offset
-        return Certificate(
-            "critical_line", counted == Q.degree, counted, Q.degree,
-            "A constant, trivially certified", A, offset,
-        )
-    counted = 2 * _nonpositive_real_roots_with_multiplicity(A) + offset
-    passed = counted == Q.degree
+    # A's roots, each counted once per layer it lies in, i.e. by multiplicity
+    layers = tuple(_squarefree_layers(A))
+    counted = 2 * sum(_sturm_count_squarefree(S, None, 0) for S in layers) + offset
     return Certificate(
         kind="critical_line",
-        passed=passed,
+        passed=counted == Q.degree,
         counted_roots=counted,
         expected_roots=Q.degree,
-        witness=f"A(v), deg {A.degree}",
-        A=A,
+        witness=f"A(v), deg {A.degree}" if A.degree > 0 else "A constant, trivially certified",
+        layers=layers,
         offset=offset,
     )
 
@@ -394,30 +384,23 @@ def _negative_roots(S: RatPoly, prec_bits: int) -> List:
     return roots + [v for _, _, v in boxes]
 
 
-def critical_line_roots(A: RatPoly, c, prec_bits: int = 128, offset: int = 0) -> List:
-    """All zeros of the Q with Q(c + u) = u^offset A(u^2), which
-    critical_line_certify builds, as c +- i sqrt(-v) over the roots v of A,
-    in ascending imaginary part, each repeated by its multiplicity.
+def critical_line_roots(layers, c, prec_bits: int = 128, offset: int = 0) -> List:
+    """All zeros of the Q with Q(c + u) = u^offset A(u^2), as
+    c +- i sqrt(-v) over the roots v of A, in ascending imaginary part, each
+    repeated by its multiplicity.  layers are the squarefree layers of A
+    that critical_line_certify peeled (a root lies in as many layers as its
+    multiplicity), as its Certificate keeps them.
 
-    A is solved in real arithmetic at half the degree of Q, and one
-    squarefree layer at a time when it is not squarefree (see
-    _negative_roots), so every root carries an integer sign-change witness
-    at about prec_bits.  A failed witness raises
-    RuntimeError; there is no fallback to a complex solve.
+    Each layer is solved in real arithmetic (see _negative_roots), at most
+    half the degree of Q, so every root carries an integer sign-change
+    witness at about prec_bits.  A failed witness raises RuntimeError; there
+    is no fallback to a complex solve.
     """
     from mpmath import mp, mpc, mpf
 
     c = Fraction(c)
     with mp.workprec(prec_bits + 64):
-        # A itself first: its witness also proves it squarefree, and spares
-        # the gcd that peeling the layers costs
-        try:
-            vs = _negative_roots(A, prec_bits)
-        except RuntimeError:
-            layers = list(_squarefree_layers(A))
-            if len(layers) == 1:
-                raise
-            vs = [v for S in layers for v in _negative_roots(S, prec_bits)]
+        vs = [v for S in layers for v in _negative_roots(S, prec_bits)]
         ys = sorted(mp.sqrt(max(-v, 0)) for v in vs)  # v may be just above a root in (-h, 0)
         cm = mpf(c.numerator) / c.denominator
         return (

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mpf
 
-from zetapoly.exactcore import RatPoly, is_self_inversive, rational_to_str, rref
+from zetapoly.exactcore import RatPoly, chebyshev_T, is_self_inversive, rational_to_str, rref
 from zetapoly.habiro import habiro_r
 from zetapoly.modforms import eigenform
 from zetapoly.periods import cfi_quotient, odd_period_polynomial, relations_kernel
@@ -87,6 +87,12 @@ class TestCoefficientConvention:
         with pytest.raises(TypeError):
             P(1, 2) * 0.5
 
+    @pytest.mark.parametrize("bad", [0.5, mpf(3)])
+    def test_inexact_minus_poly_rejected(self, bad):
+        # __rsub__ used to coerce to None and recurse until RecursionError
+        with pytest.raises(TypeError):
+            bad - P(1, 2)
+
     def test_integral_values_are_ints(self):
         assert P(Fraction(4, 2), Fraction(1, 3)).coeffs == (2, Fraction(1, 3))
         assert type(P(Fraction(4, 2))[0]) is int
@@ -113,6 +119,21 @@ class TestCoefficientConvention:
         assert all(exact(c) for p in polys for c in p.coeffs)
         assert any(type(c) is Fraction for c in record.H.coeffs)
         assert all(exact(c) for c in eigenform(26, 77).coeffs)
+
+
+class TestImmutable:
+    def test_assignment_raises(self):
+        p = P(1, 2)
+        with pytest.raises(AttributeError, match="RatPoly is immutable"):
+            p.coeffs = (9,)
+        with pytest.raises(AttributeError):
+            del p.coeffs
+        assert p == P(1, 2)
+
+    def test_cached_value_cannot_be_poisoned(self):
+        with pytest.raises(AttributeError):
+            chebyshev_T(2).coeffs = (9,)
+        assert chebyshev_T(2) == P(-2, 0, 1)
 
 
 class TestRref:

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -26,6 +27,18 @@ def series_division_oracle(U, d, N):
             c -= den[j] * out[n - j]
         out.append(c / den[0])
     return out
+
+
+def scaled_h_oracle(U, d):
+    """(d-1)! H = sum_j u_j prod_{i=1}^{d-1} (x+i-j), one linear factor at a
+    time, without taking the trivial-zero strip out."""
+    G = RatPoly.zero()
+    for j, u in enumerate(U.coeffs):
+        term = RatPoly((u,))
+        for i in range(1, d):
+            term = term * RatPoly((i - j, 1))
+        G = G + term
+    return G
 
 
 class TestSeriesCoefficients:
@@ -98,6 +111,30 @@ class TestRvPolynomial:
                 assert rec.H.degree == d - 1
                 assert rec.Q.degree == e
                 assert rec.H.degree - rec.Q.degree == d - e - 1
+
+
+class TestClosedFormQ:
+    # d = e+1 has an empty strip; the j = 0 and j = e terms of Q have an
+    # empty first and second product
+    @pytest.mark.parametrize("k", (12, 16, 18, 20, 22, 26))
+    def test_matches_the_full_products(self, k):
+        U = cfi_quotient(odd_period_polynomial(k), k).U_poly
+        e = U.degree
+        for d in (e + 1, e + 2, e + 6, 60):
+            G = scaled_h_oracle(U, d)
+            rec = rv_polynomial(U, d, weight=k)
+            scale = math.factorial(d - 1)
+            assert rec.H * scale == G
+            strip = RatPoly.one()
+            for t in range(1, d - e):
+                strip = strip * RatPoly((t, 1))
+            assert divmod(G, strip) == (rec.Q * scale, RatPoly.zero())
+
+    def test_toy_u_with_zero_coefficients(self):
+        U = RatPoly((3, 0, Fraction(1, 2), 0, 3))
+        for d in (5, 6, 11):
+            rec = rv_polynomial(U, d)
+            assert rec.H * math.factorial(d - 1) == scaled_h_oracle(U, d)
 
 
 class TestFunctionalEquationDefect:

@@ -97,6 +97,11 @@ class TestUnitCircleCertify:
         cert = unit_circle_certify(P(1, -2, 1))
         assert not cert.passed
 
+    def test_repeated_root_of_v_fails(self):
+        # (z^2 + 1)^2 = z^2 V(z + 1/z) with V = t^2: one distinct root, not squarefree
+        cert = unit_circle_certify(P(1, 0, 2, 0, 1))
+        assert not cert.passed and cert.counted_roots == 1 and cert.expected_roots == 2
+
     def test_decomposition_reconstructs(self):
         for U in (P(1, 0, 1), P(3, 1, 3), P(2, 0, -1, 0, 2)):
             V = chebyshev_basis_decompose(U)
@@ -143,6 +148,37 @@ class TestCriticalLineCertify:
     def test_constant_q_trivially_certified(self):
         cert = critical_line_certify(P(4), Fraction(-3, 2), +1)
         assert cert.passed and cert.expected_roots == 0
+        assert cert.witness == "A constant, trivially certified" and cert.layers == ()
+
+    def test_constant_a_odd_sign(self):
+        # Q = 2(x - c): A = 2, and the one root c comes from the offset
+        cert = critical_line_certify(P(1, 2), Fraction(-1, 2), -1)
+        assert cert.passed and cert.counted_roots == 1 and cert.offset == 1
+        assert cert.witness == "A constant, trivially certified" and cert.layers == ()
+
+    def test_keeps_the_layers_it_counted(self):
+        # A = (v + 1)^2 (v + 4): layers v^2 + 5v + 4 and v + 1
+        Q = line_product(Fraction(1, 3), (1, 4), (2, 1))
+        cert = critical_line_certify(Q, Fraction(1, 3), +1)
+        assert cert.passed and cert.counted_roots == 6
+        assert cert.layers == (P(4, 5, 1), P(1, 1))
+        assert "layers" not in cert.to_json_dict()
+
+    def test_composes_once(self, monkeypatch):
+        # the Taylor shift to R is the only composition; the guard checks R
+        calls = []
+        compose = RatPoly.compose
+
+        def counting(self, other):
+            calls.append(other)
+            return compose(self, other)
+
+        monkeypatch.setattr(RatPoly, "compose", counting)
+        U = cfi_quotient(odd_period_polynomial(20), 20).U_poly
+        rec = rv_polynomial(U, 11, weight=20)
+        calls.clear()
+        assert critical_line_certify(rec.Q, rec.critical_line, +1).passed
+        assert len(calls) == 1
 
 
 class TestRootsNumeric:
@@ -290,21 +326,21 @@ class TestCriticalLineRoots:
     )
     def test_sign_test_refuses_a_root_off_the_line(self, A, cause):
         with pytest.raises(RuntimeError, match=re.escape("sign test fails: " + cause)):
-            critical_line_roots(A, Fraction(-1, 2), 128)
+            critical_line_roots((A,), Fraction(-1, 2), 128)
 
     def test_repeated_roots_keep_their_multiplicity(self):
         c = Fraction(-3, 2)
         Q = line_product(c, (1, 4), (2, 1))  # ((x-c)^2 + 1)^2 ((x-c)^2 + 4)
         cert = critical_line_certify(Q, c, +1)
         assert cert.passed
-        roots = critical_line_roots(cert.A, c, 128, cert.offset)
+        roots = critical_line_roots(cert.layers, c, 128, cert.offset)
         assert [complex(z) for z in roots] == [-1.5 + y * 1j for y in (-2, -1, -1, 1, 1, 2)]
 
     def test_roots_at_c_and_odd_sign(self):
         # x^3 (x^2 + 4): a root 0 of A and, for sign -1, the extra root c
         cert = critical_line_certify(P(0, 0, 0, 4, 0, 1), Fraction(0), -1)
         assert cert.passed and cert.offset == 1
-        roots = critical_line_roots(cert.A, 0, 128, cert.offset)
+        roots = critical_line_roots(cert.layers, 0, 128, cert.offset)
         assert [complex(z) for z in roots] == [-2j, 0, 0, 0, 2j]
 
     def test_out_of_double_range_seeds_at_working_precision(self):
@@ -314,7 +350,7 @@ class TestCriticalLineRoots:
             assert zerocert._double_seeds(zerocert._as_mpc_coeffs(A), [mpc(-1), mpc(-2)]) is None
             big = mpf(10) ** 200
             oracle = [mpc(0, -big), mpc(0, -1), mpc(0, 1), mpc(0, big)]
-            roots = critical_line_roots(A, 0, 128)
+            roots = critical_line_roots((A,), 0, 128)
             for z, w in zip(roots, oracle):
                 assert abs(z - w) < abs(w) * mpf(2) ** -100
 
@@ -330,7 +366,7 @@ class TestCriticalLineRoots:
         Q = line_product(c, ts)
         cert = critical_line_certify(Q, c, +1)
         with mp.workprec(256):
-            roots = critical_line_roots(cert.A, c, 128, cert.offset)
+            roots = critical_line_roots(cert.layers, c, 128, cert.offset)
             coeffs = [mpf(q.numerator) / q.denominator for q in reversed(Q.coeffs)]
             oracle = mpmath.polyroots(coeffs, maxsteps=200, extraprec=256)
             scale = max(1, max(abs(z) for z in oracle))
