@@ -1,5 +1,7 @@
 """Byte identity of CLI output: sha256 of stdout, recorded before the
-moment-series L-values replaced the per-s incomplete-gamma series, and
+moment-series L-values replaced the per-s incomplete-gamma series (the
+1024-, 2048- and 4096-bit `lfun` digests: before the q-series truncation
+was solved in closed form), and
 sha256 of every file `report` writes, recorded when `report` began to take
 its roots from the critical-line witness and list them in ascending
 imaginary part.  The roots files hold doubles, so `report` writes the same
@@ -29,6 +31,19 @@ GOLDEN = {
     ("lfun", 22, 512): "6caa4d73d4abf8ba7c7e8970b1b6aed9979c7281792547108bb1e64d51b90baf",
     ("lfun", 26, 128): "3b425e4fa7162606da9779a838c3a14952666d8f0e1930e3a7a2e386da27f7df",
     ("lfun", 26, 512): "7011f81d3ac38c14e1789ac2245c51e12146e21f69fec29b960f3611c678bbb3",
+    ("lfun", 12, 1024): "e1acbe601d7dac217c9ccdfd7b51b288160cbeb5e0c6ec0132e568aeb266dc27",
+    ("lfun", 12, 2048): "4bcd27bd6324979620970c44518b3fa64cf4505fe50c88f6b883ae1fb8133b49",
+    ("lfun", 16, 1024): "d767e198573d6c535d7c7b5f4af574e526dd19b909c79dfbfcaa2eb93cf31f8d",
+    ("lfun", 16, 2048): "cb3f31f2b2f5927ed33e0e6d52bc19d640e793edd90a785b841370e7c3b5c814",
+    ("lfun", 18, 1024): "79e6c221dab83f5f6a41481c009a1c7daf708ba0e36d488432143e1318be6d42",
+    ("lfun", 18, 2048): "1f490c621142a2a889b529585b2930902b2f122945771ba15e04425ac838ea46",
+    ("lfun", 20, 1024): "a8583916401b732aad5032b2bec925e091835a2b1db52f3f7e31415a27179730",
+    ("lfun", 20, 2048): "94ecac77a170a7b39b328e61fd41e16b39825481049e081d6a83efab195a3851",
+    ("lfun", 22, 1024): "443a42c4b43013d31733a6a275663b909f5a749c88fd2d0e104dcf1d5b284fca",
+    ("lfun", 22, 2048): "89ae53f7bc8981c436d5f17f5d83e8e97a3396d5934ff28f30a750a2182cab97",
+    ("lfun", 26, 1024): "201d5922b5d7f36e23d5ec5d4376a8ea4081188ed2d0562752ea0e9d1fefa677",
+    ("lfun", 26, 2048): "7e064b73780a90314577b4406cd42730eb72b478457a3ce4fd5abe8d69198ba3",
+    ("lfun", 26, 4096): "381d50f85f1021524244c2dbbee38f20e520073bedfbee3cf3d6a2df799e9a02",
     ("periods", 12, None): "b53dd84b5f06436ca30d5975e24ae84385e76cfad698c6ecd52c33a67c4672e0",
     ("periods", 16, None): "d01f64e8caf25b247c2e56725b1d92b17a11e5d801d1a2f9ad8c783c3140b6e8",
     ("periods", 18, None): "f801dc2eebe537319bb8bac6f5a0b74a719689ac2babc3027530157f497620cf",
