@@ -89,9 +89,9 @@ def cmd_lfun(args) -> int:
     from mpmath import mp
 
     k = args.weight
-    f = eigenform(k, qexp_prec_for(k, args.prec_bits))
     if args.s is not None and not 1 <= args.s <= k - 1:
         raise ValueError(f"s = {args.s} outside the critical strip 1..{k - 1}")
+    f = eigenform(k, qexp_prec_for(k, args.prec_bits))
     lam = lambda_numeric(f, args.prec_bits)
     ss = [args.s] if args.s is not None else range(1, k)
     with mp.workprec(args.prec_bits):

@@ -9,10 +9,11 @@ the numeric functions.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactcore import ONE_DIM_WEIGHTS, UnsupportedWeightError, _exact, rref
+from .exactcore import ONE_DIM_WEIGHTS, RatPoly, UnsupportedWeightError, _exact, rref
 
 DEFAULT_QEXP_PREC = 64
 
@@ -58,13 +59,8 @@ class QExpansion:
         if isinstance(other, (int, Fraction)):
             return QExpansion(self.weight, [c * other for c in self.coeffs])
         n = min(self.prec, other.prec)
-        out = [0] * (n + 1)
-        for i in range(n + 1):
-            if self.coeffs[i] == 0:
-                continue
-            for j in range(n + 1 - i):
-                out[i + j] += self.coeffs[i] * other.coeffs[j]
-        return QExpansion(self.weight + other.weight, out)
+        out = (RatPoly(self.coeffs[: n + 1]) * RatPoly(other.coeffs[: n + 1])).coeffs[: n + 1]
+        return QExpansion(self.weight + other.weight, out + (0,) * (n + 1 - len(out)))
 
     __rmul__ = __mul__
 
@@ -198,25 +194,73 @@ def _mpq(x):
     return mpf(x.numerator) / x.denominator
 
 
-def _tail_bound(x, n: int, k: int):
-    from mpmath import mp, mpf
+def _terms_needed(k: int, prec_bits: int, y: float = 1.0) -> int:
+    """The least N such that dropping the terms n > N of the q-series moves
+    every result of `lambda_numeric` (y = 1) and of
+    `eichler_integral_numeric` (y = Im z) by at most 2^-(prec_bits+16),
+    for a normalized Hecke eigenform of weight k.
 
-    # tail estimate: |a_n| <= d(n) n^((k-1)/2) and Gamma(t, x)/x^t ~ e^-x
-    return mp.exp(-x) * mpf(n + 1) ** k * 4
+    1. |a_n| <= d(n) n^((k-1)/2) (Deligne 1974) and d(n) <= 2 sqrt(n), so
+       |a_n| <= 2 n^(k/2).
+    2. Let t_n = n^(k/2) e^(-2 pi n y).  For n > N,
+       t_(n+1) / t_n = (1 + 1/n)^(k/2) e^(-2 pi y) <= rho, where
+       rho = (1 + 1/(N+1))^(k/2) e^(-2 pi y).  When rho < 1,
+       sum_(n>N) t_n <= t_(N+1) / (1 - rho), so by 1
+       B = sum_(n>N) |a_n| e^(-2 pi n y) <= 2 t_(N+1) / (1 - rho).
+    3. P_s = sum_n a_n e^(-x_n) sum_(m=1..s) perm(s-1, m-1) x_n^(-m), with
+       x_n = 2 pi n (see `lambda_numeric`).  For n > N, x_n^(-m) <= X^(-m)
+       with X = 2 pi (N+1), and perm(s-1, m-1) <= (k-2)^(m-1), so the inner
+       sum is at most sum_(m>=1) (k-2)^(m-1) X^(-m) = 1 / (X - (k-2)) when
+       X > k-2.  The tail therefore moves each P_s by at most
+       B / (X - (k-2)).
+    4. Lambda(f, s) = P_s +- P_(k-s), which doubles that bound to
+       2B / (X - (k-2)) <= 4 t_(N+1) / ((1 - rho)(X - (k-2))).  An Eichler
+       term, (k-2)! / (2 pi)^(k-1) |a_n| n^(1-k) e^(-2 pi n y)
+       = |a_n| e^(-2 pi n y) perm(k-2, k-2) x_n^(-(k-1)), is one of the
+       terms of 3 with e^(-2 pi n) replaced by e^(-2 pi n y), so the same
+       bound holds for it.
+    5. Once rho < 1 and X > k-2 hold, they hold for every larger N, and
+       each factor of the bound in 4 falls as N grows (t_(N+2) <= rho t_(N+1)).
+       So the least N at which the bound meets 2^-(prec_bits+16) is found by
+       doubling and then bisection.  The search stops at 2^62, which no
+       stored expansion reaches, so a larger answer comes out as 2^62 + 1.
+       The comparison is made in natural logs, in doubles, whose rounding
+       is a few units of 2^-53 relative to the target; the target is
+       tightened by a relative 2^-40 to cover it.
+    6. The pass then runs at p = prec_bits + 48 bits, where each rounding
+       has relative size at most 2^-p.  A moment term a_n e^(-x_n) x_n^(-m)
+       carries at most 10n + 4m + 2 of them: pi and e^(-2 pi) enter the
+       running product e^(-2 pi n) n-fold, and each of the m products by
+       1/x_n adds its own and the three of 1/x_n.  The sum over n adds
+       N - 1 more, and P_s and Lambda three more.  So rounding moves
+       Lambda(f, s) by at most (11N + 4k + 8) 2^-p T to first order, where
+       T is the largest T_s + T_(k-s), and T_s = sum_n 2 n^(k/2)
+       Gamma(s, x_n) / x_n^s is the sum of 3 with |a_n| at its bound from 1.
+       T < 2^14 for every weight up to 26.  With the tail, each Lambda(f, s)
+       is then within 2^-(prec_bits+15) of its true value when N <= 20000.
+    """
+    target = -(prec_bits + 16) * math.log(2) * (1 + 2**-40)
+    twopi_y = 2 * math.pi * y
+
+    def log_bound(N):  # log of the bound in 4, or inf where it does not apply
+        n = N + 1
+        log_rho = k / 2 * math.log1p(1 / n) - twopi_y
+        gap = 2 * math.pi * n - (k - 2)  # X - (k-2)
+        if log_rho >= 0 or gap <= 0:
+            return math.inf
+        log_t = k / 2 * math.log(n) - twopi_y * n
+        return log_t + math.log(4 / gap) - math.log(-math.expm1(log_rho))
+
+    hi = 1
+    while hi < 2**62 and log_bound(hi) > target:
+        hi *= 2
+    return bisect_left(range(hi + 1), True, key=lambda N: log_bound(N) <= target)
 
 
 def qexp_prec_for(k: int, prec_bits: int) -> int:
-    """Number of q-terms at which lambda_numeric's tail bound meets a
-    prec_bits target for weight k, and never fewer than DEFAULT_QEXP_PREC."""
-    from mpmath import mp, mpf
-
-    with mp.workprec(prec_bits + 48):
-        twopi = 2 * mp.pi
-        tol = mpf(2) ** (-(prec_bits + 16))
-        n = 1
-        while _tail_bound(twopi * n, n, k) >= tol:
-            n += 1
-    return max(n, DEFAULT_QEXP_PREC)
+    """Number of q-terms lambda_numeric needs for a prec_bits target at
+    weight k, and never fewer than DEFAULT_QEXP_PREC."""
+    return max(_terms_needed(k, prec_bits), DEFAULT_QEXP_PREC)
 
 
 def lambda_numeric(f: QExpansion, prec_bits: int = 128) -> list:
@@ -228,30 +272,29 @@ def lambda_numeric(f: QExpansion, prec_bits: int = 128) -> list:
     with x_n = 2 pi n.  For integer s, Gamma(s, x) / x^s is
     e^(-x) sum_(m=1..s) (s-1)!/(s-m)! x^(-m), so every P_s is a finite
     combination of the moments S_m = sum_n a_n e^(-x_n) x_n^(-m), m = 1..k-1,
-    which one pass over n accumulates.
+    which one pass over n = 1..N accumulates, N from `_terms_needed`.
     """
     from mpmath import mp, mpf
 
     k = f.weight
     if not f.is_cuspidal():
         raise ValueError("cusp form required")
+    N = _terms_needed(k, prec_bits)
+    if f.prec < N:
+        raise PrecisionError(f"{f.prec} q-terms too short for {prec_bits} bits; {N} needed")
     sign = (-1) ** (k // 2)
     with mp.workprec(prec_bits + 48):
         twopi = 2 * mp.pi
-        tol = mpf(2) ** (-(prec_bits + 16))
+        q = mp.exp(-twopi)
+        qn = mpf(1)  # e^(-x_n)
         moments = [mpf(0)] * k  # moments[m] = S_m; index 0 unused
-        for n in range(1, f.prec + 1):
-            x = twopi * n
-            term = _mpq(f.coeffs[n]) * mp.exp(-x)
+        for n in range(1, N + 1):
+            qn *= q
+            inv_x = 1 / (twopi * n)
+            term = _mpq(f.coeffs[n]) * qn
             for m in range(1, k):
-                term /= x
+                term *= inv_x
                 moments[m] += term
-            if _tail_bound(x, n, k) < tol:
-                break
-        else:
-            raise PrecisionError(
-                f"q-expansion with {f.prec} terms too short for {prec_bits}-bit target"
-            )
         P = [  # P[s - 1] = P_s
             mp.fsum(math.perm(s - 1, m - 1) * moments[m] for m in range(1, s + 1))
             for s in range(1, k)
@@ -287,7 +330,8 @@ def period_polynomial_numeric(f: QExpansion, prec_bits: int = 128) -> list:
 
 
 def eichler_integral_numeric(f: QExpansion, z, prec_bits: int = 128):
-    """The Eichler integral -(k-2)!/(2 pi i)^(k-1) sum a_n n^(1-k) e^(2 pi i n z).
+    """The Eichler integral -(k-2)!/(2 pi i)^(k-1) sum a_n n^(1-k) e^(2 pi i n z),
+    summed over n = 1..N with N from `_terms_needed` at y = Im z.
 
     Requires Im z > 0 for convergence.
     """
@@ -298,17 +342,14 @@ def eichler_integral_numeric(f: QExpansion, z, prec_bits: int = 128):
         z = mpc(z)
         if z.imag <= 0:
             raise ValueError("Eichler integral series requires Im z > 0")
-        tol = mpf(2) ** (-(prec_bits + 16))
-        q1 = mp.e ** (2j * mp.pi * z)
+        N = _terms_needed(k, prec_bits, float(z.imag))
+        if f.prec < N:
+            raise PrecisionError(f"{f.prec} q-terms too short for {prec_bits} bits; {N} needed")
+        q = mp.exp(2j * mp.pi * z)
+        qn = mpc(1)  # q^n
         front = -mpf(math.factorial(k - 2)) / (2j * mp.pi) ** (k - 1)
         total = mpc(0)
-        converged = False
-        for n in range(1, f.prec + 1):
-            term = _mpq(f.coeffs[n]) * q1**n / mpf(n) ** (k - 1)
-            total += term
-            if abs(q1) ** n * mpf(n + 1) ** k < tol:
-                converged = True
-                break
-        if not converged:
-            raise PrecisionError("q-expansion too short for requested precision")
+        for n in range(1, N + 1):
+            qn *= q
+            total += _mpq(f.coeffs[n]) * qn / mpf(n) ** (k - 1)
         return front * total

@@ -50,20 +50,16 @@ class ScaledPoly:
 
 def series_coefficients(U: RatPoly, d: int, N: int) -> list:
     """First N+1 Taylor coefficients of U(z)/(1-z)^d: the convolution
-    c_n = sum_j u_j C(n-j+d-1, d-1)."""
+    c_n = sum_j u_j b_(n-j) with b_m = C(m+d-1, d-1), and each binomial
+    from the one before, b_(m+1) = b_m (m+d) / (m+1), exactly."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if N < 0:
         raise ValueError("N must be >= 0")
-    out = []
-    for n in range(N + 1):
-        c = 0
-        for j, u in enumerate(U.coeffs):
-            if j > n:
-                break
-            c += u * math.comb(n - j + d - 1, d - 1)
-        out.append(c)
-    return out
+    b = [1]
+    for m in range(N):
+        b.append(b[m] * (m + d) // (m + 1))
+    return [sum(u * b[n - j] for j, u in enumerate(U.coeffs[: n + 1])) for n in range(N + 1)]
 
 
 def _linear_product(lo: int, hi: int) -> RatPoly:

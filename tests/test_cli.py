@@ -109,6 +109,16 @@ class TestLfunCommand:
         assert captured.out == ""
         assert captured.err == f"error: s = {s} outside the critical strip 1..25\n"
 
+    def test_strip_checked_before_eigenform(self, capsys, monkeypatch):
+        # an s outside the strip is rejected before any q-expansion is built
+        def no_eigenform(*args):
+            raise AssertionError("eigenform built for an invalid --s")
+
+        monkeypatch.setattr("zetapoly.modforms.eigenform", no_eigenform)
+        argv = ["lfun", "--weight", "26", "--s", "30", "--prec-bits", "4096"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: s = 30 outside the critical strip 1..25\n"
+
     def test_unsupported_weight(self, capsys):
         assert run(capsys, ["lfun", "--weight", "28"])[0] == 2
 

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf, mpc
@@ -6,6 +10,7 @@ from mpmath import mp, mpf, mpc
 from zetapoly import modforms
 from zetapoly.modforms import (
     PrecisionError,
+    QExpansion,
     UnsupportedWeightError,
     cuspform_basis,
     delta_qexp,
@@ -185,6 +190,88 @@ class TestLambdaMomentForm:
     def test_short_expansion_raises(self):
         with pytest.raises(PrecisionError):
             lambda_numeric(eigenform(26, 64), 512)
+
+
+class TestProvenTruncation:
+    GRID = [(12, 128), (12, 512), (26, 128), (26, 512)]
+
+    @pytest.mark.parametrize("k", modforms.ONE_DIM_WEIGHTS)
+    @pytest.mark.parametrize("bits, y", [(53, 1), (128, 1), (4096, 1), (128, 0.5), (512, 3)])
+    def test_least_n_meets_the_bound(self, k, bits, y):
+        # the bound of step 4 of _terms_needed, in mpmath: met at N, missed at N - 1
+        def bound(N):
+            n = N + 1
+            rho = (1 + mpf(1) / n) ** (k // 2) * mp.exp(-2 * mp.pi * y)
+            gap = 2 * mp.pi * n - (k - 2)
+            if rho >= 1 or gap <= 0:
+                return mp.inf
+            return 4 * mpf(n) ** (k // 2) * mp.exp(-2 * mp.pi * n * y) / ((1 - rho) * gap)
+
+        N = modforms._terms_needed(k, bits, y)
+        with mp.workprec(64):
+            assert bound(N) <= mpf(2) ** -(bits + 16) < bound(N - 1)
+
+    @pytest.mark.parametrize("k", modforms.ONE_DIM_WEIGHTS)
+    def test_rounding_scale(self, k):
+        # step 6 of _terms_needed: T = max_s T_s + T_(k-s) < 2^14, where
+        # T_s = sum_n 2 n^(k/2) Gamma(s, x_n) / x_n^s (terms past n = 30 are below 2^-200)
+        with mp.workprec(64):
+            xs = [2 * mp.pi * n for n in range(1, 31)]
+            T = [
+                mp.fsum(2 * mpf(n) ** (k // 2) * mp.gammainc(s, x) / x**s for n, x in enumerate(xs, 1))
+                for s in range(1, k)
+            ]
+            assert max(T[s - 1] + T[k - s - 1] for s in range(1, k)) < 2**14
+
+    @pytest.mark.parametrize("k, bits", GRID)
+    def test_n_terms_within_bound_of_direct_sum(self, k, bits):
+        # independent oracle: the direct series over 2N terms with mpmath's own
+        # upper incomplete gamma at bits + 64; lambda_numeric sees exactly N terms
+        N = modforms._terms_needed(k, bits)
+        f = eigenform(k, 2 * N)
+        lam = lambda_numeric(QExpansion(k, f.coeffs[: N + 1]), bits)
+        sign = (-1) ** (k // 2)
+        with mp.workprec(bits + 64):
+            xs = [2 * mp.pi * n for n in range(1, 2 * N + 1)]
+            P = [None] + [  # P[s] = sum_n a_n Gamma(s, x_n) / x_n^s
+                mp.fsum(int(f.coeffs[n]) * mp.gammainc(s, x) / x**s for n, x in enumerate(xs, 1))
+                for s in range(1, k)
+            ]
+            for s in range(1, k):
+                assert abs(lam[s - 1] - (P[s] + sign * P[k - s])) <= mpf(2) ** -(bits + 15)
+
+    @pytest.mark.parametrize("k, bits", GRID)
+    def test_one_term_short_raises(self, k, bits):
+        N = modforms._terms_needed(k, bits)
+        f = eigenform(k, N)
+        short = QExpansion(k, f.coeffs[:N])
+        with pytest.raises(PrecisionError):
+            lambda_numeric(short, bits)
+        with pytest.raises(PrecisionError):
+            eichler_integral_numeric(short, mpc(0, 1), bits)
+        # N terms are enough for both
+        lambda_numeric(f, bits)
+        eichler_integral_numeric(f, mpc(0, 1), bits)
+
+    def test_decay_below_double_range_raises(self):
+        # Im z = 1e-400 is 0.0 as a double: no q-expansion is long enough,
+        # and the search for N must stop rather than run forever
+        with mp.workprec(176):
+            z = mpc(0, mpf("1e-400"))
+        with pytest.raises(PrecisionError):
+            eichler_integral_numeric(eigenform(12), z)
+
+    def test_qexp_prec_for_does_not_load_mpmath(self):
+        code = (
+            "import sys\n"
+            "from zetapoly.modforms import qexp_prec_for\n"
+            "qexp_prec_for(26, 4096)\n"
+            "print('mpmath' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(modforms.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestPeriodPolynomialNumeric:
