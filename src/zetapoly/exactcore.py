@@ -40,6 +40,45 @@ def _frozen(self, name, *value):
     raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
 
 
+class _Record:
+    """Base of the immutable value classes.  The fields are the subclass's
+    ``__slots__``; a generated ``__init__`` takes them by position or keyword,
+    ``_defaults`` for the trailing ones, then calls ``_validate`` if defined.
+    Fields in ``_hidden`` stay out of ==, hash and repr; a record equals only its own class."""
+
+    __slots__ = _defaults = _hidden = ()
+
+    def __init_subclass__(cls):
+        names = cls.__slots__
+        body = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
+        if hasattr(cls, "_validate"):
+            body += "\n    self._validate()"
+        scope = {"_set": object.__setattr__}
+        exec(f"def __init__(self, {', '.join(names)}):{body}", scope)
+        init = cls.__init__ = scope["__init__"]
+        init.__defaults__ = cls._defaults
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls._shown = tuple(name for name in names if name not in cls._hidden)
+        cls._key = operator.attrgetter(*cls._shown)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
 def _exact(c):
     """c as an int when it is integral, else as a Fraction; anything that is
     not an exact rational (float, complex, mpmath) raises TypeError."""

@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .exactcore import RatPoly, _frozen, chebyshev_T
+from .exactcore import RatPoly, _Record, chebyshev_T
 
 
 class LevelError(ValueError):
@@ -36,29 +36,12 @@ def cyclotomic_poly(m: int) -> RatPoly:
     return num
 
 
-class CycloInt:
+class CycloInt(_Record):
     """Element of Z[x]/Phi_m(x): the value of a Habiro element at a primitive
     m-th root of unity.  coords are ints, degree < phi(m), trailing zeros
     stripped."""
 
     __slots__ = ("conductor", "coords")
-
-    def __init__(self, conductor: int, coords: tuple):
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coords", coords)
-
-    __setattr__ = __delattr__ = _frozen
-
-    def __eq__(self, other):
-        if other.__class__ is not CycloInt:
-            return NotImplemented
-        return self.conductor == other.conductor and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.conductor, self.coords))
-
-    def __repr__(self):
-        return f"CycloInt(conductor={self.conductor!r}, coords={self.coords!r})"
 
     @classmethod
     def from_poly(cls, m: int, poly: RatPoly) -> "CycloInt":
@@ -133,28 +116,11 @@ def _reduce(poly: RatPoly, n: int) -> RatPoly:
     return RatPoly(poly.coeffs[:m]) - RatPoly(low_prod.coeffs[:m])
 
 
-class HabiroTrunc:
+class HabiroTrunc(_Record):
     """Residue class modulo (q)_N; the residue is an integer polynomial of
     degree < N(N+1)/2."""
 
     __slots__ = ("level", "residue")
-
-    def __init__(self, level: int, residue: RatPoly):
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "residue", residue)
-
-    __setattr__ = __delattr__ = _frozen
-
-    def __eq__(self, other):
-        if other.__class__ is not HabiroTrunc:
-            return NotImplemented
-        return self.level == other.level and self.residue == other.residue
-
-    def __hash__(self):
-        return hash((self.level, self.residue))
-
-    def __repr__(self):
-        return f"HabiroTrunc(level={self.level!r}, residue={self.residue!r})"
 
     @classmethod
     def make(cls, level: int, poly: RatPoly) -> "HabiroTrunc":

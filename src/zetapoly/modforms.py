@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactcore import ONE_DIM_WEIGHTS, RatPoly, UnsupportedWeightError, _exact, rref
+from .exactcore import ONE_DIM_WEIGHTS, RatPoly, UnsupportedWeightError, _exact, _Record, rref
 
 DEFAULT_QEXP_PREC = 64
 
@@ -22,14 +21,12 @@ class PrecisionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class QExpansion:
+class QExpansion(_Record):
     """Truncated q-series sum a_n q^n, n = 0..prec, with rational a_n."""
 
-    weight: int
-    coeffs: tuple
+    __slots__ = ("weight", "coeffs")
 
-    def __post_init__(self):
+    def _validate(self):
         object.__setattr__(self, "coeffs", tuple(_exact(c) for c in self.coeffs))
         if self.prec < 2:
             raise ValueError("need at least 3 coefficients (prec >= 2)")
@@ -45,6 +42,8 @@ class QExpansion:
         return self.coeffs[0] == 0
 
     def __add__(self, other: "QExpansion") -> "QExpansion":
+        if not isinstance(other, QExpansion):
+            return NotImplemented
         if self.weight != other.weight:
             raise ValueError("weights differ")
         n = min(self.prec, other.prec)
@@ -53,11 +52,15 @@ class QExpansion:
         )
 
     def __sub__(self, other: "QExpansion") -> "QExpansion":
+        if not isinstance(other, QExpansion):
+            return NotImplemented
         return self + (other * -1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return QExpansion(self.weight, [c * other for c in self.coeffs])
+        if not isinstance(other, QExpansion):
+            return NotImplemented
         n = min(self.prec, other.prec)
         out = (RatPoly(self.coeffs[: n + 1]) * RatPoly(other.coeffs[: n + 1])).coeffs[: n + 1]
         return QExpansion(self.weight + other.weight, out + (0,) * (n + 1 - len(out)))
@@ -198,7 +201,7 @@ def _terms_needed(k: int, prec_bits: int, y: float = 1.0) -> int:
     """The least N such that dropping the terms n > N of the q-series moves
     every result of `lambda_numeric` (y = 1) and of
     `eichler_integral_numeric` (y = Im z) by at most 2^-(prec_bits+16),
-    for a normalized Hecke eigenform of weight k.
+    for a normalized Hecke eigenform of weight k; any k outside ONE_DIM_WEIGHTS raises.
 
     1. |a_n| <= d(n) n^((k-1)/2) (Deligne 1974) and d(n) <= 2 sqrt(n), so
        |a_n| <= 2 n^(k/2).
@@ -238,7 +241,13 @@ def _terms_needed(k: int, prec_bits: int, y: float = 1.0) -> int:
        Gamma(s, x_n) / x_n^s is the sum of 3 with |a_n| at its bound from 1.
        T < 2^14 for every weight up to 26.  With the tail, each Lambda(f, s)
        is then within 2^-(prec_bits+15) of its true value when N <= 20000.
+    7. Any other cusp form of weight k is a_1 times the eigenform, so the
+       tail of 4 and the T of 6 grow by the factor |a_1|.  Asking here for
+       prec_bits + b bits, 2^b >= max(1, |a_1|), and running the pass at
+       prec_bits + b + 48 (`_sized_pass`) keeps both within the bounds above.
     """
+    if k not in ONE_DIM_WEIGHTS:
+        raise UnsupportedWeightError(f"no proven q-series truncation for weight {k}")
     target = -(prec_bits + 16) * math.log(2) * (1 + 2**-40)
     twopi_y = 2 * math.pi * y
 
@@ -263,6 +272,17 @@ def qexp_prec_for(k: int, prec_bits: int) -> int:
     return max(_terms_needed(k, prec_bits), DEFAULT_QEXP_PREC)
 
 
+def _sized_pass(f: QExpansion, prec_bits: int, y: float = 1.0) -> tuple:
+    """(N, working precision) for summing f's q-series at decay e^(-2 pi n y)
+    to a prec_bits target: step 7 of `_terms_needed`, which widens both by
+    the bits of |a_1|.  PrecisionError when f has fewer than N terms."""
+    bits = prec_bits + (max(math.ceil(abs(f.coeffs[1])), 1) - 1).bit_length()
+    N = _terms_needed(f.weight, bits, y)
+    if f.prec < N:
+        raise PrecisionError(f"{f.prec} q-terms too short for {prec_bits} bits; {N} needed")
+    return N, bits + 48
+
+
 def lambda_numeric(f: QExpansion, prec_bits: int = 128) -> list:
     """Completed L-values [Lambda(f, 1), ..., Lambda(f, k-1)], where
     Lambda(f, s) = integral of f(iy) y^(s-1) on (0, inf).
@@ -272,18 +292,16 @@ def lambda_numeric(f: QExpansion, prec_bits: int = 128) -> list:
     with x_n = 2 pi n.  For integer s, Gamma(s, x) / x^s is
     e^(-x) sum_(m=1..s) (s-1)!/(s-m)! x^(-m), so every P_s is a finite
     combination of the moments S_m = sum_n a_n e^(-x_n) x_n^(-m), m = 1..k-1,
-    which one pass over n = 1..N accumulates, N from `_terms_needed`.
+    which one pass over n = 1..N accumulates, N from `_sized_pass`.
     """
     from mpmath import mp, mpf
 
     k = f.weight
     if not f.is_cuspidal():
         raise ValueError("cusp form required")
-    N = _terms_needed(k, prec_bits)
-    if f.prec < N:
-        raise PrecisionError(f"{f.prec} q-terms too short for {prec_bits} bits; {N} needed")
+    N, work_bits = _sized_pass(f, prec_bits)
     sign = (-1) ** (k // 2)
-    with mp.workprec(prec_bits + 48):
+    with mp.workprec(work_bits):
         twopi = 2 * mp.pi
         q = mp.exp(-twopi)
         qn = mpf(1)  # e^(-x_n)
@@ -331,20 +349,19 @@ def period_polynomial_numeric(f: QExpansion, prec_bits: int = 128) -> list:
 
 def eichler_integral_numeric(f: QExpansion, z, prec_bits: int = 128):
     """The Eichler integral -(k-2)!/(2 pi i)^(k-1) sum a_n n^(1-k) e^(2 pi i n z),
-    summed over n = 1..N with N from `_terms_needed` at y = Im z.
+    summed over n = 1..N with N from `_sized_pass` at y = Im z.
 
     Requires Im z > 0 for convergence.
     """
     from mpmath import mp, mpc, mpf
 
     k = f.weight
-    with mp.workprec(prec_bits + 48):
+    y = mpc(z).imag  # its sign is exact at any precision
+    if y <= 0:
+        raise ValueError("Eichler integral series requires Im z > 0")
+    N, work_bits = _sized_pass(f, prec_bits, float(y))
+    with mp.workprec(work_bits):
         z = mpc(z)
-        if z.imag <= 0:
-            raise ValueError("Eichler integral series requires Im z > 0")
-        N = _terms_needed(k, prec_bits, float(z.imag))
-        if f.prec < N:
-            raise PrecisionError(f"{f.prec} q-terms too short for {prec_bits} bits; {N} needed")
         q = mp.exp(2j * mp.pi * z)
         qn = mpc(1)  # q^n
         front = -mpf(math.factorial(k - 2)) / (2j * mp.pi) ** (k - 1)

@@ -5,26 +5,21 @@ fixed degree-10 factor z(z^2-4)(z^2-1/4)(z^2-1)^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import List
 
-from .exactcore import ONE_DIM_WEIGHTS, RatPoly, UnsupportedWeightError, is_self_inversive, rref
+from .exactcore import ONE_DIM_WEIGHTS, RatPoly, UnsupportedWeightError, _Record, is_self_inversive, rref
 
 
 class DivisibilityError(ValueError):
     """The odd period polynomial was not divisible by the fixed factor."""
 
 
-@dataclass(frozen=True)
-class MoebiusGen:
-    a: int
-    b: int
-    c: int
-    d: int
+class MoebiusGen(_Record):
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
+    def _validate(self):
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError("determinant must be 1")
 
@@ -33,18 +28,12 @@ S_GEN = MoebiusGen(0, -1, 1, 0)  # z -> -1/z
 U_GEN = MoebiusGen(1, -1, 1, 0)  # z -> 1 - 1/z
 
 
-@dataclass(frozen=True)
-class PeriodSpace:
-    w: int
-    parity: str  # "all" | "even" | "odd"
-    basis: tuple  # of RatPoly
+class PeriodSpace(_Record):
+    __slots__ = ("w", "parity", "basis")  # parity "all" | "even" | "odd"; basis of RatPoly
 
 
-@dataclass(frozen=True)
-class CFIQuotient:
-    weight: int
-    e: int
-    U_poly: RatPoly
+class CFIQuotient(_Record):
+    __slots__ = ("weight", "e", "U_poly")
 
 
 def slash_action(r: RatPoly, g: MoebiusGen, w: int) -> RatPoly:

@@ -12,21 +12,14 @@ symmetry line Re x = -(d-e)/2 of that functional equation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactcore import RatPoly, is_self_inversive
+from .exactcore import RatPoly, _Record, is_self_inversive
 
 
-@dataclass(frozen=True)
-class ZetaPolyRecord:
-    weight: Optional[int]
-    e: int
-    d: int
-    H: RatPoly
-    Q: RatPoly  # H with the trivial zeros stripped
-    critical_line: Fraction
+class ZetaPolyRecord(_Record):
+    __slots__ = ("weight", "e", "d", "H", "Q", "critical_line")  # Q: H without its trivial zeros
 
     def to_json_dict(self) -> dict:
         return {
@@ -40,12 +33,10 @@ class ZetaPolyRecord:
         }
 
 
-@dataclass(frozen=True)
-class ScaledPoly:
+class ScaledPoly(_Record):
     """poly together with a power of 2*pi: the true object is (2pi)^(-log_scale) * poly."""
 
-    poly: RatPoly
-    log_scale: int
+    __slots__ = ("poly", "log_scale")
 
 
 def series_coefficients(U: RatPoly, d: int, N: int) -> list:

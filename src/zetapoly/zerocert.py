@@ -1,16 +1,14 @@
 """Exact Sturm-sequence certificates for unit-circle and critical-line zero
-claims, plus floating-point root extraction for reports.  mpmath is
-imported only by the functions that compute floating-point roots.
+claims, plus floating-point root extraction for reports.  mpmath and cmath
+are imported only by the functions that compute floating-point roots.
 """
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from .exactcore import RatPoly, chebyshev_T, is_self_inversive
+from .exactcore import RatPoly, _Record, chebyshev_T, is_self_inversive
 
 
 class SymmetryError(ValueError):
@@ -23,17 +21,14 @@ class RootConvergenceError(RuntimeError):
         self.roots = roots
 
 
-@dataclass(frozen=True)
-class Certificate:
-    kind: str  # "unit_circle" | "critical_line"
-    passed: bool
-    counted_roots: int
-    expected_roots: int
-    witness: str
-    # critical_line only, and not in the JSON: Q(c + u) = u^offset A(u^2),
-    # and the squarefree layers of A that the count peeled
-    layers: Tuple[RatPoly, ...] = field(default=(), repr=False, compare=False)
-    offset: int = field(default=0, repr=False, compare=False)
+class Certificate(_Record):
+    """A "unit_circle" or "critical_line" verdict.  For critical_line only, and
+    not in the JSON, ==, hash or repr: Q(c + u) = u^offset A(u^2), and the
+    squarefree layers of A that the count peeled."""
+
+    __slots__ = ("kind", "passed", "counted_roots", "expected_roots", "witness", "layers", "offset")
+    _defaults = ((), 0)
+    _hidden = ("layers", "offset")
 
     def to_json_dict(self) -> dict:
         return {
@@ -228,6 +223,8 @@ def _double_seeds(coeffs, start) -> Optional[List]:
     a relative step of 1e-14.  None when the doubles cannot carry it: a
     coefficient or a modulus out of double range, a division by zero, or a
     non-finite or repeated point."""
+    import cmath
+
     from mpmath import mpc
 
     c = [complex(x) for x in coeffs]

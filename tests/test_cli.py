@@ -295,8 +295,12 @@ class TestLazyImports:
         }
         # lfun's L-values and report's roots are numeric; nothing else is
         assert ("mpmath" in loaded) == (command in ("lfun", "report"))
-        if command == "habiro":
-            assert "dataclasses" not in loaded
+        # the value classes are plain slotted records: no command pays for
+        # dataclasses and the inspect machinery it imports
+        assert "dataclasses" not in loaded
+        assert "inspect" not in loaded
+        if command in ("rv", "certify"):
+            assert "cmath" not in loaded  # only the float roots path needs it
 
     def test_import_package_loads_no_submodule(self):
         loaded = loaded_modules("import zetapoly")

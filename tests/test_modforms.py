@@ -51,6 +51,25 @@ class TestDelta:
         assert d.coeffs[3] == 252
 
 
+class TestArithmetic:
+    @pytest.mark.parametrize("other", [2.5, 1, "x"])
+    def test_unsupported_operands_raise_type_error(self, other):
+        f = delta_qexp(8)
+        for op in (lambda: f + other, lambda: other + f, lambda: f - other, lambda: other - f):
+            with pytest.raises(TypeError):
+                op()
+        if not isinstance(other, int):
+            for op in (lambda: f * other, lambda: other * f):
+                with pytest.raises(TypeError):
+                    op()
+
+    def test_supported_operands(self):
+        f = delta_qexp(8)
+        assert (f * 2).coeffs == (2 * f).coeffs == tuple(2 * c for c in f.coeffs)
+        assert (f * Fraction(1, 2) + f * Fraction(1, 2)) == f
+        assert (f - f).coeffs == (0,) * 9
+
+
 class TestBasis:
     def test_weight_12(self):
         basis = cuspform_basis(12, 12)
@@ -223,22 +242,56 @@ class TestProvenTruncation:
             ]
             assert max(T[s - 1] + T[k - s - 1] for s in range(1, k)) < 2**14
 
-    @pytest.mark.parametrize("k, bits", GRID)
-    def test_n_terms_within_bound_of_direct_sum(self, k, bits):
-        # independent oracle: the direct series over 2N terms with mpmath's own
-        # upper incomplete gamma at bits + 64; lambda_numeric sees exactly N terms
-        N = modforms._terms_needed(k, bits)
-        f = eigenform(k, 2 * N)
+    @staticmethod
+    def assert_n_terms_within_bound(f, N, bits):
+        # independent oracle: the direct series over all of f's terms (2N) with
+        # mpmath's own upper incomplete gamma at bits + 64, plus the bits of
+        # the integer a_1 that scales every term; lambda_numeric sees exactly N terms
+        k = f.weight
         lam = lambda_numeric(QExpansion(k, f.coeffs[: N + 1]), bits)
         sign = (-1) ** (k // 2)
-        with mp.workprec(bits + 64):
-            xs = [2 * mp.pi * n for n in range(1, 2 * N + 1)]
+        with mp.workprec(bits + 64 + max(f.coeffs[1].bit_length() - 1, 0)):
+            xs = [2 * mp.pi * n for n in range(1, f.prec + 1)]
             P = [None] + [  # P[s] = sum_n a_n Gamma(s, x_n) / x_n^s
                 mp.fsum(int(f.coeffs[n]) * mp.gammainc(s, x) / x**s for n, x in enumerate(xs, 1))
                 for s in range(1, k)
             ]
             for s in range(1, k):
                 assert abs(lam[s - 1] - (P[s] + sign * P[k - s])) <= mpf(2) ** -(bits + 15)
+
+    @pytest.mark.parametrize("k, bits", GRID)
+    def test_n_terms_within_bound_of_direct_sum(self, k, bits):
+        N = modforms._terms_needed(k, bits)
+        self.assert_n_terms_within_bound(eigenform(k, 2 * N), N, bits)
+
+    @pytest.mark.parametrize("scale_bits", [0, 20, 40])
+    def test_scaled_cusp_forms_meet_the_bound(self, scale_bits):
+        # a_1 = 2^scale_bits: the tail grows by that factor, so N and the pass
+        # are sized for 128 + scale_bits bits (step 7 of _terms_needed); sized
+        # for 128 bits alone, 2^40 Delta missed the bound by 28 bits
+        bits = 128
+        N = modforms._terms_needed(12, bits + scale_bits)
+        f = delta_qexp(2 * N) * 2**scale_bits
+        self.assert_n_terms_within_bound(f, N, bits)
+        with pytest.raises(PrecisionError):
+            lambda_numeric(QExpansion(12, f.coeffs[:N]), bits)
+        # the Eichler integral at z = i against the same longer sum
+        val = eichler_integral_numeric(QExpansion(12, f.coeffs[: N + 1]), mpc(0, 1), bits)
+        with mp.workprec(bits + 64 + scale_bits):
+            q = mp.exp(-2 * mp.pi)
+            acc = mp.fsum(int(f.coeffs[n]) * q**n / mpf(n) ** 11 for n in range(1, f.prec + 1))
+            oracle = -mpf(3628800) / (2j * mp.pi) ** 11 * acc
+            assert abs(val - oracle) <= mpf(2) ** -(bits + 15)
+
+    def test_unproven_weight_raises(self):
+        # dim S_24 = 2: no form there is a multiple of one eigenform
+        with pytest.raises(ValueError):
+            modforms._terms_needed(24, 128)
+        f = cuspform_basis(24, 80)[0]
+        with pytest.raises(ValueError):
+            lambda_numeric(f, 128)
+        with pytest.raises(ValueError):
+            eichler_integral_numeric(f, mpc(0, 1), 128)
 
     @pytest.mark.parametrize("k, bits", GRID)
     def test_one_term_short_raises(self, k, bits):
