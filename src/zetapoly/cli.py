@@ -15,7 +15,7 @@ from pathlib import Path
 from .exactcore import ONE_DIM_WEIGHTS as WEIGHTS
 
 # Each command imports the modules it runs inside its body, so a job loads
-# only those (mpmath only for `lfun` and `report`).
+# only those (mpmath only for `lfun`).
 
 
 def weight_stages(k: int):

@@ -11,6 +11,8 @@ When every coefficient of both operands is an ``int``, products and
 divisions by a divisor with leading coefficient +-1 stay in integers: a
 product of two long polynomials is one big-integer product by Kronecker
 substitution (``_kronecker_mul``), and the rest is integer schoolbook.
+Composition with a linear polynomial is one Taylor shift in integers
+(``_linear_compose``), whatever the coefficients.
 
 This is the one module every command loads, so it also holds the few names
 that several others share: the supported weights, ``UnsupportedWeightError``
@@ -137,6 +139,9 @@ class RatPoly:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     __setattr__ = __delattr__ = _frozen
+
+    def __reduce__(self):
+        return RatPoly, (self.coeffs,)
 
     # -- constructors -------------------------------------------------
 
@@ -309,8 +314,10 @@ class RatPoly:
         return RatPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
     def compose(self, other: "RatPoly") -> "RatPoly":
-        """Return self(other(z))."""
+        """Return self(other(z)); for a linear other, by one Taylor shift."""
         other = _coerce(other)
+        if other.degree == 1:
+            return _linear_compose(self.coeffs, *other.coeffs)
         result = RatPoly.zero()
         for c in reversed(self.coeffs):
             result = result * other + RatPoly((c,))
@@ -450,6 +457,37 @@ def _schoolbook_divmod(rem: list, div: Sequence, quo) -> list:
                 rem[i + j] -= c * b
     del rem[dq:]
     return quot
+
+
+def _linear_compose(p: Sequence, a, b) -> RatPoly:
+    """p(a + b z) by the in-place Taylor shift in integers (Horner's scheme,
+    n(n+1)/2 multiply-adds for n = deg p).  With m the common denominator of
+    a and b, and den that of p, den m^n p(a + b z) = sum_i c_i (al + be z)^i
+    for the integers c_i = den p_i m^(n-i), al = m a and be = m b: shift c by
+    al, then scale coefficient j by be^j / (den m^n)."""
+    n = len(p) - 1
+    a, b = Fraction(a), Fraction(b)
+    m = lcm(a.denominator, b.denominator)
+    al, be = a.numerator * (m // a.denominator), b.numerator * (m // b.denominator)
+    den = lcm(*(c.denominator for c in p))
+    c = [x.numerator * (den // x.denominator) for x in p]
+    if m != 1:
+        for i in range(n - 1, -1, -1):
+            c[i] *= m ** (n - i)
+        den *= m**n
+    if al:
+        for i in range(n):
+            acc = c[n]
+            for j in range(n - 1, i - 1, -1):
+                acc = c[j] = c[j] + al * acc
+    if be != 1:
+        scale = 1
+        for j in range(1, n + 1):
+            scale *= be
+            c[j] *= scale
+    if den == 1:
+        return RatPoly._of_ints(c)
+    return RatPoly(Fraction(x, den) for x in c)
 
 
 def _coerce(v) -> RatPoly:

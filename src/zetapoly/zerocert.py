@@ -1,10 +1,11 @@
 """Exact Sturm-sequence certificates for unit-circle and critical-line zero
-claims, plus floating-point root extraction for reports.  mpmath and cmath
-are imported only by the functions that compute floating-point roots.
+claims, the critical-line roots in integers, and roots_numeric, a complex
+solver in mpmath.  mpmath and cmath load only in the functions that use them.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional
 
@@ -219,55 +220,47 @@ def _aberth(coeffs, deriv, zs, eps) -> None:
 
 
 def _double_seeds(coeffs, start) -> Optional[List]:
-    """The Aberth sweep of roots_numeric in complex doubles from `start`, to
+    """The Aberth sweep in complex doubles from `start`, as a complex list, to
     a relative step of 1e-14.  None when the doubles cannot carry it: a
     coefficient or a modulus out of double range, a division by zero, or a
     non-finite or repeated point."""
     import cmath
 
-    from mpmath import mpc
-
-    c = [complex(x) for x in coeffs]
-    if any(not cmath.isfinite(x) or (x == 0) != (y == 0) for x, y in zip(c, coeffs)):
-        return None
-    zs = [complex(z) for z in start]
-    try:
+    try:  # complex() of an int past 1.8e308 and abs() of such a point overflow
+        c = [complex(x) for x in coeffs]
+        if any(not cmath.isfinite(x) or (x == 0) != (y == 0) for x, y in zip(c, coeffs)):
+            return None
+        zs = [complex(z) for z in start]
         _aberth(c, [i * x for i, x in enumerate(c)][1:], zs, 1e-14)
-    except (ZeroDivisionError, OverflowError):  # abs() overflows past 1.8e308
+    except (ZeroDivisionError, OverflowError):
         return None
     if not all(map(cmath.isfinite, zs)) or len(set(zs)) < len(zs):
         return None
-    return [mpc(z) for z in zs]
-
-
-def _start_points(coeffs) -> List:
-    """Aberth start points from the Newton polygon (Bini 1996): for each edge
-    (i, j) of the upper convex hull of the points (i, log|c_i|), j - i points
-    spread round the circle of radius |c_i / c_j|^(1/(j - i)), where the
-    polynomial has j - i roots of about that modulus.  The first and last
-    coefficients must be nonzero."""
-    from mpmath import mp, mpf
-
-    with mp.workprec(53):  # start points need no more than double precision
-        hull = []  # vertices (i, log|c_i|), left to right
-        for j, c in enumerate(coeffs):
-            if abs(c) == 0:
-                continue
-            y = mp.log(abs(c))
-            while len(hull) > 1:  # drop the last vertex while it is on or below the chord
-                (i0, y0), (i1, y1) = hull[-2:]
-                if (y1 - y0) * (j - i0) > (y - y0) * (i1 - i0):
-                    break
-                hull.pop()
-            hull.append((j, y))
-        zs = []
-        for (i, log_i), (j, log_j) in zip(hull, hull[1:]):
-            radius = mp.exp((log_i - log_j) / (j - i))
-            zs += [
-                radius * mp.expj(2 * mp.pi * (k - i + mpf("0.25")) / (j - i) + mpf("0.003") * k)
-                for k in range(i, j)
-            ]
     return zs
+
+
+def _start_points(logs) -> List:
+    """Aberth start points from the Newton polygon (Bini 1996), as pairs
+    (log r, angle), from logs[i] = log|c_i| (None where c_i = 0; not at either
+    end): for each edge (i, j) of the upper convex hull of the points
+    (i, logs[i]), j - i points spread round the circle of radius
+    r = exp((logs[i] - logs[j]) / (j - i)), where the polynomial has j - i
+    roots of about that modulus."""
+    hull = []  # vertices (i, log|c_i|), left to right
+    for j, y in enumerate(logs):
+        if y is None:
+            continue
+        while len(hull) > 1:  # drop the last vertex while it is on or below the chord
+            (i0, y0), (i1, y1) = hull[-2:]
+            if (y1 - y0) * (j - i0) > (y - y0) * (i1 - i0):
+                break
+            hull.pop()
+        hull.append((j, y))
+    return [
+        ((yi - yj) / (j - i), 2 * math.pi * (k - i + 0.25) / (j - i) + 0.003 * k)
+        for (i, yi), (j, yj) in zip(hull, hull[1:])
+        for k in range(i, j)
+    ]
 
 
 def roots_numeric(p, prec_bits: int = 128) -> List:
@@ -296,8 +289,9 @@ def roots_numeric(p, prec_bits: int = 128) -> List:
             coeffs = coeffs[1:]
         n = len(coeffs) - 1
         if n > 0:
-            zs = _start_points(coeffs)
-            zs = _double_seeds(coeffs, zs) or zs
+            logs = [float(mp.log(abs(c))) if c else None for c in coeffs]
+            zs = [mp.exp(r) * mp.expj(t) for r, t in _start_points(logs)]
+            zs = [mpc(z) for z in _double_seeds(coeffs, zs) or ()] or zs
             deriv = [i * c for i, c in enumerate(coeffs)][1:]
             _aberth(coeffs, deriv, zs, mpf(2) ** (-(prec_bits + 24)))
             roots.extend(zs)
@@ -311,101 +305,107 @@ def roots_numeric(p, prec_bits: int = 128) -> List:
         return [mpc(z) for z in roots]
 
 
-def _dyadic_sign(a, x: Fraction) -> int:
-    """Sign of the integer polynomial a (constant first) at the dyadic
-    x = n / 2^s, by Horner on 2^(s deg a) a(x): integers only."""
-    n, s = x.numerator, x.denominator.bit_length() - 1
+def _scaled(a, n: int, s: int) -> int:
+    """2^(s deg a) a(n / 2^s) for the integer polynomial a (constant first),
+    by Horner in integers."""
     acc = 0
     for k, c in enumerate(reversed(a)):
         acc = acc * n + (c << (s * k))
-    return (acc > 0) - (acc < 0)
+    return acc
 
 
-def _negative_roots(S: RatPoly, prec_bits: int) -> List:
-    """The roots of a squarefree S, each with a witness that it is real and
-    < 0, at the working precision of the caller; raises RuntimeError when a
-    witness fails.
+def _nstr(n: int, s: int) -> str:
+    """n / 2^s to 12 significant digits, as mpmath's nstr(x, 12) writes it
+    (past double range cut, not rounded; subnormal doubles keep fewer)."""
+    try:
+        mant, _, exp = f"{n / (1 << s):.12g}".partition("e")
+    except OverflowError:
+        digits = str(abs(n) >> s)
+        mant, exp = "-" * (n < 0) + digits[0] + "." + (digits[1:12].rstrip("0") or "0"), len(digits) - 1
+    return (mant if "." in mant else mant + ".0") + (f"e{int(exp):+d}" if exp else "")
 
-    Seeds come from the Aberth sweep in doubles, or at working precision
-    when S is out of double range.  Each is polished by real Newton steps
-    until a step is at most 2^-(prec_bits+8) max(1, |v|), then boxed in
-    (v - h, min(v + h, 0)) with h = 2^-(prec_bits+4) max(1, |v|).  The ends
-    are dyadic, and S must change sign across every box, evaluated
-    exactly on the integer multiple of S.  deg S pairwise disjoint boxes then
-    hold deg S distinct roots, which are all the roots of S.
-    """
+
+def _real_seeds(a, prec_bits: int) -> List[tuple]:
+    """The real parts of the Aberth roots of the integer polynomial a, as
+    exact ratios (p, q): the sweep in doubles, or, when the doubles cannot
+    carry a, the same sweep in mpmath to a relative step of 2^-53."""
+    pts = _start_points([math.log(abs(c)) if c else None for c in a])
+    # a generator, so that a start circle past double range overflows inside _double_seeds
+    zs = _double_seeds(a, (math.exp(r) * complex(math.cos(t), math.sin(t)) for r, t in pts))
+    if zs is not None:
+        return [z.real.as_integer_ratio() for z in zs]
     from mpmath import mp, mpf
     from mpmath.libmp import to_rational
 
-    roots = []
-    if S[0] == 0:  # a squarefree layer has 0 as a root at most once
-        roots.append(mpf(0))
-        S = RatPoly(S.coeffs[1:])
-    if S.degree <= 0:
+    with mp.workprec(prec_bits + 64):
+        coeffs = _as_mpc_coeffs(a)
+        zs = [mp.exp(r) * mp.expj(t) for r, t in pts]
+        _aberth(coeffs, [i * c for i, c in enumerate(coeffs)][1:], zs, mpf(2) ** -53)
+        return [to_rational(z.real._mpf_) for z in zs]
+
+
+def _negative_roots(S: RatPoly, prec_bits: int) -> List[int]:
+    """The roots v of a squarefree S, each with a witness that it is real and
+    < 0, as the integers V = v 2^F, F = prec_bits + 64; raises RuntimeError
+    when a witness fails.
+
+    Each seed (_real_seeds) is polished by Newton steps, with S and S' exact
+    on the integer multiple of S, until a step is at most 2^-(prec_bits+8)
+    max(1, |v|), then boxed in (v - h, min(v + h, 0)), h = 2^-(prec_bits+4)
+    max(1, |v|).  S must change sign across every box; deg S pairwise
+    disjoint boxes then hold all deg S roots of S.
+    """
+    F = prec_bits + 64
+    a = S.primitive_integer().coeffs
+    roots = [0] * (a[0] == 0)  # a squarefree layer has 0 as a root at most once
+    a = a[len(roots) :]
+    if len(a) <= 1:
         return roots
-    coeffs = _as_mpc_coeffs(S)
-    deriv = [i * c for i, c in enumerate(coeffs)][1:]
-    start = _start_points(coeffs)
-    zs = _double_seeds(coeffs, start)
-    if zs is None:  # out of double range: run the sweep at working precision
-        zs = start
-        _aberth(coeffs, deriv, zs, mpf(2) ** -53)
-    ints = S.primitive_integer().coeffs
-    tol, box = mpf(2) ** -(prec_bits + 8), mpf(2) ** -(prec_bits + 4)
+    da = [i * c for i, c in enumerate(a)][1:]
     boxes = []
-    for z in zs:
-        v = z.real
+    for p, q in _real_seeds(a, prec_bits):
+        V = (p << F) // q
         for _ in range(64):  # a few steps from a double seed; the cap stops a divergent one
-            dv = _poly_eval(deriv, v)
+            dv = _scaled(da, V, F)
             if dv == 0:
                 break
-            step = _poly_eval(coeffs, v) / dv
-            v -= step
-            if abs(step) <= tol * max(1, abs(v)):
+            step = _scaled(a, V, F) // dv  # (S / S')(v) 2^F
+            V -= step
+            if abs(step) << (prec_bits + 8) <= max(1 << F, abs(V)):
                 break
-        h = box * max(1, abs(v))
-        lo, hi = (Fraction(*to_rational(x._mpf_)) for x in (v - h, v + h))
-        hi = min(hi, 0)
-        if not (lo < hi and _dyadic_sign(ints, lo) * _dyadic_sign(ints, hi) < 0):
+        h = max(1 << F, abs(V)) >> (prec_bits + 4)
+        lo, hi = V - h, min(V + h, 0)
+        if not (lo < hi and _scaled(a, lo, F) * _scaled(a, hi, F) < 0):
+            raise RuntimeError(f"sign test fails: A has no certified negative root near {_nstr(V, F)}")
+        boxes.append((lo, hi, V))
+    boxes.sort()
+    for (_, hi, v), (lo, _, w) in zip(boxes, boxes[1:]):
+        if hi >= lo:
             raise RuntimeError(
-                f"sign test fails: A has no certified negative root near {mp.nstr(v, 12)}"
+                f"sign test fails: boxes around roots {_nstr(v, F)} and {_nstr(w, F)} of A overlap"
             )
-        boxes.append((lo, hi, v))
-    boxes.sort(key=lambda b: b[0])
-    for left, right in zip(boxes, boxes[1:]):
-        if left[1] >= right[0]:
-            raise RuntimeError(
-                f"sign test fails: boxes around roots {mp.nstr(left[2], 12)} and "
-                f"{mp.nstr(right[2], 12)} of A overlap"
-            )
-    return roots + [v for _, _, v in boxes]
+    return roots + [V for _, _, V in boxes]
 
 
-def critical_line_roots(layers, c, prec_bits: int = 128, offset: int = 0) -> List:
-    """All zeros of the Q with Q(c + u) = u^offset A(u^2), as
-    c +- i sqrt(-v) over the roots v of A, in ascending imaginary part, each
-    repeated by its multiplicity.  layers are the squarefree layers of A
-    that critical_line_certify peeled (a root lies in as many layers as its
-    multiplicity), as its Certificate keeps them.
+def critical_line_roots(layers, c, prec_bits: int = 128, offset: int = 0) -> List[tuple]:
+    """All zeros of the Q with Q(c + u) = u^offset A(u^2), as exact pairs
+    (c, +-sqrt(-v)), the square root to prec_bits + 64 fractional bits, over
+    the roots v of A, ascending in imaginary part and repeated by
+    multiplicity.  layers are the squarefree layers of A in the Certificate
+    of critical_line_certify; a root lies in as many as its multiplicity.
 
-    Each layer is solved in real arithmetic (see _negative_roots), at most
-    half the degree of Q, so every root carries an integer sign-change
-    witness at about prec_bits.  A failed witness raises RuntimeError; there
-    is no fallback to a complex solve.
+    Each layer is solved in integers (_negative_roots), so every root has an
+    integer sign-change witness at about prec_bits.  A failed witness raises
+    RuntimeError; there is no fallback to a complex solve.
     """
-    from mpmath import mp, mpc, mpf
-
     c = Fraction(c)
-    with mp.workprec(prec_bits + 64):
-        vs = [v for S in layers for v in _negative_roots(S, prec_bits)]
-        ys = sorted(mp.sqrt(max(-v, 0)) for v in vs)  # v may be just above a root in (-h, 0)
-        cm = mpf(c.numerator) / c.denominator
-        return (
-            [mpc(cm, -y) for y in reversed(ys)]
-            + [mpc(cm)] * offset
-            + [mpc(cm, y) for y in ys]
-        )
+    F = prec_bits + 64
+    # v may be just above a root, in (-h, 0)
+    ys = sorted(math.isqrt(max(-V, 0) << F) for S in layers for V in _negative_roots(S, prec_bits))
+    ys = [Fraction(y, 1 << F) for y in ys]
+    return [(c, -y) for y in reversed(ys)] + [(c, Fraction(0))] * offset + [(c, y) for y in ys]
 
 
 def roots_json(roots) -> list:
-    return [{"re": float(z.real), "im": float(z.imag)} for z in roots]
+    """The (re, im) pairs of critical_line_roots as correctly rounded doubles."""
+    return [{"re": float(re), "im": float(im)} for re, im in roots]

@@ -211,18 +211,18 @@ class TestReportFailureCause:
                 assert row == ref
 
     def test_failed_sign_test_keeps_its_message(self, capsys, tmp_path, monkeypatch):
-        real_record, real_sign = cli.zeta_record_for_d, zerocert._dyadic_sign
+        real_record, real_scaled = cli.zeta_record_for_d, zerocert._scaled
         weights = []
 
         def recording(quot, d=None):
             weights.append(quot.weight)
             return real_record(quot, d)
 
-        def no_sign_change_at_20(a, x):
-            return 0 if weights[-1] == 20 else real_sign(a, x)
+        def no_sign_change_at_20(a, n, s):
+            return 0 if weights[-1] == 20 else real_scaled(a, n, s)
 
         monkeypatch.setattr(cli, "zeta_record_for_d", recording)
-        monkeypatch.setattr(zerocert, "_dyadic_sign", no_sign_change_at_20)
+        monkeypatch.setattr(zerocert, "_scaled", no_sign_change_at_20)
         rows = self.report_rows(capsys, tmp_path)
         assert not (tmp_path / "roots_w20_d9.json").exists()
         for row, ref in zip(rows, REFERENCE_ROWS):
@@ -293,8 +293,8 @@ class TestLazyImports:
         assert {m for m in loaded if m.startswith("zetapoly.")} == {
             f"zetapoly.{m}" for m in ("cli",) + modules
         }
-        # lfun's L-values and report's roots are numeric; nothing else is
-        assert ("mpmath" in loaded) == (command in ("lfun", "report"))
+        # lfun's L-values are numeric; report's roots are refined in integers
+        assert ("mpmath" in loaded) == (command == "lfun")
         # the value classes are plain slotted records: no command pays for
         # dataclasses and the inspect machinery it imports
         assert "dataclasses" not in loaded

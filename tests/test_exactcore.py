@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
 from zetapoly.exactcore import RatPoly, chebyshev_T, is_self_inversive, rational_to_str, rref
@@ -197,6 +197,30 @@ def test_distributivity(p, q, r):
 @given(small_poly, small_poly, small_poly)
 def test_compose_associative(p, q, r):
     assert p.compose(q).compose(r) == p.compose(q.compose(r))
+
+
+def horner_compose(p, other):
+    """p(other) by Horner in RatPoly arithmetic: the oracle for compose."""
+    result = RatPoly.zero()
+    for c in reversed(p.coeffs):
+        result = result * other + RatPoly((c,))
+    return result
+
+
+exact_coeff = st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=50))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(exact_coeff, max_size=14).map(RatPoly),
+    st.fractions(min_value=-50, max_value=50, max_denominator=20),
+    st.one_of(st.sampled_from((1, -1)), st.fractions(max_denominator=20).filter(bool)),
+)
+def test_linear_compose_matches_horner(p, a, b):
+    # the zero and constant p included; the Taylor shift must give the same exact values
+    got, want = p.compose(RatPoly((a, b))), horner_compose(p, RatPoly((a, b)))
+    assert got == want
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
 
 
 def test_divrem_reconstruction_200_random_pairs():

@@ -3,6 +3,7 @@ order, repr text, equality and hash by value, keyword construction,
 defaults, hidden fields and immutability.  The repr strings were recorded
 from the dataclass versions of these classes, so they pin the old text."""
 
+import copy
 import pickle
 from fractions import Fraction
 
@@ -141,13 +142,23 @@ class TestRecordContract:
 
 
 
-# RatPoly does not pickle, so neither does a record that holds one
-@pytest.mark.parametrize("name", ["MoebiusGen", "QExpansion", "CycloInt"])
+@pytest.mark.parametrize("name", CASES)
 def test_pickles_with_every_field(name):
     build, names, _ = CASES[name]
     x = build()
     y = pickle.loads(pickle.dumps(x))
     assert y == x and fields_of(y, names) == fields_of(x, names)
+
+
+@pytest.mark.parametrize("copy_of", (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))))
+def test_values_holding_a_ratpoly_copy_and_pickle(copy_of):
+    # RatPoly refuses __setattr__, so it must rebuild itself from its coefficients
+    p = RatPoly((1, Fraction(-2, 3), 5))
+    assert copy_of(p) == p and copy_of(p).coeffs == p.coeffs
+    assert copy_of(quotient_16()).U_poly == quotient_16().U_poly
+    c = certificate_16_d7()
+    back = copy_of(c)
+    assert back == c and c.layers and (back.layers, back.offset) == (c.layers, c.offset)
 
 
 class TestDefaultsAndHiddenFields:

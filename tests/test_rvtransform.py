@@ -150,6 +150,13 @@ class TestFunctionalEquationDefect:
         rec = rv_polynomial(U, 6, weight=12)
         assert functional_equation_defect(rec.H, 6, 0).is_zero()
 
+    @pytest.mark.parametrize("k", (12, 16, 18, 20, 22, 26))
+    def test_zero_at_every_weight(self, k):
+        U = cfi_quotient(odd_period_polynomial(k), k).U_poly
+        e = k - 12
+        for d in (e + 1, 60, 200):
+            assert functional_equation_defect(rv_polynomial(U, d, weight=k).H, d, e).is_zero()
+
 
 class TestSelfInversivePivot:
     def test_cfi_quotients_satisfy_inversion(self):

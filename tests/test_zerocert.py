@@ -215,6 +215,11 @@ def report_records():
     return [rec for rec in records if rec.Q.degree > 0]
 
 
+def to_mpc(root):
+    """An exact (re, im) pair of critical_line_roots as an mpc at the current precision."""
+    return mpc(*(mpf(x.numerator) / x.denominator for x in root))
+
+
 def assert_same_roots(roots, oracle, tol):
     """roots and oracle are equal as multisets, each root within tol."""
     assert len(roots) == len(oracle)
@@ -334,14 +339,14 @@ class TestCriticalLineRoots:
         cert = critical_line_certify(Q, c, +1)
         assert cert.passed
         roots = critical_line_roots(cert.layers, c, 128, cert.offset)
-        assert [complex(z) for z in roots] == [-1.5 + y * 1j for y in (-2, -1, -1, 1, 1, 2)]
+        assert [complex(*z) for z in roots] == [-1.5 + y * 1j for y in (-2, -1, -1, 1, 1, 2)]
 
     def test_roots_at_c_and_odd_sign(self):
         # x^3 (x^2 + 4): a root 0 of A and, for sign -1, the extra root c
         cert = critical_line_certify(P(0, 0, 0, 4, 0, 1), Fraction(0), -1)
         assert cert.passed and cert.offset == 1
         roots = critical_line_roots(cert.layers, 0, 128, cert.offset)
-        assert [complex(z) for z in roots] == [-2j, 0, 0, 0, 2j]
+        assert [complex(*z) for z in roots] == [-2j, 0, 0, 0, 2j]
 
     def test_out_of_double_range_seeds_at_working_precision(self):
         # A = (v + 10^400)(v + 1): the doubles cannot carry it, the mp sweep seeds it
@@ -350,9 +355,23 @@ class TestCriticalLineRoots:
             assert zerocert._double_seeds(zerocert._as_mpc_coeffs(A), [mpc(-1), mpc(-2)]) is None
             big = mpf(10) ** 200
             oracle = [mpc(0, -big), mpc(0, -1), mpc(0, 1), mpc(0, big)]
-            roots = critical_line_roots((A,), 0, 128)
+            roots = [to_mpc(z) for z in critical_line_roots((A,), 0, 128)]
             for z, w in zip(roots, oracle):
                 assert abs(z - w) < abs(w) * mpf(2) ** -100
+
+    @pytest.mark.parametrize("bits", (512, 1024))
+    def test_working_precision_follows_prec_bits(self, bits):
+        # every root within 2^-bits max(1, |y|) of polyroots at twice the precision
+        for k in (16, 18, 20, 22, 26):
+            rec = rv_polynomial(cfi_quotient(odd_period_polynomial(k), k).U_poly, k - 9, weight=k)
+            cert = critical_line_certify(rec.Q, rec.critical_line, +1)
+            roots = critical_line_roots(cert.layers, rec.critical_line, bits, cert.offset)
+            with mp.workprec(2 * bits):
+                coeffs = [mpf(q.numerator) / q.denominator for q in reversed(rec.Q.coeffs)]
+                oracle = mpmath.polyroots(coeffs, maxsteps=200, extraprec=2 * bits)
+                assert len(roots) == len(oracle) == rec.Q.degree
+                for z, w in zip(map(to_mpc, roots), sorted(oracle, key=lambda w: w.imag)):
+                    assert abs(z - w) <= mpf(2) ** -bits * max(1, abs(w.imag)), (k, z, w)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -366,7 +385,7 @@ class TestCriticalLineRoots:
         Q = line_product(c, ts)
         cert = critical_line_certify(Q, c, +1)
         with mp.workprec(256):
-            roots = critical_line_roots(cert.layers, c, 128, cert.offset)
+            roots = [to_mpc(z) for z in critical_line_roots(cert.layers, c, 128, cert.offset)]
             coeffs = [mpf(q.numerator) / q.denominator for q in reversed(Q.coeffs)]
             oracle = mpmath.polyroots(coeffs, maxsteps=200, extraprec=256)
             scale = max(1, max(abs(z) for z in oracle))
