@@ -139,9 +139,7 @@ def cmd_report(args) -> int:
                         "critical_line": str(record.critical_line),
                         "roots": roots_json(roots),
                     }
-                    (out_dir / f"roots_w{k}_d{d}.json").write_text(
-                        json.dumps(roots_payload, indent=2, sort_keys=True) + "\n"
-                    )
+                    _emit(roots_payload, out_dir / f"roots_w{k}_d{d}.json")
             except Exception as exc:  # keep the sweep going, record the failure
                 funceq = uc = cl = f"error:{type(exc).__name__}: {exc}"
                 any_failed = True

@@ -263,13 +263,9 @@ class RatPoly:
             return RatPoly(c * other for c in self.coeffs)
         if not isinstance(other, RatPoly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return RatPoly.zero()
         a, b = self.coeffs, other.coeffs
-        if _all_int(a) and _all_int(b):
-            if min(len(a), len(b)) >= _KRONECKER_MIN_LEN:
-                return RatPoly._of_ints(_kronecker_mul(a, b))
-            return RatPoly._of_ints(_schoolbook_mul(a, b))
+        if min(len(a), len(b)) >= _KRONECKER_MIN_LEN and _all_int(a) and _all_int(b):
+            return RatPoly._of_ints(_kronecker_mul(a, b))
         return RatPoly(_schoolbook_mul(a, b))
 
     __rmul__ = __mul__
@@ -290,16 +286,12 @@ class RatPoly:
         other = _coerce(other)
         if other is None or other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        dq = other.degree
-        lead = other.coeffs[-1]
-        if len(rem) <= dq:
+        if len(self.coeffs) <= other.degree:
             return RatPoly.zero(), self
-        if lead in (1, -1) and _all_int(rem) and _all_int(other.coeffs):
-            # 1/lead = lead: every quotient coefficient is an int
-            quot = _schoolbook_divmod(rem, other.coeffs, operator.mul)
-            return RatPoly._of_ints(quot), RatPoly._of_ints(rem)
-        quot = _schoolbook_divmod(rem, other.coeffs, _quo)
+        rem = list(self.coeffs)
+        # 1/lead = lead for a lead of +-1, so c * lead is the exact quotient c / lead
+        quo = operator.mul if other.coeffs[-1] in (1, -1) else _quo
+        quot = _schoolbook_divmod(rem, other.coeffs, quo)
         return RatPoly(quot), RatPoly(rem)
 
     def __floordiv__(self, other) -> "RatPoly":

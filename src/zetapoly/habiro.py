@@ -81,24 +81,24 @@ def qpochhammer(n: int) -> RatPoly:
 
 
 @lru_cache(maxsize=None)
-def _qpochhammer_inverse(n: int, k: int) -> RatPoly:
-    """1 / rev((q)_n) mod z^k for k a power of two, where rev((q)_n) is (q)_n
-    with its coefficients reversed.  Its constant term is +-1, so the Newton
-    step h -> h (2 - rev((q)_n) h), which doubles the precision of the
-    inverse mod z^(k/2), stays in integers."""
-    g = qpochhammer(n).reversed_coeffs()
-    if k == 1:
-        return RatPoly((g[0],))
-    h = _qpochhammer_inverse(n, k // 2)
-    gh = RatPoly(g.coeffs[:k]) * h
-    return RatPoly((h * (2 - RatPoly(gh.coeffs[:k]))).coeffs[:k])
+def _qpochhammer_inverse(n: int) -> RatPoly:
+    """1 / rev((q)_n) mod z^m, m = n(n+1)/2, where rev((q)_n) = (-1)^n (q)_n
+    is (q)_n with its coefficients reversed.  1 / (q)_n = prod_{j<=n}
+    1 / (1 - z^j) counts partitions into parts <= n (Euler): one running sum
+    c_i += c_(i-j) per part size j."""
+    c = [1] + [0] * (n * (n + 1) // 2 - 1)
+    for j in range(1, n + 1):
+        for i in range(j, len(c)):
+            c[i] += c[i - j]
+    return RatPoly(c) * (-1) ** n
 
 
 def _reduce(poly: RatPoly, n: int) -> RatPoly:
-    """poly mod (q)_n.  With (q)_n of degree m and poly of degree m + k - 1,
-    the quotient's k coefficients, high first, are those of
-    rev(poly) / rev((q)_n) mod z^k: one product with the cached inverse.  The
-    remainder needs only the quotient's low m coefficients, a second product.
+    """poly mod (q)_n, from the top in blocks of k <= m = deg (q)_n quotient
+    coefficients.  With poly of degree D, the quotient's top k coefficients,
+    high first, are those of rev(poly's top k) / rev((q)_n) mod z^k: one
+    product with the cached inverse.  A second product subtracts the block
+    times (q)_n, which clears poly's top k coefficients.
 
     The inverse is kept to (q)_n: the coefficients of 1 / rev((q)_n) grow
     only polynomially (they count partitions into parts <= n), while for an
@@ -106,14 +106,18 @@ def _reduce(poly: RatPoly, n: int) -> RatPoly:
     k, so schoolbook division stays the general path."""
     g = qpochhammer(n)
     m = g.degree
-    k = len(poly.coeffs) - m
-    if k <= 0:
-        return poly
-    h = _qpochhammer_inverse(n, 1 << (k - 1).bit_length())
-    rev_quot = RatPoly(poly.coeffs[m:][::-1]) * RatPoly(h.coeffs[:k])
-    low_quot = RatPoly(rev_quot[k - 1 - i] for i in range(min(k, m)))
-    low_prod = low_quot * RatPoly(g.coeffs[:m])
-    return RatPoly(poly.coeffs[:m]) - RatPoly(low_prod.coeffs[:m])
+    c = list(poly.coeffs)
+    while len(c) > m:
+        top = max(len(c) - m, m)  # the block is c[top:], k = len(c) - top <= m terms
+        # the product has at least k terms when the block is nonzero: k <= m,
+        # and the inverse's top coefficient, at z^(m-1), is a nonzero partition count
+        block = (RatPoly(c[: top - 1 : -1]) * _qpochhammer_inverse(n)).coeffs[: len(c) - top]
+        # block times (q)_n, shifted to q^(top-m), cancels c[top:]; only its
+        # low m terms land below top
+        for i, x in enumerate((RatPoly(block[::-1]) * g).coeffs[:m], top - m):
+            c[i] -= x
+        del c[top:]
+    return RatPoly(c)
 
 
 class HabiroTrunc(_Record):

@@ -35,9 +35,6 @@ class QExpansion(_Record):
     def prec(self) -> int:
         return len(self.coeffs) - 1
 
-    def a(self, n: int):
-        return self.coeffs[n]
-
     def is_cuspidal(self) -> bool:
         return self.coeffs[0] == 0
 
@@ -66,9 +63,6 @@ class QExpansion(_Record):
         return QExpansion(self.weight + other.weight, out + (0,) * (n + 1 - len(out)))
 
     __rmul__ = __mul__
-
-    def to_json_dict(self) -> dict:
-        return {"weight": self.weight, "coeffs": [str(c) for c in self.coeffs]}
 
 
 def _sigma(n: int, e: int) -> int:

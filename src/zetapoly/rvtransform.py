@@ -68,12 +68,15 @@ def _zeta_interpolant(U: RatPoly, d: int) -> RatPoly:
     (d-1)! H = sum_j u_j prod_{t=1-j}^{d-1-j} (x+t), and for 0 <= j <= e < d
     every one of those products contains the strip t = 1..d-e-1, so
     (d-1)! Q = sum_j u_j prod_{t=1-j}^{0} (x+t) prod_{t=d-e}^{d-1-j} (x+t),
-    a sum of products of e linear factors; integral when U is."""
+    a sum of products of e linear factors; integral when U is.  Each product
+    P_j comes from the one before, P_j = P_(j-1) (x-j+1) / (x+d-j), by an
+    exact division by a monic linear factor."""
     e = U.degree
-    G = RatPoly.zero()
-    for j, u in enumerate(U.coeffs):
-        if u != 0:
-            G = G + u * _linear_product(1 - j, 0) * _linear_product(d - e, d - 1 - j)
+    P = _linear_product(d - e, d - 1)
+    G = U[0] * P
+    for j in range(1, e + 1):
+        P = P * RatPoly((1 - j, 1)) // RatPoly((d - j, 1))
+        G = G + U[j] * P
     return G
 
 

@@ -328,20 +328,15 @@ def _nstr(n: int, s: int) -> str:
 def _real_seeds(a, prec_bits: int) -> List[tuple]:
     """The real parts of the Aberth roots of the integer polynomial a, as
     exact ratios (p, q): the sweep in doubles, or, when the doubles cannot
-    carry a, the same sweep in mpmath to a relative step of 2^-53."""
+    carry a, roots_numeric at prec_bits."""
     pts = _start_points([math.log(abs(c)) if c else None for c in a])
     # a generator, so that a start circle past double range overflows inside _double_seeds
     zs = _double_seeds(a, (math.exp(r) * complex(math.cos(t), math.sin(t)) for r, t in pts))
     if zs is not None:
         return [z.real.as_integer_ratio() for z in zs]
-    from mpmath import mp, mpf
     from mpmath.libmp import to_rational
 
-    with mp.workprec(prec_bits + 64):
-        coeffs = _as_mpc_coeffs(a)
-        zs = [mp.exp(r) * mp.expj(t) for r, t in pts]
-        _aberth(coeffs, [i * c for i, c in enumerate(coeffs)][1:], zs, mpf(2) ** -53)
-        return [to_rational(z.real._mpf_) for z in zs]
+    return [to_rational(z.real._mpf_) for z in roots_numeric(a, prec_bits)]
 
 
 def _negative_roots(S: RatPoly, prec_bits: int) -> List[int]:

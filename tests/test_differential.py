@@ -190,6 +190,24 @@ def test_monic_int_division_matches_sympy(lead, bits, lengths):
     assert all(type(c) is int for c in quot.coeffs + rem.coeffs)
 
 
+@pytest.mark.parametrize("lead", [1, -1])
+@pytest.mark.parametrize("lengths", [(3 * T, T), (T, 5), (4, 4)])
+def test_fraction_division_by_unit_lead_matches_sympy(lead, lengths):
+    """A Fraction dividend over a +-1-led divisor, with int and with Fraction
+    lower coefficients: the quotient is c * lead, exactly."""
+    rng = random.Random(str((lead, lengths)))
+    f = [Fraction(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(lengths[0])]
+    for g in (
+        random_ints(rng, lengths[1] - 1, 20) + [lead],
+        [Fraction(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(lengths[1] - 1)] + [lead],
+    ):
+        quot, rem = divmod(RatPoly(f), RatPoly(g))
+        sf, sg = (sympy.Poly([to_sympy(Fraction(c)) for c in reversed(v)], X, domain="QQ") for v in (f, g))
+        want_q, want_r = sf.div(sg)
+        assert quot == from_sympy(want_q.as_expr())
+        assert rem == from_sympy(want_r.as_expr())
+
+
 def test_division_with_huge_divisor_coefficient_stays_fast():
     """Quotient coefficients of z^300-sized input over z^40 + 2^200 z^39 + 1
     reach 2^(200 * 261); schoolbook handles them in well under a second."""
@@ -231,7 +249,7 @@ def sympy_rem_qpochhammer(coeffs, N):
     return sympy_coeffs(int_sympy(coeffs).rem(int_sympy(qpochhammer_coeffs(N)), auto=False))
 
 
-@pytest.mark.parametrize("N", [8, 14, 24])
+@pytest.mark.parametrize("N", [8, 14, 24, 30])
 def test_habiro_residues_match_sympy(N):
     # r = 1 + q + sum q^n (q)_n, so psi^k(r) is the same sum in q^k
     for k in range(1, 9):

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import time
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from zetapoly import habiro
 from zetapoly.exactcore import RatPoly
 from zetapoly.habiro import (
     CycloInt,
@@ -28,6 +30,7 @@ from zetapoly.habiro import (
     psi_chebyshev,
     psi_toric,
     psi_toric_divisibility_holds,
+    qpochhammer,
     substitute_r,
 )
 
@@ -337,3 +340,34 @@ class TestReductionCoherence:
         assert all(isinstance(c, int) for c in d["residue"])
         c = eval_at_root(habiro_r(5), 4).to_json_dict()
         assert c == {"conductor": 4, "coords": []}
+
+
+class TestBlockedReduction:
+    """_reduce against schoolbook division by (q)_n, and the partition-series
+    inverse it multiplies by."""
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_matches_schoolbook_division(self, n):
+        g = qpochhammer(n)
+        m = g.degree
+        rng = random.Random(n)
+        lengths = [1, m, m + 1, 2 * m, 2 * m + 1, 12 * m, rng.randint(1, 12 * m)]
+        for length in lengths:
+            coeffs = [rng.randint(-(1 << 100), 1 << 100) for _ in range(length - 1)]
+            poly = RatPoly(coeffs + [rng.choice((-1, 1)) << rng.randint(0, 100)])
+            assert len(poly.coeffs) == length
+            assert habiro._reduce(poly, n) == divmod(poly, g)[1], length
+        # whole blocks of zero quotient: a multiple of (q)_n plus a residue
+        assert habiro._reduce(g * (RatPoly.monomial(5 * m) + 3) + 7, n) == 7
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_inverse_of_reversed_qpochhammer(self, n):
+        m = n * (n + 1) // 2
+        h = habiro._qpochhammer_inverse(n)
+        assert len(h.coeffs) == m  # the top coefficient is a nonzero partition count
+        product = h * qpochhammer(n).reversed_coeffs()
+        assert RatPoly(product.coeffs[:m]) == 1
+
+    def test_caches_the_tracer_reads(self):
+        for f in (habiro.cyclotomic_poly, habiro.qpochhammer, habiro.chebyshev_T):
+            assert callable(f.cache_info)
