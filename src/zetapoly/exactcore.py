@@ -1,18 +1,22 @@
 """Dense univariate polynomials with exact rational coefficients, and exact
 row reduction.
 
-Coefficients are stored constant-first, so ``coeffs[i]`` is the coefficient
-of ``z**i``.  The zero polynomial has an empty coefficient tuple and degree -1.
-All values are immutable; every operation returns a new polynomial.
-A coefficient is an ``int`` when integral and a ``Fraction`` otherwise;
-``_exact`` enforces this and ``_quo`` does every exact division.
+A polynomial is an integer polynomial over one common denominator, as in
+FLINT's ``fmpq_poly``: ``num`` is a tuple of ints, constant first and with no
+trailing zero, and ``den`` an int >= 1 prime to every entry of ``num``, so
+the coefficient of ``z**i`` is ``num[i] / den``.  The zero polynomial has
+``num == ()``, ``den == 1`` and degree -1, and a polynomial is integral
+exactly when ``den == 1``.  ``coeffs`` reads the coefficients back, an
+``int`` where integral and a ``Fraction`` elsewhere.  All values are
+immutable; ``_poly`` builds every result.
 
-When every coefficient of both operands is an ``int``, products and
-divisions by a divisor with leading coefficient +-1 stay in integers: a
-product of two long polynomials is one big-integer product by Kronecker
-substitution (``_kronecker_mul``), and the rest is integer schoolbook.
-Composition with a linear polynomial is one Taylor shift in integers
-(``_linear_compose``), whatever the coefficients.
+A product multiplies the numerators in integers, by Kronecker substitution
+(``_kronecker_mul``) when both are long and by schoolbook otherwise, and the
+denominators.  A division is Knuth's pseudo-division (TAOCP vol. 2, 4.6.1,
+Algorithm R): the dividend's numerator times |lead|^(deg a - deg b + 1),
+with lead the divisor's leading numerator, makes every quotient step an
+exact integer division.  Composition with a linear polynomial is one Taylor
+shift in integers (``_linear_compose``).
 
 This is the one module every command loads, so it also holds the few names
 that several others share: the supported weights, ``UnsupportedWeightError``
@@ -93,11 +97,6 @@ def _exact(c):
     raise TypeError(f"inexact coefficient {c!r}; use int or Fraction")
 
 
-def _quo(a, b):
-    """The exact quotient a / b of two rationals."""
-    return _exact(Fraction(a, b))
-
-
 def rational_to_str(x) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1."""
     return str(_exact(x))
@@ -118,7 +117,7 @@ def rref(rows: Sequence[Sequence]) -> tuple[list, list]:
             continue
         mat[top], mat[pick] = mat[pick], mat[top]
         lead = mat[top][col]
-        prow = mat[top] = [_quo(v, lead) for v in mat[top]]
+        prow = mat[top] = [_exact(Fraction(v, lead)) for v in mat[top]]
         for r, row in enumerate(mat):
             fac = row[col]
             if r != top and fac != 0:
@@ -128,15 +127,16 @@ def rref(rows: Sequence[Sequence]) -> tuple[list, list]:
 
 
 class RatPoly:
-    """Immutable dense polynomial over Q."""
+    """Immutable dense polynomial over Q: num / den (see the module docstring)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
-    def __init__(self, coeffs: Iterable = ()):
+    def __new__(cls, coeffs: Iterable = ()):
         cs = [c if type(c) is int else _exact(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(*(c.denominator for c in cs if type(c) is not int))
+        if den != 1:
+            cs = [c.numerator * (den // c.denominator) for c in cs]
+        return _poly(cs, den)
 
     __setattr__ = __delattr__ = _frozen
 
@@ -144,16 +144,6 @@ class RatPoly:
         return RatPoly, (self.coeffs,)
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def _of_ints(cls, cs: list) -> "RatPoly":
-        """The polynomial with the int coefficients cs, without re-checking
-        their type; cs is consumed."""
-        while cs and cs[-1] == 0:
-            cs.pop()
-        p = object.__new__(cls)
-        object.__setattr__(p, "coeffs", tuple(cs))
-        return p
 
     @classmethod
     def zero(cls) -> "RatPoly":
@@ -180,40 +170,43 @@ class RatPoly:
     # -- basic queries ------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients, constant first: ints where integral, Fractions
+        elsewhere; num itself when den == 1."""
+        den = self.den
+        if den == 1:
+            return self.num
+        return tuple(_ratio(c, den) for c in self.num)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __getitem__(self, i: int):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.num):
+            return _ratio(self.num[i], self.den)
         return 0
-
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def coeff_strings(self) -> list:
         return [rational_to_str(c) for c in self.coeffs]
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, RatPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == RatPoly((other,))
-        return NotImplemented
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.num:
             return "RatPoly(0)"
         terms = []
         for i, c in enumerate(self.coeffs):
@@ -230,19 +223,23 @@ class RatPoly:
     # -- arithmetic ---------------------------------------------------
 
     def __neg__(self) -> "RatPoly":
-        return RatPoly(-c for c in self.coeffs)
+        return _poly([-c for c in self.num], self.den)
 
     def __add__(self, other) -> "RatPoly":
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b, den = self.num, other.num, self.den
+        if other.den != den:
+            den = lcm(den, other.den)
+            a = [c * (den // self.den) for c in a]
+            b = [c * (den // other.den) for c in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return RatPoly(out)
+        return _poly(out, den)
 
     __radd__ = __add__
 
@@ -259,40 +256,34 @@ class RatPoly:
         return other - self
 
     def __mul__(self, other) -> "RatPoly":
-        if isinstance(other, (int, Fraction)):
-            return RatPoly(c * other for c in self.coeffs)
-        if not isinstance(other, RatPoly):
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if min(len(a), len(b)) >= _KRONECKER_MIN_LEN and _all_int(a) and _all_int(b):
-            return RatPoly._of_ints(_kronecker_mul(a, b))
-        return RatPoly(_schoolbook_mul(a, b))
+        a, b = self.num, other.num
+        mul = _kronecker_mul if min(len(a), len(b)) >= _KRONECKER_MIN_LEN else _schoolbook_mul
+        return _poly(mul(a, b), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "RatPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = RatPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, RatPoly.one())
 
     def __divmod__(self, other) -> tuple:
+        """Pseudo-division: with a = A / da, b = B / db and s = |lead B|^(deg a
+        - deg b + 1), s A = Q B + R in integers, so a = (Q db / (s da)) b +
+        R / (s da)."""
         other = _coerce(other)
-        if other is None or other.is_zero():
+        if other is None:
+            return NotImplemented
+        if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        if len(self.coeffs) <= other.degree:
+        a, b = self.num, other.num
+        if len(a) < len(b):
             return RatPoly.zero(), self
-        rem = list(self.coeffs)
-        # 1/lead = lead for a lead of +-1, so c * lead is the exact quotient c / lead
-        quo = operator.mul if other.coeffs[-1] in (1, -1) else _quo
-        quot = _schoolbook_divmod(rem, other.coeffs, quo)
-        return RatPoly(quot), RatPoly(rem)
+        s = abs(b[-1]) ** (len(a) - len(b) + 1)
+        rem = [c * s for c in a] if s != 1 else list(a)
+        quot = [c * other.den for c in _schoolbook_divmod(rem, b)]
+        return _poly(quot, s * self.den), _poly(rem, s * self.den)
 
     def __floordiv__(self, other) -> "RatPoly":
         return divmod(self, other)[0]
@@ -303,26 +294,30 @@ class RatPoly:
     # -- calculus & composition --------------------------------------
 
     def derivative(self) -> "RatPoly":
-        return RatPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        return _poly([i * c for i, c in enumerate(self.num)][1:], self.den)
 
     def compose(self, other: "RatPoly") -> "RatPoly":
         """Return self(other(z)); for a linear other, by one Taylor shift."""
-        other = _coerce(other)
-        if other.degree == 1:
-            return _linear_compose(self.coeffs, *other.coeffs)
+        other = other if isinstance(other, RatPoly) else RatPoly((other,))
+        if other.degree == 1 and self.degree > 0:
+            return _linear_compose(self.num, self.den, other)
         result = RatPoly.zero()
         for c in reversed(self.coeffs):
-            result = result * other + RatPoly((c,))
+            result = result * other + c
         return result
 
     def __call__(self, x):
-        """Evaluate by Horner: exactly at an int or Fraction, and in the
-        numeric type of x for float, complex or mpmath."""
-        result = 0 * x
+        """Evaluate by Horner: exactly at an int or Fraction p/q, in integers
+        as sum_i num_i p^i q^(n-i) over q^n den, and in the numeric type of x
+        for float, complex or mpmath."""
         if isinstance(x, (int, Fraction)):
-            for c in reversed(self.coeffs):
-                result = result * x + c
-            return _exact(result)
+            p, q = x.numerator, x.denominator
+            acc, scale = 0, 1
+            for c in reversed(self.num):
+                acc = acc * p + (c if q == 1 else c * scale)
+                scale *= q
+            return _ratio(acc * q, scale * self.den)  # scale = q^(n+1)
+        result = 0 * x
         for c in reversed(self.coeffs):
             result = result * x + _num(c, x)
         return result
@@ -332,11 +327,11 @@ class RatPoly:
     def monic(self) -> "RatPoly":
         if self.is_zero():
             return self
-        return self * _quo(1, self.leading())
+        return self * Fraction(self.den, self.num[-1])
 
     def gcd(self, other: "RatPoly") -> "RatPoly":
         """Monic gcd by the Euclidean algorithm over Q."""
-        a, b = self, _coerce(other)
+        a, b = self, (other if isinstance(other, RatPoly) else RatPoly((other,)))
         while not b.is_zero():
             a, b = b, a % b
         return a.monic()
@@ -352,17 +347,51 @@ class RatPoly:
         """Scale to integer coefficients with content 1 and positive leading."""
         if self.is_zero():
             return self
-        denom = lcm(*(c.denominator for c in self.coeffs))
-        ints = [c.numerator * (denom // c.denominator) for c in self.coeffs]
-        content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
-        return RatPoly(c // content for c in ints)
+        content = gcd(*self.num) if self.num[-1] > 0 else -gcd(*self.num)
+        return _poly([c // content for c in self.num])
 
     def reversed_coeffs(self) -> "RatPoly":
         """z^deg * self(1/z)."""
-        return RatPoly(reversed(self.coeffs))
+        return _poly(self.num[::-1], self.den)
 
 
-# -- integer fast paths ---------------------------------------------
+_new, _set = object.__new__, object.__setattr__
+
+
+def _poly(num, den: int = 1) -> RatPoly:
+    """The polynomial num / den, for a sequence of ints num and an int
+    den >= 1: trailing zeros stripped, the fraction in lowest terms."""
+    n = len(num)
+    while n and not num[n - 1]:
+        n -= 1
+    num = tuple(num[:n])
+    if den != 1 and (g := gcd(den, *num)) != 1:
+        num, den = tuple(c // g for c in num), den // g
+    p = _new(RatPoly)
+    _set(p, "num", num)
+    _set(p, "den", den)
+    return p
+
+
+def _ratio(n: int, d: int):
+    """n / d for ints n and d >= 1: an int when d divides n, else a Fraction."""
+    return n // d if n % d == 0 else Fraction(n, d)
+
+
+def _power(base, n: int, one):
+    """base ** n by square-and-multiply from the identity one."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+# -- integer kernels -------------------------------------------------
 
 # Products whose shorter operand has at least this many coefficients go by
 # Kronecker substitution; below it integer schoolbook is faster.
@@ -373,11 +402,9 @@ _KRONECKER_MIN_LEN = 12
 _ARRAY_CODES = {array(t).itemsize: t for t in "bhiq"}
 
 
-def _all_int(cs) -> bool:
-    return all(type(c) is int for c in cs)
-
-
 def _schoolbook_mul(a: Sequence, b: Sequence) -> list:
+    if len(a) > len(b):  # the shorter outside, so a scalar is one pass over the other
+        a, b = b, a
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -434,16 +461,17 @@ def _unpack(v: int, width: int, n: int) -> list:
     return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width)]
 
 
-def _schoolbook_divmod(rem: list, div: Sequence, quo) -> list:
-    """Schoolbook division of the coefficients rem by div, whose leading
-    coefficient is lead; quo(c, lead) gives each quotient coefficient.
-    Returns the quotient; rem is left holding the remainder."""
+def _schoolbook_divmod(rem: list, div: Sequence) -> list:
+    """Schoolbook division of the int coefficients rem by div, for a rem that
+    pseudo-division has scaled so that div's leading coefficient divides
+    every quotient coefficient exactly.  Returns the quotient; rem is left
+    holding the remainder."""
     dq = len(div) - 1
     lead = div[-1]
     terms = [(j, b) for j, b in enumerate(div[:-1]) if b]
     quot = [0] * (len(rem) - dq)
     for i in range(len(rem) - dq - 1, -1, -1):
-        c = quot[i] = quo(rem[i + dq], lead)
+        c = quot[i] = rem[i + dq] // lead
         if c:
             for j, b in terms:
                 rem[i + j] -= c * b
@@ -451,22 +479,18 @@ def _schoolbook_divmod(rem: list, div: Sequence, quo) -> list:
     return quot
 
 
-def _linear_compose(p: Sequence, a, b) -> RatPoly:
-    """p(a + b z) by the in-place Taylor shift in integers (Horner's scheme,
-    n(n+1)/2 multiply-adds for n = deg p).  With m the common denominator of
-    a and b, and den that of p, den m^n p(a + b z) = sum_i c_i (al + be z)^i
-    for the integers c_i = den p_i m^(n-i), al = m a and be = m b: shift c by
-    al, then scale coefficient j by be^j / (den m^n)."""
-    n = len(p) - 1
-    a, b = Fraction(a), Fraction(b)
-    m = lcm(a.denominator, b.denominator)
-    al, be = a.numerator * (m // a.denominator), b.numerator * (m // b.denominator)
-    den = lcm(*(c.denominator for c in p))
-    c = [x.numerator * (den // x.denominator) for x in p]
+def _linear_compose(num: Sequence, den: int, line: RatPoly) -> RatPoly:
+    """num(line) / den, for deg num = n >= 1 and line = (al + be z) / m of
+    degree 1, by the in-place Taylor shift in integers (Horner's scheme,
+    n(n+1)/2 multiply-adds).  m^n num(line) = sum_i c_i (al + be z)^i for the
+    integers c_i = num_i m^(n-i): shift c by al, then scale coefficient j by
+    be^j; the result is that over den m^n."""
+    n = len(num) - 1
+    (al, be), m = line.num, line.den
+    c = list(num)
     if m != 1:
         for i in range(n - 1, -1, -1):
             c[i] *= m ** (n - i)
-        den *= m**n
     if al:
         for i in range(n):
             acc = c[n]
@@ -477,9 +501,7 @@ def _linear_compose(p: Sequence, a, b) -> RatPoly:
         for j in range(1, n + 1):
             scale *= be
             c[j] *= scale
-    if den == 1:
-        return RatPoly._of_ints(c)
-    return RatPoly(Fraction(x, den) for x in c)
+    return _poly(c, den * m**n)
 
 
 def _coerce(v) -> RatPoly:
@@ -490,6 +512,7 @@ def _coerce(v) -> RatPoly:
     return None
 
 
+
 def _num(c, like):
     # convert an exact rational to the numeric type of `like` without
     # an intermediate float
@@ -498,7 +521,7 @@ def _num(c, like):
 
 def is_self_inversive(p: RatPoly) -> bool:
     """True iff p(1/z) * z^deg(p) == p(z)."""
-    return bool(p) and p.coeffs == tuple(reversed(p.coeffs))
+    return bool(p) and p.num == p.num[::-1]
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .exactcore import RatPoly, _Record, chebyshev_T
+from .exactcore import RatPoly, _poly, _power, _Record, chebyshev_T
 
 
 class LevelError(ValueError):
@@ -46,9 +46,9 @@ class CycloInt(_Record):
     @classmethod
     def from_poly(cls, m: int, poly: RatPoly) -> "CycloInt":
         red = poly % cyclotomic_poly(m)
-        if any(c.denominator != 1 for c in red.coeffs):
+        if red.den != 1:
             raise ValueError("non-integer coordinate")
-        return cls(conductor=m, coords=red.coeffs)
+        return cls(conductor=m, coords=red.num)
 
     def as_poly(self) -> RatPoly:
         return RatPoly(self.coords)
@@ -103,21 +103,22 @@ def _reduce(poly: RatPoly, n: int) -> RatPoly:
     The inverse is kept to (q)_n: the coefficients of 1 / rev((q)_n) grow
     only polynomially (they count partitions into parts <= n), while for an
     arbitrary monic divisor they can grow like its coefficients to the power
-    k, so schoolbook division stays the general path."""
+    k, so schoolbook division stays the general path.  poly = num / den is
+    reduced as num, and the residue is that over den."""
     g = qpochhammer(n)
     m = g.degree
-    c = list(poly.coeffs)
+    c = list(poly.num)
     while len(c) > m:
         top = max(len(c) - m, m)  # the block is c[top:], k = len(c) - top <= m terms
         # the product has at least k terms when the block is nonzero: k <= m,
         # and the inverse's top coefficient, at z^(m-1), is a nonzero partition count
-        block = (RatPoly(c[: top - 1 : -1]) * _qpochhammer_inverse(n)).coeffs[: len(c) - top]
+        block = (_poly(c[: top - 1 : -1]) * _qpochhammer_inverse(n)).num[: len(c) - top]
         # block times (q)_n, shifted to q^(top-m), cancels c[top:]; only its
         # low m terms land below top
-        for i, x in enumerate((RatPoly(block[::-1]) * g).coeffs[:m], top - m):
+        for i, x in enumerate((_poly(block[::-1]) * g).num[:m], top - m):
             c[i] -= x
         del c[top:]
-    return RatPoly(c)
+    return _poly(c, poly.den)
 
 
 class HabiroTrunc(_Record):
@@ -131,9 +132,8 @@ class HabiroTrunc(_Record):
         if level < 1:
             raise LevelError("level must be >= 1")
         red = _reduce(poly, level)
-        for c in red.coeffs:
-            if c.denominator != 1:
-                raise ValueError("Habiro residues must have integer coefficients")
+        if red.den != 1:
+            raise ValueError("Habiro residues must have integer coefficients")
         return cls(level=level, residue=red)
 
     def _check(self, other: "HabiroTrunc"):
@@ -161,16 +161,7 @@ class HabiroTrunc(_Record):
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = habiro_one(self.level)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, habiro_one(self.level))
 
     def reduce_level(self, m: int) -> "HabiroTrunc":
         if m > self.level:
@@ -232,10 +223,10 @@ def eval_at_root(x: HabiroTrunc, m: int) -> CycloInt:
 
 
 def _substitute_power(poly: RatPoly, k: int) -> RatPoly:
-    out = [0] * (poly.degree * k + 1 if poly.coeffs else 1)
-    for i, c in enumerate(poly.coeffs):
+    out = [0] * (poly.degree * k + 1 if poly.num else 1)
+    for i, c in enumerate(poly.num):
         out[i * k] += c
-    return RatPoly(out)
+    return _poly(out, poly.den)
 
 
 def psi_toric(x: HabiroTrunc, k: int) -> HabiroTrunc:
@@ -297,10 +288,10 @@ def frobenius_congruence_toric(p: int, x: HabiroTrunc) -> bool:
 
 def substitute_r(p: RatPoly, x: HabiroTrunc) -> HabiroTrunc:
     """Evaluate an integer polynomial at a Habiro element (Horner)."""
+    if p.den != 1:
+        raise ValueError("polynomial must have integer coefficients")
     acc = HabiroTrunc.make(x.level, RatPoly.zero())
-    for c in reversed(p.coeffs):
-        if c.denominator != 1:
-            raise ValueError("polynomial must have integer coefficients")
+    for c in reversed(p.num):
         acc = acc * x + c
     return acc
 

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 from typing import List, Optional
 
-from .exactcore import RatPoly, _Record, chebyshev_T, is_self_inversive
+from .exactcore import RatPoly, _poly, _Record, chebyshev_T, is_self_inversive
 
 
 class SymmetryError(ValueError):
@@ -46,7 +46,7 @@ def _sign_at(q: RatPoly, x: Optional[Fraction], end: int) -> int:
     if q.is_zero():
         return 0
     if x is None:
-        s = 1 if q.leading() > 0 else -1
+        s = 1 if q.num[-1] > 0 else -1
         if end < 0 and q.degree % 2 == 1:
             s = -s
         return s
@@ -152,10 +152,9 @@ def critical_line_certify(Q: RatPoly, c: Fraction, sign: int) -> Certificate:
     R = Q.compose(RatPoly((c, 1)))
     # R(-u) = sign * R(u) exactly when R has no terms of the other parity
     offset = 0 if sign == 1 else 1
-    for i in range(1 - offset, R.degree + 1, 2):
-        if R[i] != 0:
-            raise SymmetryError(f"Q(2c - x) != {sign:+d} Q(x) at c = {c}")
-    A = RatPoly(R[2 * i + offset] for i in range((R.degree - offset) // 2 + 1))
+    if any(R.num[1 - offset :: 2]):
+        raise SymmetryError(f"Q(2c - x) != {sign:+d} Q(x) at c = {c}")
+    A = _poly(R.num[offset::2], R.den)
     # reconstruction guard: spreading A back out must give R
     rec = [0] * (offset + 2 * len(A.coeffs))
     rec[offset::2] = A.coeffs

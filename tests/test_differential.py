@@ -208,6 +208,43 @@ def test_fraction_division_by_unit_lead_matches_sympy(lead, lengths):
         assert rem == from_sympy(want_r.as_expr())
 
 
+def random_fractions(rng, length, bits=40):
+    return [Fraction(rng.randint(-(1 << bits), 1 << bits), rng.randint(1, 1000)) for _ in range(length)]
+
+
+def sympy_qq(coeffs):
+    """sympy Poly over QQ from constant-first int or Fraction coefficients."""
+    return sympy.Poly([to_sympy(Fraction(c)) for c in reversed(coeffs)] or [0], X, domain="QQ")
+
+
+@pytest.mark.parametrize("lead", [2, -3, 7, 1 << 70, Fraction(3, 5)])
+@pytest.mark.parametrize("lengths", [(4 * T, T), (3 * T, T - 1), (T - 1, T - 1), (T + 2, 3), (4, 4), (2, 5)])
+@pytest.mark.parametrize("fraction_dividend", [False, True])
+def test_division_by_non_unit_lead_matches_sympy(lead, lengths, fraction_dividend):
+    """Pseudo-division: the dividend scaled by |lead|^(deg a - deg b + 1),
+    divided in integers, then put back over the denominators."""
+    rng = random.Random(str((lead, lengths, fraction_dividend)))
+    f = random_fractions(rng, lengths[0]) if fraction_dividend else random_ints(rng, lengths[0], 40)
+    for g in (
+        random_ints(rng, lengths[1] - 1, 20) + [lead],
+        random_fractions(rng, lengths[1] - 1, 20) + [lead],
+    ):
+        quot, rem = divmod(RatPoly(f), RatPoly(g))
+        want_q, want_r = sympy_qq(f).div(sympy_qq(g))
+        assert quot == from_sympy(want_q.as_expr())
+        assert rem == from_sympy(want_r.as_expr())
+        assert quot * RatPoly(g) + rem == RatPoly(f)
+
+
+@pytest.mark.parametrize("lengths", [(T, T), (T, 3 * T), (4 * T, 5 * T), (T - 1, 4 * T)])
+@pytest.mark.parametrize("bits", [3, 40, 100])
+def test_fraction_product_matches_sympy(lengths, bits):
+    rng = random.Random(str((lengths, bits)))
+    a, b = random_fractions(rng, lengths[0], bits), random_fractions(rng, lengths[1], bits)
+    for x, y in ((a, b), (a, a), (a, random_ints(rng, lengths[1], bits))):
+        assert RatPoly(x) * RatPoly(y) == from_sympy((sympy_qq(x) * sympy_qq(y)).as_expr())
+
+
 def test_division_with_huge_divisor_coefficient_stays_fast():
     """Quotient coefficients of z^300-sized input over z^40 + 2^200 z^39 + 1
     reach 2^(200 * 261); schoolbook handles them in well under a second."""

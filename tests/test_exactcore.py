@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -259,3 +260,48 @@ def test_self_inversive_predicate():
     assert is_self_inversive(P(4))
     assert not is_self_inversive(P(1, 2))
     assert not is_self_inversive(RatPoly.zero())
+
+
+# -- the representation: integer numerators over one common denominator ----
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(exact_coeff, max_size=16))
+def test_normal_form(cs):
+    p = RatPoly(cs)
+    assert type(p.den) is int and p.den >= 1
+    assert all(type(c) is int for c in p.num)
+    assert gcd(p.den, *p.num) == 1
+    assert not p.num or p.num[-1] != 0
+    values = [Fraction(c) for c in cs]
+    while values and values[-1] == 0:
+        values.pop()
+    assert [Fraction(c) for c in p.coeffs] == values
+    assert [type(c) for c in p.coeffs] == [int if v.denominator == 1 else Fraction for v in values]
+    assert RatPoly(p.coeffs) == p
+    q = (p * 3) * Fraction(1, 3)
+    assert q == p and hash(q) == hash(p)
+
+
+def test_equal_values_hash_equal():
+    assert P(Fraction(2, 4)) == P(Fraction(1, 2))
+    assert hash(P(Fraction(2, 4))) == hash(P(Fraction(1, 2)))
+    p = P(Fraction(1, 6), Fraction(-5, 4), 7)
+    for q in ((p * 12) * Fraction(1, 12), p * P(6, 6) // P(6, 6), (p + p) * Fraction(1, 2)):
+        assert q == p and hash(q) == hash(p)
+    assert p * 12 == P(2, -15, 84) and (p * 12).den == 1
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda p: divmod(p, 1.5),
+        lambda p: p // 1.5,
+        lambda p: p % "x",
+        lambda p: p.compose(1.5),
+        lambda p: p.gcd(2.5),
+    ],
+    ids=["divmod-float", "floordiv-float", "mod-str", "compose-float", "gcd-float"],
+)
+def test_inexact_operand_raises_type_error(op):
+    with pytest.raises(TypeError):
+        op(P(1, 2, 3))

@@ -7,6 +7,10 @@ its roots from the critical-line witness and list them in ascending
 imaginary part.  The roots files hold doubles, so `report` writes the same
 bytes at every precision from 53 to 1024 bits.
 
+The `habiro --level L` digests (L = 1..24) and the `rv --weight 26 --d 200`
+digest were recorded before RatPoly stored its coefficients as integer
+numerators over one common denominator.
+
 A refactor must keep these digests.  Change one only with a change that
 means to alter the output, and say so in that change.
 """
@@ -123,6 +127,37 @@ ROOTS_MULTISET = {
 }
 
 
+# sha256 of `habiro --level L` stdout.
+HABIRO_GOLDEN = {
+    1: "3cbf7c2fcfbb6b722ac12af80073164ed494f4d5d764ff4b62832521c2ca5f30",
+    2: "5b5b0d76b6015b927c7a1b74f6fffbc602c93bf58e14650eac22ebe6ffe23524",
+    3: "a39989507412486f4933ebf15762d0399321c9b070861f3759e4285d61ad665e",
+    4: "54b26305dcecd53c3a6a6ad83cdaf530e4541282a938cc3bc3133d8b90917885",
+    5: "9d6c72442bd63ea212f328aee0419aa005f9b8cf0d20f40161411821da730524",
+    6: "cdc4cbae6c0074f1277629060108f06db2839138f0cbf29196f302ec28a4f741",
+    7: "e60395cfcb90fd1fd5b36d2426605385233ad6627701a3648d46336c1fffe7e3",
+    8: "048fd57c4cfce11ba8411758143a6f7999a52b135f9834b7778fbcf5019d59d5",
+    9: "0a1308dd3e0ea32bf999aa5994da9b79d7daeb08c5c71067135740d62139436d",
+    10: "4bd167a8908b90e85f2afeabacd1898cb2f39c084781e480c024d0f5497b239d",
+    11: "6c2f5c53dee00896407df539f8e33762cb4a80d60aff5372cfd9d1f45c5699a8",
+    12: "c4356520b4cd2e36c8513cb6100e0ef5fa9264fcb5a46ae254f7ee93c3aaee26",
+    13: "b836846cbe979efb037855c3726e4da2d141387796186c4b28bec0fa43ab3a17",
+    14: "6dbc5380ab5e5228ce9e5d5f2da137be60ac0dadb5253da53c6d69eb5c44bf72",
+    15: "5d682012359fc41f4af4a757d54278edf6a50163084e4d1be7e12eca7e54373f",
+    16: "cdb51d8067b2cb0fb2b6cd0c2b4ca3846a571712ef1e8ba9ba40c0fada4bc5da",
+    17: "f353bec0f84b593ee167668d8084beefb922849166db05ddb19c79529343ffaf",
+    18: "2b11c7abe6fc9f5d17207e5a7cddbc131982849045581f161dfe5add55fa798e",
+    19: "00522e07019780d53a1dbd37a509a8e6825b8fb29d1d410817e5b6d76f9d1c33",
+    20: "3d5ad64f7c6030dd4906ccbf612077aaeb37818a1b7267e5ef863b0284c67788",
+    21: "bc409066ac15e52f94bb4bb115839d6e52320ecc5a82b914612e8a99dabc3ef3",
+    22: "6453773051a674e4851e19b5f4bb308e8381058cdddc5490869252473bfa28a3",
+    23: "817f489f306ccaa0975fea6674691f3bb3449f2777af987730f2bad9cd970f0c",
+    24: "430be98ceb5fbf4ccb005fa2f522ef374b610762b6456040285a94bce7b4e436",
+}
+
+# sha256 of `rv --weight W --d D` stdout.
+RV_GOLDEN = {(26, 200): "faf5bbabdc929e70becb10e2dd9db333eefab2c6ebdc21e8687b667c048cd295"}
+
 def roots_multiset_digest(path) -> str:
     roots = json.loads(path.read_text())["roots"]
     return hashlib.sha256(repr(sorted((r["re"], r["im"]) for r in roots)).encode()).hexdigest()
@@ -153,3 +188,19 @@ def test_report_root_multisets(tmp_path, bits):
     assert written == ROOTS_MULTISET
     summary = hashlib.sha256((tmp_path / "summary.csv").read_bytes()).hexdigest()
     assert summary == REPORT_GOLDEN["summary.csv"]
+
+
+@pytest.mark.parametrize("level", list(HABIRO_GOLDEN))
+def test_habiro_digest(capsys, level):
+    assert main(["habiro", "--level", str(level)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == HABIRO_GOLDEN[level]
+
+
+@pytest.mark.parametrize("weight, d", list(RV_GOLDEN))
+def test_rv_digest(capsys, weight, d):
+    assert main(["rv", "--weight", str(weight), "--d", str(d)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == RV_GOLDEN[weight, d]

@@ -302,6 +302,17 @@ class TestInvolution:
                 assert involution_invariance_check(p, m)
 
 
+class TestFractionalInput:
+    def test_integral_residue_is_accepted(self):
+        # (q)_4 / 2 + 1 has fractional coefficients but is 1 mod (q)_4
+        x = HabiroTrunc.make(4, qpochhammer(4) * Fraction(1, 2) + 1)
+        assert x.residue == 1 and x == habiro_one(4)
+
+    def test_fractional_residue_is_rejected(self):
+        with pytest.raises(ValueError, match="integer coefficients"):
+            HabiroTrunc.make(4, qpochhammer(3) * Fraction(1, 2))
+
+
 class TestPower:
     def test_negative_power_raises(self):
         with pytest.raises(ValueError, match="negative power"):
