@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import accumulate
+from operator import add, mul, sub
 
 from .exactcore import RatPoly, _poly, _power, _Record, chebyshev_T
 
@@ -80,45 +82,33 @@ def qpochhammer(n: int) -> RatPoly:
     return qpochhammer(n - 1) * (RatPoly.one() - RatPoly.monomial(n))
 
 
-@lru_cache(maxsize=None)
-def _qpochhammer_inverse(n: int) -> RatPoly:
-    """1 / rev((q)_n) mod z^m, m = n(n+1)/2, where rev((q)_n) = (-1)^n (q)_n
-    is (q)_n with its coefficients reversed.  1 / (q)_n = prod_{j<=n}
-    1 / (1 - z^j) counts partitions into parts <= n (Euler): one running sum
-    c_i += c_(i-j) per part size j."""
-    c = [1] + [0] * (n * (n + 1) // 2 - 1)
-    for j in range(1, n + 1):
-        for i in range(j, len(c)):
-            c[i] += c[i - j]
-    return RatPoly(c) * (-1) ** n
-
-
 def _reduce(poly: RatPoly, n: int) -> RatPoly:
-    """poly mod (q)_n, from the top in blocks of k <= m = deg (q)_n quotient
-    coefficients.  With poly of degree D, the quotient's top k coefficients,
-    high first, are those of rev(poly's top k) / rev((q)_n) mod z^k: one
-    product with the cached inverse.  A second product subtracts the block
-    times (q)_n, which clears poly's top k coefficients.
+    """poly mod (q)_n by Habiro's cyclotomic expansion
+    poly = a_0 + (q - 1)(a_1 + (q^2 - 1)(a_2 + ... + (q^n - 1) x_n)),
+    deg a_(j-1) < j: the mixed-radix digits of poly in the chain of ideals
+    (q - 1) > (q - 1)(q^2 - 1) > ... > prod_(j<=n) (q^j - 1) = (-1)^n (q)_n
+    (Habiro, Publ. RIMS 40, 2004; Knuth, TAOCP vol. 2, 4.3.2).
 
-    The inverse is kept to (q)_n: the coefficients of 1 / rev((q)_n) grow
-    only polynomially (they count partitions into parts <= n), while for an
-    arbitrary monic divisor they can grow like its coefficients to the power
-    k, so schoolbook division stays the general path.  poly = num / den is
-    reduced as num, and the residue is that over den."""
-    g = qpochhammer(n)
-    m = g.degree
-    c = list(poly.num)
-    while len(c) > m:
-        top = max(len(c) - m, m)  # the block is c[top:], k = len(c) - top <= m terms
-        # the product has at least k terms when the block is nonzero: k <= m,
-        # and the inverse's top coefficient, at z^(m-1), is a nonzero partition count
-        block = (_poly(c[: top - 1 : -1]) * _qpochhammer_inverse(n)).num[: len(c) - top]
-        # block times (q)_n, shifted to q^(top-m), cancels c[top:]; only its
-        # low m terms land below top
-        for i, x in enumerate((_poly(block[::-1]) * g).num[:m], top - m):
-            c[i] -= x
-        del c[top:]
-    return _poly(c, poly.den)
+    With the coefficients top first, division by q^j - 1 is a running sum in
+    each residue class mod j: the quotient is the head and the remainder
+    a_(j-1) the last j entries, exact by construction.  The residue is then
+    rebuilt by Horner, r <- a_(j-1) + (q^j - 1) r for j = n..1, so the whole
+    reduction is big-integer additions.  poly = num / den is reduced as num,
+    and the residue is that over den; poly itself is returned when its
+    degree is already below m = n(n+1)/2."""
+    if len(poly.num) <= n * (n + 1) // 2:
+        return poly
+    x = list(poly.num[::-1])
+    digits = []
+    for j in range(1, n + 1):
+        for c in range(j):
+            x[c::j] = accumulate(x[c::j])
+        digits.append(x[: -j - 1 : -1])
+        del x[-j:]
+    r = []
+    for j in range(n, 0, -1):  # a_(j-1) + (q^j - 1) r = (a_(j-1) + q^j r) - r
+        r = list(map(sub, digits[j - 1] + r, r + [0] * j))
+    return _poly(r, poly.den)
 
 
 class HabiroTrunc(_Record):
@@ -136,27 +126,27 @@ class HabiroTrunc(_Record):
             raise ValueError("Habiro residues must have integer coefficients")
         return cls(level=level, residue=red)
 
-    def _check(self, other: "HabiroTrunc"):
-        if self.level != other.level:
+    def _combine(self, op, other):
+        """op on the residues of self and of an int, or of a HabiroTrunc at
+        the same level; NotImplemented for any other operand."""
+        if isinstance(other, int):
+            other = RatPoly((other,))
+        elif not isinstance(other, HabiroTrunc):
+            return NotImplemented
+        elif self.level != other.level:
             raise LevelError("levels differ; reduce first")
+        else:
+            other = other.residue
+        return HabiroTrunc.make(self.level, op(self.residue, other))
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = HabiroTrunc.make(self.level, RatPoly((other,)))
-        self._check(other)
-        return HabiroTrunc.make(self.level, self.residue + other.residue)
+        return self._combine(add, other)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = HabiroTrunc.make(self.level, RatPoly((other,)))
-        self._check(other)
-        return HabiroTrunc.make(self.level, self.residue - other.residue)
+        return self._combine(sub, other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return HabiroTrunc.make(self.level, self.residue * other)
-        self._check(other)
-        return HabiroTrunc.make(self.level, self.residue * other.residue)
+        return self._combine(mul, other)
 
     __rmul__ = __mul__
 

@@ -11,6 +11,9 @@ The `habiro --level L` digests (L = 1..24) and the `rv --weight 26 --d 200`
 digest were recorded before RatPoly stored its coefficients as integer
 numerators over one common denominator.
 
+The level-40 Habiro residue digest was recorded while residues were still
+reduced by blocked division with the inverse of the reversed (q)_N.
+
 A refactor must keep these digests.  Change one only with a change that
 means to alter the output, and say so in that change.
 """
@@ -21,6 +24,7 @@ import json
 import pytest
 
 from zetapoly.cli import main
+from zetapoly.habiro import habiro_qinv, habiro_r, psi_toric
 
 GOLDEN = {
     ("lfun", 12, 128): "4f39cbc37440d6330120fc45ea6e5d0f93754877a9fae3c4ae30c41e263b14bc",
@@ -155,6 +159,10 @@ HABIRO_GOLDEN = {
     24: "430be98ceb5fbf4ccb005fa2f522ef374b610762b6456040285a94bce7b4e436",
 }
 
+# sha256 of json.dumps of the to_json_dict() of r, q^(-1), psi^k(r) for
+# k = 2..8 and r * psi^3(r), all at level 40.
+HABIRO_RESIDUES_40 = "d99bcd631a553bd748d031eb94accdaa8e24912748f0606b95a82e20539f3865"
+
 # sha256 of `rv --weight W --d D` stdout.
 RV_GOLDEN = {(26, 200): "faf5bbabdc929e70becb10e2dd9db333eefab2c6ebdc21e8687b667c048cd295"}
 
@@ -204,3 +212,11 @@ def test_rv_digest(capsys, weight, d):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == RV_GOLDEN[weight, d]
+
+
+def test_habiro_residue_digest():
+    r = habiro_r(40)
+    items = [r, habiro_qinv(40)] + [psi_toric(r, k) for k in range(2, 9)]
+    items.append(r * psi_toric(r, 3))
+    digest = hashlib.sha256(json.dumps([x.to_json_dict() for x in items]).encode())
+    assert digest.hexdigest() == HABIRO_RESIDUES_40

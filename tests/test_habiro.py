@@ -312,6 +312,29 @@ class TestFractionalInput:
         with pytest.raises(ValueError, match="integer coefficients"):
             HabiroTrunc.make(4, qpochhammer(3) * Fraction(1, 2))
 
+    def test_fractional_residue_of_a_long_input_is_rejected(self):
+        # length 11 > m = 10, so this one goes through the expansion
+        with pytest.raises(ValueError, match="integer coefficients"):
+            HabiroTrunc.make(4, RatPoly.monomial(10, Fraction(1, 2)))
+
+
+class TestOperands:
+    @pytest.mark.parametrize("other", (1.5, Fraction(1, 2), RatPoly.x(), "a"), ids=repr)
+    @pytest.mark.parametrize(
+        "op",
+        (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y, lambda x, y: y * x),
+        ids=("add", "sub", "mul", "rmul"),
+    )
+    def test_foreign_operand_raises_type_error(self, op, other):
+        with pytest.raises(TypeError):
+            op(habiro_r(5), other)
+
+    def test_int_operands_and_levels(self):
+        x = habiro_r(5)
+        assert x + 2 - 2 == x and 3 * x == x * 3 == x + x + x
+        with pytest.raises(LevelError, match="levels differ"):
+            x + habiro_r(4)
+
 
 class TestPower:
     def test_negative_power_raises(self):
@@ -354,15 +377,15 @@ class TestReductionCoherence:
 
 
 class TestBlockedReduction:
-    """_reduce against schoolbook division by (q)_n, and the partition-series
-    inverse it multiplies by."""
+    """_reduce, the cyclotomic expansion, against schoolbook division by
+    (q)_n."""
 
-    @pytest.mark.parametrize("n", range(1, 31))
+    @pytest.mark.parametrize("n", range(1, 41))
     def test_matches_schoolbook_division(self, n):
         g = qpochhammer(n)
         m = g.degree
         rng = random.Random(n)
-        lengths = [1, m, m + 1, 2 * m, 2 * m + 1, 12 * m, rng.randint(1, 12 * m)]
+        lengths = [1, m, m + 1, 2 * m - 1, 2 * m, 2 * m + 1, 12 * m, rng.randint(1, 12 * m)]
         for length in lengths:
             coeffs = [rng.randint(-(1 << 100), 1 << 100) for _ in range(length - 1)]
             poly = RatPoly(coeffs + [rng.choice((-1, 1)) << rng.randint(0, 100)])
@@ -370,14 +393,16 @@ class TestBlockedReduction:
             assert habiro._reduce(poly, n) == divmod(poly, g)[1], length
         # whole blocks of zero quotient: a multiple of (q)_n plus a residue
         assert habiro._reduce(g * (RatPoly.monomial(5 * m) + 3) + 7, n) == 7
+        # psi^8 of r: the longest input the battery reduces
+        poly = habiro._substitute_power(habiro_r(n).residue, 8)
+        assert habiro._reduce(poly, n) == divmod(poly, g)[1]
 
-    @pytest.mark.parametrize("n", range(1, 41))
-    def test_inverse_of_reversed_qpochhammer(self, n):
+    @pytest.mark.parametrize("n", (1, 2, 5, 14))
+    def test_short_input_is_returned_as_is(self, n):
         m = n * (n + 1) // 2
-        h = habiro._qpochhammer_inverse(n)
-        assert len(h.coeffs) == m  # the top coefficient is a nonzero partition count
-        product = h * qpochhammer(n).reversed_coeffs()
-        assert RatPoly(product.coeffs[:m]) == 1
+        for poly in (RatPoly.zero(), RatPoly.monomial(m - 1, 7), habiro_r(n).residue):
+            assert len(poly.num) <= m
+            assert habiro._reduce(poly, n) is poly
 
     def test_caches_the_tracer_reads(self):
         for f in (habiro.cyclotomic_poly, habiro.qpochhammer, habiro.chebyshev_T):
