@@ -19,8 +19,10 @@ exact integer division.  Composition with a linear polynomial is one Taylor
 shift in integers (``_linear_compose``).
 
 This is the one module every command loads, so it also holds the few names
-that several others share: the supported weights, ``UnsupportedWeightError``
-and the Chebyshev polynomials ``chebyshev_T``.
+that several others share: the supported weights and
+``UnsupportedWeightError``.  The Chebyshev polynomials ``chebyshev_T``,
+which only ``habiro`` uses, stay here because the package exports them from
+this module.
 """
 
 from __future__ import annotations

@@ -1,6 +1,12 @@
 """Exact Sturm-sequence certificates for unit-circle and critical-line zero
 claims, the critical-line roots in integers, and roots_numeric, a complex
 solver in mpmath.  mpmath and cmath load only in the functions that use them.
+
+Both certificates are one count.  The zeros of R(u) = u^offset A(u^2) lie on
+the line Re u = 0 iff every root of A is real and <= 0, and A is counted by
+the Sturm chains of its squarefree layers (_parity_layers).  For the critical
+line Re x = c, R(u) = Q(c + u); for the unit circle, R is the Cayley
+transform (1-u)^e U((1+u)/(1-u)), which takes the circle onto that line.
 """
 
 from __future__ import annotations
@@ -9,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import List, Optional
 
-from .exactcore import RatPoly, _poly, _Record, chebyshev_T, is_self_inversive
+from .exactcore import RatPoly, _poly, _Record
 
 
 class SymmetryError(ValueError):
@@ -23,9 +29,10 @@ class RootConvergenceError(RuntimeError):
 
 
 class Certificate(_Record):
-    """A "unit_circle" or "critical_line" verdict.  For critical_line only, and
-    not in the JSON, ==, hash or repr: Q(c + u) = u^offset A(u^2), and the
-    squarefree layers of A that the count peeled."""
+    """A "unit_circle" or "critical_line" verdict.  Not in the JSON, ==, hash
+    or repr: the squarefree layers of the A that the count peeled, and the
+    offset with R(u) = u^offset A(u^2), for R = Q(c + u) on the critical line
+    and the Cayley transform of U (offset 0) on the unit circle."""
 
     __slots__ = ("kind", "passed", "counted_roots", "expected_roots", "witness", "layers", "offset")
     _defaults = ((), 0)
@@ -78,63 +85,56 @@ def _sturm_count_squarefree(sf: RatPoly, a: Optional[Fraction], b: Optional[Frac
     return _variations(chain, a, -1) - _variations(chain, b, +1)
 
 
-def chebyshev_basis_decompose(U: RatPoly) -> RatPoly:
-    """The unique V with z^(-e/2) U(z) = V(z + 1/z), for self-inversive U of
-    even degree e, via the basis z^j + z^(-j) = T_j(z + 1/z)."""
-    e = U.degree
-    half = e // 2
-    V = RatPoly((U[half],))
-    for j in range(1, half + 1):
-        V = V + U[half + j] * chebyshev_T(j)
-    # reconstruction guard: z^half V((z^2+1)/z) must recover U exactly
-    rec = RatPoly.zero()
-    zsq1 = RatPoly((1, 0, 1))
-    for i, v in enumerate(V.coeffs):
-        rec = rec + v * zsq1**i * RatPoly.monomial(half - i)
-    if rec != U:
-        raise RuntimeError("Chebyshev-basis expansion failed to reconstruct input")
-    return V
+def _parity_layers(R: RatPoly, offset: int, claim: str):
+    """A with R(u) = u^offset A(u^2), and the squarefree layers of A: layer j
+    holds, once each, the roots of multiplicity >= j, so a root lies in as
+    many layers as its multiplicity.  Raises SymmetryError(claim) when R has
+    a term of the other parity, i.e. R(-u) != (-1)^offset R(u)."""
+    if any(R.num[1 - offset :: 2]):
+        raise SymmetryError(claim)
+    A = _poly(R.num[offset::2], R.den)
+    # reconstruction guard: spreading A back out must give R
+    rec = [0] * (offset + 2 * len(A.num))
+    rec[offset::2] = A.num
+    if _poly(rec, A.den) != R:
+        raise RuntimeError("even/odd decomposition failed to reconstruct input")
+    layers, B = [], A
+    while B.degree > 0:
+        layers.append(B.squarefree_part())
+        B = B // layers[-1]
+    return A, tuple(layers)
 
 
 def unit_circle_certify(U: RatPoly) -> Certificate:
-    """Certify that all complex zeros of a self-inversive U lie on the unit
-    circle and none is real: V (with U = z^(e/2) V(z+1/z)) must be squarefree
-    with exactly e/2 real roots strictly inside (-2, 2)."""
+    """Certify that all zeros of U lie on the unit circle and none is real.
+
+    U must have even degree e and be self-inversive, U(1/z) z^e = U(z).  The
+    Cayley transform z = (1+u)/(1-u) takes the circle onto the line Re u = 0,
+    z = 1 to u = 0 and z = -1 to u = oo: R(u) = (1-u)^e U((1+u)/(1-u)) is
+    even exactly when U is self-inversive, R(u) = A(u^2), with R(0) = U(1)
+    and U(-1) the coefficient of u^e.  So the claim holds iff A has degree
+    e/2 and every root of A, counted by multiplicity, is real and < 0.  As
+    A(v) = (1-v)^(e/2) V(2(1+v)/(1-v)) for U = z^(e/2) V(z + 1/z), deg A is
+    deg V.
+    """
     if U.is_zero():
         raise ValueError("zero polynomial")
     e = U.degree
     if e % 2 != 0:
         raise ValueError("degree must be even")
-    if not is_self_inversive(U):
-        raise ValueError("U must be self-inversive: U(1/z) z^e == U(z)")
-    half = e // 2
-    if e == 0:
-        return Certificate("unit_circle", True, 0, 0, "constant, trivially certified")
-    V = chebyshev_basis_decompose(U)
-    sf = V.squarefree_part()
-    squarefree = sf.degree == V.degree
-    count = _sturm_count_squarefree(sf, -2, 2)
-    if V(2) == 0:
-        count -= 1
-    endpoints_clear = V(2) != 0 and V(-2) != 0
-    passed = squarefree and endpoints_clear and count == half
+    # two integer Taylor shifts and a reversal: z -> 2w - 1, w -> 1/w, w -> 1 - u
+    R = U.compose(RatPoly((-1, 2))).reversed_coeffs().compose(RatPoly((1, -1)))
+    _, layers = _parity_layers(R, 0, "U must be self-inversive: U(1/z) z^e == U(z)")
+    # the roots of A in (-inf, 0), by multiplicity: a root 0 is U(1) = 0
+    count = sum(_sturm_count_squarefree(S, None, 0) - (S.num[0] == 0) for S in layers)
     return Certificate(
         kind="unit_circle",
-        passed=passed,
+        passed=count == e // 2,
         counted_roots=count,
-        expected_roots=half,
-        witness=f"V(t), deg {half}",
+        expected_roots=e // 2,
+        witness=f"V(t), deg {e // 2}" if e else "constant, trivially certified",
+        layers=layers,
     )
-
-
-def _squarefree_layers(A: RatPoly):
-    """Peel A into squarefree layers: layer j holds, once each, the roots of
-    multiplicity >= j, so a root lies in as many layers as its multiplicity."""
-    B = A
-    while B.degree > 0:
-        sf = B.squarefree_part()
-        yield sf
-        B = B // sf
 
 
 def critical_line_certify(Q: RatPoly, c: Fraction, sign: int) -> Certificate:
@@ -149,19 +149,11 @@ def critical_line_certify(Q: RatPoly, c: Fraction, sign: int) -> Certificate:
     c = Fraction(c)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    R = Q.compose(RatPoly((c, 1)))
-    # R(-u) = sign * R(u) exactly when R has no terms of the other parity
     offset = 0 if sign == 1 else 1
-    if any(R.num[1 - offset :: 2]):
-        raise SymmetryError(f"Q(2c - x) != {sign:+d} Q(x) at c = {c}")
-    A = _poly(R.num[offset::2], R.den)
-    # reconstruction guard: spreading A back out must give R
-    rec = [0] * (offset + 2 * len(A.coeffs))
-    rec[offset::2] = A.coeffs
-    if RatPoly(rec) != R:
-        raise RuntimeError("even/odd decomposition failed to reconstruct input")
+    A, layers = _parity_layers(
+        Q.compose(RatPoly((c, 1))), offset, f"Q(2c - x) != {sign:+d} Q(x) at c = {c}"
+    )
     # A's roots, each counted once per layer it lies in, i.e. by multiplicity
-    layers = tuple(_squarefree_layers(A))
     counted = 2 * sum(_sturm_count_squarefree(S, None, 0) for S in layers) + offset
     return Certificate(
         kind="critical_line",

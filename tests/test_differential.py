@@ -72,8 +72,9 @@ def circle_product(ts, scale):
 
 
 @SETTINGS
-@given(st.lists(inner_t, min_size=1, max_size=4, unique=True), nonzero_rational)
+@given(st.lists(inner_t, min_size=1, max_size=4), nonzero_rational)
 def test_unit_circle_passes_on_unimodular_products(ts, scale):
+    # repeats allowed: a repeated t is a repeated pair of roots on the circle
     cert = unit_circle_certify(circle_product(ts, scale))
     assert cert.passed and cert.counted_roots == len(ts)
 

@@ -14,6 +14,10 @@ numerators over one common denominator.
 The level-40 Habiro residue digest was recorded while residues were still
 reduced by blocked division with the inverse of the reversed (q)_N.
 
+The `certify --weight k` digests were recorded while the unit-circle
+certificate still counted the roots of V, U = z^(e/2) V(z + 1/z), inside
+(-2, 2).
+
 A refactor must keep these digests.  Change one only with a change that
 means to alter the output, and say so in that change.
 """
@@ -58,6 +62,12 @@ GOLDEN = {
     ("periods", 20, None): "b674e291532a3b638eda0eacf391ac3521b3ef61c07506bfc2ccab29ad8685f6",
     ("periods", 22, None): "5352fc897f65578e90687011d12ddc8de4ce63f8c95466df3c07b35425010426",
     ("periods", 26, None): "a7fb6e3801b8c7fe8c2045e259a4b7c7cf50a3696eff0a78a168b05a1c78849e",
+    ("certify", 12, None): "83820340ca3027452b2e751557400e229e01a075ebfc63ce99eb02ffbd212ddb",
+    ("certify", 16, None): "a554fce74ddc913531a533507876f4ddeda84fe905d6ba28735528140a8265fd",
+    ("certify", 18, None): "c2cb68673d1000dd452412cf5445fc7decb91f94055c14ff091b96782baa41b6",
+    ("certify", 20, None): "112eacb6041c56ba216babb15508f9a8d2c2f31d1946f0d9c4d4fff52985b7d0",
+    ("certify", 22, None): "83e0fcc51886edf2a7839fbdc4ce12f12b8f98e66f5bb84d31927c19aae22510",
+    ("certify", 26, None): "0222b8a63ea9010577021a73d38d6b7c9f6b4673663d1181cfd4dd38f9ccb57f",
 }
 
 REPORT_GOLDEN = {

@@ -12,8 +12,8 @@ from zetapoly.exactcore import RatPoly
 from zetapoly.periods import cfi_quotient, odd_period_polynomial
 from zetapoly.rvtransform import rv_polynomial
 from zetapoly.zerocert import (
+    Certificate,
     SymmetryError,
-    chebyshev_basis_decompose,
     critical_line_certify,
     critical_line_roots,
     roots_numeric,
@@ -97,15 +97,47 @@ class TestUnitCircleCertify:
         cert = unit_circle_certify(P(1, -2, 1))
         assert not cert.passed
 
-    def test_repeated_root_of_v_fails(self):
-        # (z^2 + 1)^2 = z^2 V(z + 1/z) with V = t^2: one distinct root, not squarefree
+    def test_repeated_root_of_v_passes(self):
+        # (z^2 + 1)^2 = z^2 V(z + 1/z) with V = t^2: both roots on the circle,
+        # counted by multiplicity.  A squarefree-V requirement once failed it.
         cert = unit_circle_certify(P(1, 0, 2, 0, 1))
-        assert not cert.passed and cert.counted_roots == 1 and cert.expected_roots == 2
+        assert cert.passed and cert.counted_roots == 2 and cert.expected_roots == 2
 
-    def test_decomposition_reconstructs(self):
-        for U in (P(1, 0, 1), P(3, 1, 3), P(2, 0, -1, 0, 2)):
-            V = chebyshev_basis_decompose(U)
-            assert V.degree == U.degree // 2
+    @pytest.mark.parametrize(
+        "U, half",
+        (
+            (P(1, 0, 1) ** 3, 3),
+            (P(1, 1, 1) ** 2 * P(1, 0, 1), 3),
+            (P(1, 0, 1, 0, 1) ** 2, 4),
+        ),
+        ids=("(z2+1)^3", "(z2+z+1)^2(z2+1)", "(z4+z2+1)^2"),
+    )
+    def test_repeated_roots_on_the_circle_pass(self, U, half):
+        cert = unit_circle_certify(U)
+        assert cert.passed and cert.counted_roots == cert.expected_roots == half
+
+    @pytest.mark.parametrize(
+        "U",
+        (
+            P(2, -5, 2) ** 2,  # a double reciprocal pair 2, 1/2 off the circle
+            P(-1, 1) ** 2 * P(1, 0, 1),  # U(1) = 0: A(0) = 0, which the count must not take
+            P(1, 1) ** 2 * P(1, 0, 1),  # U(-1) = 0: deg A < e/2
+        ),
+        ids=("(2z2-5z+2)^2", "(z-1)^2(z2+1)", "(z+1)^2(z2+1)"),
+    )
+    def test_repeated_roots_off_the_circle_fail(self, U):
+        cert = unit_circle_certify(U)
+        assert not cert.passed and cert.counted_roots < cert.expected_roots == 2
+
+    def test_keeps_the_layers_it_counted(self):
+        # (z^2 + 1)^2 (z^2 + z + 1): A = 4 (v + 1)^2 (v + 3), layers 4 (v + 1)(v + 3) and v + 1
+        U = P(1, 0, 1) ** 2 * P(1, 1, 1)
+        cert = unit_circle_certify(U)
+        assert cert.passed and cert.counted_roots == 3
+        assert cert.layers == (P(12, 16, 4), P(1, 1)) and cert.offset == 0
+        assert "layers" not in cert.to_json_dict() and "layers" not in repr(cert)
+        bare = Certificate("unit_circle", True, 3, 3, "V(t), deg 3")
+        assert cert == bare and hash(cert) == hash(bare) and repr(cert) == repr(bare)
 
     @pytest.mark.parametrize("k", (12, 16, 18, 20, 22, 26))
     def test_all_weights(self, k):
@@ -394,7 +426,7 @@ class TestCriticalLineRoots:
 
 
 class TestCertificateNumericAgreement:
-    @pytest.mark.parametrize("k", (16, 18, 20))
+    @pytest.mark.parametrize("k", (16, 18, 20, 22, 26))
     def test_unit_circle(self, k):
         U = cfi_quotient(odd_period_polynomial(k), k).U_poly
         assert unit_circle_certify(U).passed
