@@ -10,13 +10,17 @@ exactly when ``den == 1``.  ``coeffs`` reads the coefficients back, an
 ``int`` where integral and a ``Fraction`` elsewhere.  All values are
 immutable; ``_poly`` builds every result.
 
-A product multiplies the numerators in integers, by Kronecker substitution
-(``_kronecker_mul``) when both are long and by schoolbook otherwise, and the
-denominators.  A division is Knuth's pseudo-division (TAOCP vol. 2, 4.6.1,
+Every product of numerators goes through ``_mul``, the one integer product
+path: Kronecker substitution (``_kronecker_mul``) when both are long, and
+schoolbook otherwise.  A product multiplies the numerators by it and the
+denominators; a power is square-and-multiply on the numerator by it, over
+den^n.  A division is Knuth's pseudo-division (TAOCP vol. 2, 4.6.1,
 Algorithm R): the dividend's numerator times |lead|^(deg a - deg b + 1),
 with lead the divisor's leading numerator, makes every quotient step an
-exact integer division.  Composition with a linear polynomial is one Taylor
-shift in integers (``_linear_compose``).
+exact integer division.  Composition with a constant is evaluation, with a
+linear polynomial one Taylor shift in integers (``_linear_compose``), and
+with any other B / db Horner's scheme on the numerators, one ``_mul`` per
+step, over den db^n.
 
 This is the one module every command loads, so it also holds the few names
 that several others share: the supported weights and
@@ -261,14 +265,12 @@ class RatPoly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.num, other.num
-        mul = _kronecker_mul if min(len(a), len(b)) >= _KRONECKER_MIN_LEN else _schoolbook_mul
-        return _poly(mul(a, b), self.den * other.den)
+        return _poly(_mul(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "RatPoly":
-        return _power(self, n, RatPoly.one())
+        return _poly(_power(self.num, n, [1], _mul), self.den**n)
 
     def __divmod__(self, other) -> tuple:
         """Pseudo-division: with a = A / da, b = B / db and s = |lead B|^(deg a
@@ -299,14 +301,24 @@ class RatPoly:
         return _poly([i * c for i, c in enumerate(self.num)][1:], self.den)
 
     def compose(self, other: "RatPoly") -> "RatPoly":
-        """Return self(other(z)); for a linear other, by one Taylor shift."""
+        """Return self(other(z)).  A constant other is evaluated, a linear one
+        is one Taylor shift, and any other B / db goes by Horner in integers,
+        acc <- acc B + num_i db^(n-i), over den db^n: the integer path of
+        __call__ with a polynomial in place of p."""
         other = other if isinstance(other, RatPoly) else RatPoly((other,))
-        if other.degree == 1 and self.degree > 0:
+        if other.degree < 1:
+            return RatPoly((self(other[0]),))
+        if self.degree < 1:
+            return self
+        if other.degree == 1:
             return _linear_compose(self.num, self.den, other)
-        result = RatPoly.zero()
-        for c in reversed(self.coeffs):
-            result = result * other + c
-        return result
+        b, db = other.num, other.den
+        acc, scale = [self.num[-1]], 1
+        for c in reversed(self.num[:-1]):
+            scale *= db
+            acc = _mul(acc, b)
+            acc[0] += c * scale
+        return _poly(acc, self.den * scale)  # scale = db^n
 
     def __call__(self, x):
         """Evaluate by Horner: exactly at an int or Fraction p/q, in integers
@@ -380,16 +392,18 @@ def _ratio(n: int, d: int):
     return n // d if n % d == 0 else Fraction(n, d)
 
 
-def _power(base, n: int, one):
-    """base ** n by square-and-multiply from the identity one."""
+def _power(base, n: int, one, mul):
+    """base ** n by square-and-multiply from the identity one, with the
+    product mul; the square after the top bit of n is not made."""
     if n < 0:
         raise ValueError("negative power")
     result = one
     while n:
         if n & 1:
-            result = result * base
-        base = base * base
+            result = mul(result, base)
         n >>= 1
+        if n:
+            base = mul(base, base)
     return result
 
 
@@ -402,6 +416,15 @@ _KRONECKER_MIN_LEN = 12
 # Signed array type codes by item size in bytes: digits of these widths are
 # packed and unpacked by the array module instead of one by one.
 _ARRAY_CODES = {array(t).itemsize: t for t in "bhiq"}
+
+
+def _mul(a: Sequence, b: Sequence) -> list:
+    """The product of the int coefficient sequences a and b, the one integer
+    product path: Kronecker substitution when both are long, schoolbook
+    otherwise."""
+    if min(len(a), len(b)) >= _KRONECKER_MIN_LEN:
+        return _kronecker_mul(a, b)
+    return _schoolbook_mul(a, b)
 
 
 def _schoolbook_mul(a: Sequence, b: Sequence) -> list:

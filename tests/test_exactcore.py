@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf
 
 from zetapoly.exactcore import RatPoly, chebyshev_T, is_self_inversive, rational_to_str, rref
@@ -222,6 +222,60 @@ def test_linear_compose_matches_horner(p, a, b):
     got, want = p.compose(RatPoly((a, b))), horner_compose(p, RatPoly((a, b)))
     assert got == want
     assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+fractional_poly = st.lists(exact_coeff, max_size=8).map(RatPoly)
+constant_poly = st.one_of(st.just(RatPoly.zero()), exact_coeff.map(lambda c: RatPoly((c,))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(fractional_poly, constant_poly),
+    st.one_of(
+        fractional_poly.filter(lambda p: p.degree >= 2),
+        st.lists(st.integers(-10**6, 10**6), min_size=12, max_size=16).map(RatPoly),
+        constant_poly,
+    ),
+)
+@example(P(Fraction(1, 2), Fraction(1, 3), 0, Fraction(2, 5)), P(Fraction(1, 7), 0, Fraction(3, 4)))
+@example(P(Fraction(1, 2), Fraction(1, 3)), P(Fraction(5, 3), Fraction(-1, 6), Fraction(1, 9)))
+@example(P(Fraction(3, 4), 0, 1), P(Fraction(2, 3)))
+@example(P(Fraction(3, 4), 0, 1), RatPoly.zero())
+@example(RatPoly.zero(), P(0, Fraction(1, 2), 7))
+@example(P(Fraction(-5, 6)), P(1, 0, Fraction(1, 2)))
+def test_compose_matches_horner(p, inner):
+    # den > 1 on both sides, long inners (the Kronecker product), and the
+    # zero and constant polynomials inside and outside
+    got, want = p.compose(inner), horner_compose(p, inner)
+    assert got == want
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        fractional_poly,
+        constant_poly,
+        st.lists(st.integers(-10**6, 10**6), min_size=12, max_size=16).map(RatPoly),
+    ),
+    st.integers(0, 9),
+)
+@example(RatPoly.zero(), 0)
+@example(RatPoly.zero(), 5)
+@example(P(Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)), 7)
+def test_power_matches_repeated_product(p, n):
+    want = RatPoly.one()
+    for _ in range(n):
+        want = want * p
+    got = p**n
+    assert got == want
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+@pytest.mark.parametrize("p", [RatPoly.zero(), P(2), P(Fraction(1, 2), 1)])
+def test_negative_power_raises(p):
+    with pytest.raises(ValueError, match="negative power"):
+        p**-1
 
 
 def test_divrem_reconstruction_200_random_pairs():

@@ -9,7 +9,8 @@ bytes at every precision from 53 to 1024 bits.
 
 The `habiro --level L` digests (L = 1..24) and the `rv --weight 26 --d 200`
 digest were recorded before RatPoly stored its coefficients as integer
-numerators over one common denominator.
+numerators over one common denominator; those for L = 30 and 40 while the
+battery still evaluated each T_k(r) by Horner.
 
 The level-40 Habiro residue digest was recorded while residues were still
 reduced by blocked division with the inverse of the reversed (q)_N.
@@ -167,6 +168,8 @@ HABIRO_GOLDEN = {
     22: "6453773051a674e4851e19b5f4bb308e8381058cdddc5490869252473bfa28a3",
     23: "817f489f306ccaa0975fea6674691f3bb3449f2777af987730f2bad9cd970f0c",
     24: "430be98ceb5fbf4ccb005fa2f522ef374b610762b6456040285a94bce7b4e436",
+    30: "c78726b2affb3421d22c5fd786122d6bc39e7595b6a21b7bfb5bba8df9f6f30a",
+    40: "4ff17c534664dada1768079a52024710cc5577c28fa3c3fdd5cd339650a416f2",
 }
 
 # sha256 of json.dumps of the to_json_dict() of r, q^(-1), psi^k(r) for

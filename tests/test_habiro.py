@@ -283,6 +283,54 @@ class TestCompatibility:
             assert chebyshev_compatibility_check(k, 12)
 
 
+def horner_at(p, x):
+    """p(x) by Horner in HabiroTrunc arithmetic, one ring product per
+    coefficient: the oracle for the recurrence and for substitute_r."""
+    acc = HabiroTrunc.make(x.level, RatPoly.zero())
+    for c in reversed(p.num):
+        acc = acc * x + c
+    return acc
+
+
+class TestChebyshevValues:
+    @pytest.mark.parametrize("n", [*range(1, 15), 24])
+    def test_matches_horner(self, n):
+        r = habiro_r(n)
+        values = habiro._chebyshev_values(r, 8)
+        assert len(values) == 9
+        for k, value in enumerate(values):
+            assert value == horner_at(chebyshev_T(k), r), k
+
+    @pytest.mark.parametrize("n", [*range(2, 15), 24])
+    def test_off_by_one_differs(self, n):
+        # at level 1, r = 2 and every T_k(2) = 2, so the indices cannot be told apart
+        r = habiro_r(n)
+        values = habiro._chebyshev_values(r, 9)
+        for k in range(1, 9):
+            assert psi_toric(r, k) == values[k]
+            assert psi_toric(r, k) != values[k + 1], k
+
+    def test_short_lists(self):
+        r = habiro_r(5)
+        assert habiro._chebyshev_values(r, 0) == [habiro_one(5) * 2]
+        assert habiro._chebyshev_values(r, 1) == [habiro_one(5) * 2, r]
+
+
+class TestSubstituteR:
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_matches_horner(self, m):
+        # every residue is constant at level 1; from level 2 on, q is linear
+        # and r and q^(-1) are of degree >= 2: all three compose paths
+        xs = (habiro_r(m), habiro_q(m), habiro_qinv(m))
+        for p in fixed_seed_elements() + [RatPoly.zero(), P(-4)]:
+            for x in xs:
+                assert substitute_r(p, x) == horner_at(p, x), (p, x)
+
+    def test_fractional_polynomial_is_rejected(self):
+        with pytest.raises(ValueError, match="integer coefficients"):
+            substitute_r(P(Fraction(1, 2), 1), habiro_r(3))
+
+
 class TestInvolution:
     def test_r_at_4(self):
         assert involution_invariance_check(RatPoly.x(), 4)

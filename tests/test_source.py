@@ -47,3 +47,48 @@ def test_module_level_imports_see_nested_statements():
         "def f():\n    import inspect\nfrom . import x\n"
     )
     assert sorted(module_level_imports(tree)) == ["cmath", "mpmath", "os"]
+
+
+# the integer product kernels, reached only through the one dispatcher
+PRODUCT_KERNELS = {"_kronecker_mul", "_schoolbook_mul"}
+DISPATCHER = "_mul"
+
+
+def kernel_references(tree):
+    """(enclosing function, name) for every read of a product kernel's
+    name, called or not, outside the kernels' own definitions; None for a
+    read at module or class level."""
+    def walk(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in PRODUCT_KERNELS:
+            yield owner, node.id
+        elif isinstance(node, ast.Attribute) and node.attr in PRODUCT_KERNELS:
+            yield owner, node.attr
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, owner)
+
+    for owner, name in walk(tree, None):
+        if owner not in PRODUCT_KERNELS:
+            yield owner, name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_product_kernels_only_behind_the_dispatcher(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = sorted(set(kernel_references(tree)) - {(DISPATCHER, name) for name in PRODUCT_KERNELS})
+    assert not found, f"{path.name}: product kernels used outside {DISPATCHER}: {found}"
+
+
+def test_kernel_references_see_aliases_and_attributes():
+    tree = ast.parse(
+        "def _mul(a, b):\n    return _kronecker_mul(a, b)\n"
+        "class C:\n    def __mul__(self, o):\n        f = _schoolbook_mul if o else None\n"
+        "        return exactcore._kronecker_mul(self, o)\n"
+        "def _schoolbook_mul(a, b):\n    return _schoolbook_mul(a[1:], b)\n"
+        "g = _schoolbook_mul\n"
+    )
+    assert sorted(kernel_references(tree), key=str) == [
+        ("__mul__", "_kronecker_mul"), ("__mul__", "_schoolbook_mul"),
+        ("_mul", "_kronecker_mul"), (None, "_schoolbook_mul"),
+    ]
