@@ -15,7 +15,8 @@ from pathlib import Path
 from .exactcore import ONE_DIM_WEIGHTS as WEIGHTS
 
 # Each command imports the modules it runs inside its body, so a job loads
-# only those (mpmath only for `lfun`).
+# only those.  mpmath loads only where `report` seeds a root layer that
+# doubles cannot carry.
 
 
 def weight_stages(k: int):
@@ -84,9 +85,7 @@ def cmd_habiro(args) -> int:
 
 
 def cmd_lfun(args) -> int:
-    # modforms before mpmath: this order keeps the job's peak RSS lower
-    from .modforms import eigenform, lambda_numeric, qexp_prec_for
-    from mpmath import mp
+    from .modforms import _mpf_str, eigenform, lambda_numeric, qexp_prec_for
 
     k = args.weight
     if args.s is not None and not 1 <= args.s <= k - 1:
@@ -94,8 +93,7 @@ def cmd_lfun(args) -> int:
     f = eigenform(k, qexp_prec_for(k, args.prec_bits))
     lam = lambda_numeric(f, args.prec_bits)
     ss = [args.s] if args.s is not None else range(1, k)
-    with mp.workprec(args.prec_bits):
-        values = {str(s): str(lam[s - 1]) for s in ss}
+    values = {str(s): _mpf_str(lam[s - 1], args.prec_bits) for s in ss}
     _emit({"weight": k, "prec_bits": args.prec_bits, "lambda": values}, args.out)
     return 0
 

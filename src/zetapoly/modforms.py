@@ -1,9 +1,11 @@
 """Level-one modular forms: q-expansions, Hecke operators, eigenforms,
 and high-precision completed L-values / Eichler integrals.
 
-All q-expansion arithmetic is exact over Q; floating-point work is done
-with mpmath at a configurable mantissa (default 128 bits), imported only by
-the numeric functions.
+All q-expansion arithmetic is exact over Q.  The completed L-values are
+summed in integer fixed point and printed by `_mpf_str`, an integer port of
+mpmath's decimal formatter, so `lambda_numeric` and `lfun` load no mpmath.
+mpmath, at a configurable mantissa (default 128 bits), is imported only by
+`period_polynomial_numeric` and `eichler_integral_numeric`.
 """
 
 from __future__ import annotations
@@ -181,7 +183,7 @@ def eigenform(k: int, prec: int = DEFAULT_QEXP_PREC) -> QExpansion:
 
 
 # ---------------------------------------------------------------------
-# numeric side (mpmath)
+# numeric side: L-values in integer fixed point, the rest in mpmath
 # ---------------------------------------------------------------------
 
 
@@ -224,21 +226,31 @@ def _terms_needed(k: int, prec_bits: int, y: float = 1.0) -> int:
        The comparison is made in natural logs, in doubles, whose rounding
        is a few units of 2^-53 relative to the target; the target is
        tightened by a relative 2^-40 to cover it.
-    6. The pass then runs at p = prec_bits + 48 bits, where each rounding
-       has relative size at most 2^-p.  A moment term a_n e^(-x_n) x_n^(-m)
-       carries at most 10n + 4m + 2 of them: pi and e^(-2 pi) enter the
-       running product e^(-2 pi n) n-fold, and each of the m products by
-       1/x_n adds its own and the three of 1/x_n.  The sum over n adds
-       N - 1 more, and P_s and Lambda three more.  So rounding moves
-       Lambda(f, s) by at most (11N + 4k + 8) 2^-p T to first order, where
-       T is the largest T_s + T_(k-s), and T_s = sum_n 2 n^(k/2)
-       Gamma(s, x_n) / x_n^s is the sum of 3 with |a_n| at its bound from 1.
-       T < 2^14 for every weight up to 26.  With the tail, each Lambda(f, s)
-       is then within 2^-(prec_bits+15) of its true value when N <= 20000.
+    6. `lambda_numeric` sums in integers at the scale 2^W, W = p + G, where
+       p = prec_bits + 48.  Each truncation (a floor) costs at most one unit
+       u = 2^-W.  `_pi_fixed(W)` is within 2 units of 2^W pi, and
+       Q = `_exp_neg_twopi(W)` within 1.01 units of 2^W e^(-2 pi).  So
+       e^(-x_n), stepped as qn <- floor(qn Q / 2^W), stays within 2 units:
+       each step adds one floor to less than 1/500 of the errors before it.
+       1/x_n, taken as floor(2^(2W) / (2 `_pi_fixed(W)` n)), is within 2
+       units: the floor, plus 4 / (4 pi^2 n) from pi.  The term a_n e^(-x_n)
+       is then within 2|a_n| + 1 units (the 1 is the floor of dividing by
+       a_n's denominator).  Each of the m products by 1/x_n keeps it within
+       2|a_n| + 2 units: it scales the error so far by at most
+       1/(2 pi) + 2u < 0.16, and adds one floor and 1/x_n's error times
+       |a_n| e^(-x_n) < |a_n| / 250.  So each moment S_m is within 4NA
+       units, where A = max(1, max over n <= N of |a_n|).  P_s and Lambda
+       are exact integer sums of the moments with weights
+       sum_m perm(s-1, m-1) <= s! <= k (k-2)!, so each Lambda(f, s) is
+       within 8 N k A (k-2)! units.  With
+       G = bits(A) + bits((k-2)!) + bits(N k) + 3, that is below
+       2^G u = 2^-p.  With the tail of 4, each Lambda(f, s) is then within
+       2^-(prec_bits+16) + 2^-(prec_bits+48) < 2^-(prec_bits+15) of its
+       true value.  `eichler_integral_numeric` sums in mpmath at p bits.
     7. Any other cusp form of weight k is a_1 times the eigenform, so the
-       tail of 4 and the T of 6 grow by the factor |a_1|.  Asking here for
-       prec_bits + b bits, 2^b >= max(1, |a_1|), and running the pass at
-       prec_bits + b + 48 (`_sized_pass`) keeps both within the bounds above.
+       tail of 4 grows by the factor |a_1|, and A of 6 with it.  Asking here
+       for prec_bits + b bits, 2^b >= max(1, |a_1|), keeps the tail within
+       the bound above, and `_sized_pass` sets p = prec_bits + b + 48.
     """
     if k not in ONE_DIM_WEIGHTS:
         raise UnsupportedWeightError(f"no proven q-series truncation for weight {k}")
@@ -277,41 +289,166 @@ def _sized_pass(f: QExpansion, prec_bits: int, y: float = 1.0) -> tuple:
     return N, bits + 48
 
 
+def _atan_inv(x: int, V: int) -> int:
+    """2^V atan(1/x) for an integer x >= 2, by the alternating series
+    sum_j (-1)^j x^-(2j+1) / (2j+1) with each division floored.  The powers
+    t_j stay less than x^2 / (x^2 - 1) < 1.05 units below 2^V x^-j, so each
+    term is within 2.05 units and the tail once t reaches 0 within 1.05: a
+    series of n terms is off by less than 2.05 n + 1.05 units, and
+    n <= V / (2 log2 x) + 1."""
+    t = total = (1 << V) // x
+    x2, j, sign = x * x, 1, 1
+    while t:
+        t //= x2
+        j += 2
+        sign = -sign
+        total += sign * (t // j)
+    return total
+
+
+def _pi_fixed(W: int) -> int:
+    """An integer within 2 of 2^W pi (W >= 0): Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239) at V = W + g bits,
+    g = bits(W) + 7.  By `_atan_inv` the sum is off by less than
+    16 (0.45 V + 3.1) + 4 (0.13 V + 3.1) < 8 V + 64 units of 2^-V, which is
+    below 2^g, and the floor that drops the g bits adds less than one unit
+    of 2^-W."""
+    g = W.bit_length() + 7
+    V = W + g
+    return (16 * _atan_inv(5, V) - 4 * _atan_inv(239, V)) >> g
+
+
+def _exp_neg_twopi(W: int) -> int:
+    """An integer within 1.01 of 2^W e^(-2 pi) (W >= 0): the positive series
+    s = sum_j x^j / j! for e^x, x = 2 `_pi_fixed(V)` / 2^V at
+    V = W + bits(W) + 4, then one floored reciprocal 2^(V+W) // s.  Each
+    series term is floored twice, and an error made at term i grows by at
+    most e^x < 540 through the terms after it (and by at most 1.82 once
+    i >= 13); there are at most V + 40 terms, and x is within 4 units of
+    2^V 2 pi, which moves e^x by less than 2800 units.  So s is within
+    16000 + 3.7 V units of 2^V e^(2 pi) > 535 2^V, and the reciprocal
+    carries that as less than (16000 + 3.7 V) 2^W e^(-2 pi) / (535 2^V)
+    < 0.01 units of 2^-W, plus its floor."""
+    V = W + W.bit_length() + 4
+    x = 2 * _pi_fixed(V)
+    t = s = 1 << V
+    j = 0
+    while t:
+        j += 1
+        t = (t * x >> V) // j
+        s += t
+    return (1 << (V + W)) // s
+
+
 def lambda_numeric(f: QExpansion, prec_bits: int = 128) -> list:
     """Completed L-values [Lambda(f, 1), ..., Lambda(f, k-1)], where
-    Lambda(f, s) = integral of f(iy) y^(s-1) on (0, inf).
+    Lambda(f, s) = integral of f(iy) y^(s-1) on (0, inf), as exact dyadic
+    Fractions each within 2^-(prec_bits+15) of the true value.
 
     Splitting the integral at y = 1 and using modularity of f gives
     Lambda(f, s) = P_s + (-1)^(k/2) P_(k-s), P_s = sum_n a_n Gamma(s, x_n) / x_n^s
     with x_n = 2 pi n.  For integer s, Gamma(s, x) / x^s is
     e^(-x) sum_(m=1..s) (s-1)!/(s-m)! x^(-m), so every P_s is a finite
     combination of the moments S_m = sum_n a_n e^(-x_n) x_n^(-m), m = 1..k-1,
-    which one pass over n = 1..N accumulates, N from `_sized_pass`.
+    which one pass over n = 1..N accumulates, N from `_sized_pass`.  The
+    pass runs on integers at the scale 2^W of step 6 of `_terms_needed`,
+    which bounds its truncations (Brent, J. ACM 23, 1976, for the fixed
+    point pi and exponential).
     """
-    from mpmath import mp, mpf
-
     k = f.weight
     if not f.is_cuspidal():
         raise ValueError("cusp form required")
     N, work_bits = _sized_pass(f, prec_bits)
+    coeffs = f.coeffs[: N + 1]
+    A = max(max(math.ceil(abs(a)) for a in coeffs), 1)
+    W = (
+        work_bits + A.bit_length() + math.factorial(k - 2).bit_length()
+        + (N * k).bit_length() + 3
+    )
+    one = 1 << W
+    twopi = 2 * _pi_fixed(W)
+    q = _exp_neg_twopi(W)
+    qn = one  # 2^W e^(-x_n)
+    moments = [0] * k  # moments[m] = 2^W S_m; index 0 unused
+    for n in range(1, N + 1):
+        qn = qn * q >> W
+        inv_x = (one << W) // (twopi * n)
+        term = coeffs[n].numerator * qn // coeffs[n].denominator
+        for m in range(1, k):
+            term = term * inv_x >> W
+            moments[m] += term
+    P = [  # P[s - 1] = 2^W P_s
+        sum(math.perm(s - 1, m - 1) * moments[m] for m in range(1, s + 1))
+        for s in range(1, k)
+    ]
     sign = (-1) ** (k // 2)
-    with mp.workprec(work_bits):
-        twopi = 2 * mp.pi
-        q = mp.exp(-twopi)
-        qn = mpf(1)  # e^(-x_n)
-        moments = [mpf(0)] * k  # moments[m] = S_m; index 0 unused
-        for n in range(1, N + 1):
-            qn *= q
-            inv_x = 1 / (twopi * n)
-            term = _mpq(f.coeffs[n]) * qn
-            for m in range(1, k):
-                term *= inv_x
-                moments[m] += term
-        P = [  # P[s - 1] = P_s
-            mp.fsum(math.perm(s - 1, m - 1) * moments[m] for m in range(1, s + 1))
-            for s in range(1, k)
-        ]
-        return [P[s - 1] + sign * P[k - s - 1] for s in range(1, k)]
+    return [Fraction(P[s - 1] + sign * P[k - s - 1], one) for s in range(1, k)]
+
+
+def _mpf_str(x: Fraction, prec_bits: int) -> str:
+    """The dyadic x as mpmath prints it at prec_bits: `str(mpf(x))` under
+    `mp.workprec(prec_bits)`, without loading mpmath.
+
+    A port of `mpmath.libmp.to_str(s, dps)` and of the `to_digits_exp(s,
+    dps + 3)` it calls, at dps = `prec_to_dps(prec_bits)`: floor x to
+    fixprec bits, then to fixdps decimals; round half up on digit dps,
+    carrying through nines; print in fixed point when the leading decimal
+    exponent lies strictly inside (min(-(dps//3), -5), dps) and in
+    e-notation otherwise; strip trailing zeros.  mpmath first divides by a
+    rounded power of ten when |log2 x| > 3500, which this port refuses."""
+    dps = max(1, int(round(prec_bits / 3.3219280948873626) - 1))  # prec_to_dps
+    n, W = x.numerator, x.denominator.bit_length() - 1
+    if x.denominator != 1 << W:
+        raise ValueError(f"{x} is not dyadic")
+    if not n:
+        return "0.0"
+    sign, n = ("-" if n < 0 else ""), abs(n)
+    top = n.bit_length() - W  # exp + bc of the mpf
+    if abs(top) > 3500:
+        raise ValueError(f"binary exponent {top} out of range")
+    # to_digits_exp(x, dps + 3)
+    bitprec = int((dps + 3) * math.log(10, 2)) + 10
+    fixprec = max(bitprec - top, 0)
+    fixdps = int(fixprec / math.log(10, 2) + 0.5)
+    shift = fixprec - W
+    fixed = n << shift if shift >= 0 else n >> -shift
+    digits = _decimal(fixed * 10**fixdps >> fixprec)
+    exponent = len(digits) - fixdps - 1
+    # to_str: round on digit dps, then place the point
+    if len(digits) > dps and digits[dps] in "56789":
+        digits = str(int(digits[:dps]) + 1)
+        if len(digits) > dps:  # carried through nines into 10^dps
+            digits = digits[:dps]
+            exponent += 1
+    else:
+        digits = digits[:dps]
+    if min(-(dps // 3), -5) < exponent < dps:
+        if exponent < 0:
+            digits = "0" * -exponent + digits
+            split = 1
+        else:
+            split = exponent + 1
+            if split > dps:
+                digits += "0" * (split - dps)
+        exponent = 0
+    else:
+        split = 1
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if digits[-1] == ".":
+        digits += "0"
+    if exponent == 0:
+        return sign + digits
+    return f"{sign}{digits}e{exponent:+d}"
+
+
+def _decimal(n: int) -> str:
+    """str(n) for n >= 0, split in halves past CPython's limit on the
+    digits of an int -> str conversion."""
+    if n.bit_length() < 13000:
+        return str(n)
+    half = n.bit_length() * 3 // 20  # about half the decimal digits
+    hi, lo = divmod(n, 10**half)
+    return _decimal(hi) + _decimal(lo).rjust(half, "0")
 
 
 def period_polynomial_numeric(f: QExpansion, prec_bits: int = 128) -> list:
@@ -329,6 +466,7 @@ def period_polynomial_numeric(f: QExpansion, prec_bits: int = 128) -> list:
     w = k - 2
     lam = lambda_numeric(f, prec_bits)
     with mp.workprec(prec_bits + 48):
+        lam = [_mpq(v) for v in lam]
         coeffs = []
         for j in range(w + 1):
             n = w - j

@@ -89,7 +89,7 @@ def test_criterion_5_numeric_cross_validation():
             lam = modforms.lambda_numeric(f, 128)
             for s in range(1, k):
                 defect = abs(lam[s - 1] - sign * lam[k - s - 1])
-                ok = ok and defect < mpf(2) ** -100
+                ok = ok and defect < Fraction(1, 2**100)
         for k in (12, 16):
             coeffs = modforms.period_polynomial_numeric(modforms.eigenform(k), 128)
             exact = periods.odd_period_polynomial(k)

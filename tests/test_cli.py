@@ -293,8 +293,9 @@ class TestLazyImports:
         assert {m for m in loaded if m.startswith("zetapoly.")} == {
             f"zetapoly.{m}" for m in ("cli",) + modules
         }
-        # lfun's L-values are numeric; report's roots are refined in integers
-        assert ("mpmath" in loaded) == (command == "lfun")
+        # lfun sums its L-values in integers and prints them by an integer
+        # port of mpmath's formatter; report refines its roots in integers
+        assert "mpmath" not in loaded
         # the value classes are plain slotted records: no command pays for
         # dataclasses and the inspect machinery it imports
         assert "dataclasses" not in loaded

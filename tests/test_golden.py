@@ -1,7 +1,8 @@
 """Byte identity of CLI output: sha256 of stdout, recorded before the
 moment-series L-values replaced the per-s incomplete-gamma series (the
 1024-, 2048- and 4096-bit `lfun` digests: before the q-series truncation
-was solved in closed form), and
+was solved in closed form; the 256- and 384-bit ones: while the L-values
+were still summed and printed by mpmath), and
 sha256 of every file `report` writes, recorded when `report` began to take
 its roots from the critical-line witness and list them in ascending
 imaginary part.  The roots files hold doubles, so `report` writes the same
@@ -57,6 +58,18 @@ GOLDEN = {
     ("lfun", 26, 1024): "201d5922b5d7f36e23d5ec5d4376a8ea4081188ed2d0562752ea0e9d1fefa677",
     ("lfun", 26, 2048): "7e064b73780a90314577b4406cd42730eb72b478457a3ce4fd5abe8d69198ba3",
     ("lfun", 26, 4096): "381d50f85f1021524244c2dbbee38f20e520073bedfbee3cf3d6a2df799e9a02",
+    ("lfun", 12, 256): "fa4dc6ebffa521cef4119e8f0e7f2937bd89db7d06221cc7ad300de68a07afb6",
+    ("lfun", 12, 384): "0d8f8703c12f34317e76da352f97288b5aea92b93c3c3f742e870897ec8ef011",
+    ("lfun", 16, 256): "8bc3f8a79dc5a22666f0b3213402433116bac079f8fc9a58377c63cdf30bce15",
+    ("lfun", 16, 384): "f64915ce5c6f65860c916a5b6d2cc511021d2b851fc84a7e74335ecc9daca7ad",
+    ("lfun", 18, 256): "ee2478fd23b27a33b8615c6ac41aee6dcb2234c4f7398b6c6aaa4c0c6841c7f0",
+    ("lfun", 18, 384): "ae44ec83b1650bd561ea98e2a5c486a11f8ab1fc99cfb19fc8f05573fadbe4ca",
+    ("lfun", 20, 256): "bc6c7557391cf2f3ce6cab428fa4e71bd9090a79b2c922a56cba45c84b62daca",
+    ("lfun", 20, 384): "8515c2ca6d9ad85cd7e4e3e4b2b0a8e088d99104c6ff4185d3b3b1bacac9102b",
+    ("lfun", 22, 256): "c0522cb90771626d12c521b7616cecc91121d0cad3ded32de00fd4bdeeae8943",
+    ("lfun", 22, 384): "92ee022bc9f5468d40b3ee7da35dd13bdd4537453f8dddb4d6d1d4fbbb1be435",
+    ("lfun", 26, 256): "bbbae55f14241f0bb20b40b6157d1ab83ffda5aa2f5abcb37b539cc096842350",
+    ("lfun", 26, 384): "acbb5966d5481b72fc4378510c3a19e813f33ccea374ac5aded394fd5ac041fd",
     ("periods", 12, None): "b53dd84b5f06436ca30d5975e24ae84385e76cfad698c6ecd52c33a67c4672e0",
     ("periods", 16, None): "d01f64e8caf25b247c2e56725b1d92b17a11e5d801d1a2f9ad8c783c3140b6e8",
     ("periods", 18, None): "f801dc2eebe537319bb8bac6f5a0b74a719689ac2babc3027530157f497620cf",

@@ -5,7 +5,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from mpmath import mp, mpf, mpc
+from hypothesis import given, settings, strategies as st
+from mpmath import ldexp, mp, mpf, mpc
+from mpmath.libmp import from_man_exp, prec_to_dps, to_str
 
 from zetapoly import modforms
 from zetapoly.modforms import (
@@ -142,11 +144,10 @@ class TestEigenform:
 class TestLambda:
     def test_functional_equation_delta(self):
         f = eigenform(12)
-        with mp.workprec(160):
-            lam = lambda_numeric(f)
-            l5 = lam[4]
-            l7 = lam[6]
-            assert abs(l5 - l7) < mpf(2) ** -120
+        lam = lambda_numeric(f)
+        l5 = lam[4]
+        l7 = lam[6]
+        assert abs(l5 - l7) < Fraction(1, 2**120)
 
     def test_positivity_and_quadrature_oracle(self):
         f = eigenform(12)
@@ -163,26 +164,25 @@ class TestLambda:
                 ) * y**5
 
             oracle = mp.quad(integrand, [1, 3, 12])
+            val = mpf(val.numerator) / val.denominator
             assert abs(val - oracle) / val < mpf("1e-9")
 
     def test_edge_points_equal(self):
         f = eigenform(12)
-        with mp.workprec(160):
-            lam = lambda_numeric(f)
-            l1 = lam[0]
-            l11 = lam[10]
-            assert abs(l1 - l11) < mpf(2) ** -120
+        lam = lambda_numeric(f)
+        l1 = lam[0]
+        l11 = lam[10]
+        assert abs(l1 - l11) < Fraction(1, 2**120)
 
     @pytest.mark.parametrize("k", modforms.ONE_DIM_WEIGHTS)
     def test_functional_equation_all_weights(self, k):
         f = eigenform(k)
         sign = (-1) ** (k // 2)
-        with mp.workprec(160):
-            lam = lambda_numeric(f)
-            for s in range(1, k):
-                ls = lam[s - 1]
-                lks = lam[k - s - 1]
-                assert abs(ls - sign * lks) < mpf(2) ** -120
+        lam = lambda_numeric(f)
+        for s in range(1, k):
+            ls = lam[s - 1]
+            lks = lam[k - s - 1]
+            assert abs(ls - sign * lks) < Fraction(1, 2**120)
 
 
 class TestLambdaMomentForm:
@@ -204,11 +204,84 @@ class TestLambdaMomentForm:
                     )
                     for n, x in enumerate(xs, start=1)
                 )
-                assert abs(lam[s - 1] - direct) <= abs(direct) * mpf(2) ** -(bits - 8)
+                value = mpf(lam[s - 1].numerator) / lam[s - 1].denominator
+                assert abs(value - direct) <= abs(direct) * mpf(2) ** -(bits - 8)
 
     def test_short_expansion_raises(self):
         with pytest.raises(PrecisionError):
             lambda_numeric(eigenform(26, 64), 512)
+
+
+class TestFixedPointConstants:
+    # every W to 256, then a stride to 5000; mpmath at W + 64 bits is the oracle
+    WIDTHS = list(range(1, 257)) + list(range(257, 5001, 17)) + [5000]
+
+    def test_pi_within_two_units(self):
+        for W in self.WIDTHS:
+            with mp.workprec(W + 64):
+                assert abs(mpf(modforms._pi_fixed(W)) - ldexp(mp.pi, W)) < 2, W
+
+    def test_exp_neg_twopi_within_one_unit(self):
+        for W in self.WIDTHS:
+            with mp.workprec(W + 64):
+                exact = ldexp(mp.exp(-2 * mp.pi), W)
+                assert abs(mpf(modforms._exp_neg_twopi(W)) - exact) < mpf("1.01"), W
+
+
+def dyadic(n, W):
+    """n / 2^W as the Fraction lambda_numeric returns; W <= 0 is an integer."""
+    return Fraction(n, 2**W) if W >= 0 else Fraction(n << -W)
+
+
+def mpmath_str(n, W, prec_bits):
+    return to_str(from_man_exp(n, -W), prec_to_dps(prec_bits))
+
+
+# (n, W, prec_bits), each built to break a naive port of to_str; at 53 bits
+# dps = 15 and the fixed window is -5 < exponent < 15, at 128 bits dps = 38
+# and it is -12 < exponent < 38
+FORMAT_EDGES = {
+    "zero": (0, 10, 128),
+    "nines carry to 1": (2**80 - 1, 80, 53),
+    "nines carry out of the window": ((10**15 << 10) - 1, 10, 53),
+    "nines carry into the window": ((1 << 200) // 10**4, 200, 53),
+    "half rounds up": (1, 3, 10),
+    "low end inside": ((3 << 200) // (2 * 10**4), 200, 53),
+    "low end outside": ((3 << 200) // (2 * 10**5), 200, 53),
+    "high end inside": (15 * 10**13, 0, 53),
+    "high end outside": (15 * 10**14, 0, 53),
+    "low end inside, dps 38": ((3 << 200) // (2 * 10**11), 200, 128),
+    "low end outside, dps 38": ((3 << 200) // (2 * 10**12), 200, 128),
+    "high end inside, dps 38": (15 * 10**36, 0, 128),
+    "high end outside, dps 38": (15 * 10**37, 0, 128),
+    "negative": (-((3 << 200) // (2 * 10**5)), 200, 53),
+    "negative carry": (1 - 2**80, 80, 53),
+    "negative fixed": (-(15 * 10**13), 0, 53),
+    "W = 0": (3, 0, 53),
+    "W < 0": (7, -100, 53),
+    "W < 0, past fixprec": (2**200 + 1, -100, 53),
+    "one bit": (5, 3, 1),
+    "over 4300 digits": (3**9000, 14000, 15000),
+}
+
+
+class TestMpfStr:
+    @pytest.mark.parametrize("n, W, bits", FORMAT_EDGES.values(), ids=list(FORMAT_EDGES))
+    def test_edge_cases_match_mpmath(self, n, W, bits):
+        assert modforms._mpf_str(dyadic(n, W), bits) == mpmath_str(n, W, bits)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        st.integers(-(2**400), 2**400), st.integers(-300, 700), st.integers(1, 1200)
+    )
+    def test_matches_mpmath(self, n, W, bits):
+        assert modforms._mpf_str(dyadic(n, W), bits) == mpmath_str(n, W, bits)
+
+    def test_rejects_what_it_does_not_port(self):
+        with pytest.raises(ValueError):
+            modforms._mpf_str(Fraction(1, 3), 53)
+        with pytest.raises(ValueError):
+            modforms._mpf_str(Fraction(1, 2**4000), 53)
 
 
 class TestProvenTruncation:
@@ -232,7 +305,8 @@ class TestProvenTruncation:
 
     @pytest.mark.parametrize("k", modforms.ONE_DIM_WEIGHTS)
     def test_rounding_scale(self, k):
-        # step 6 of _terms_needed: T = max_s T_s + T_(k-s) < 2^14, where
+        # the sums of step 3 of _terms_needed with |a_n| at its bound:
+        # T = max_s T_s + T_(k-s) < 2^14, where
         # T_s = sum_n 2 n^(k/2) Gamma(s, x_n) / x_n^s (terms past n = 30 are below 2^-200)
         with mp.workprec(64):
             xs = [2 * mp.pi * n for n in range(1, 31)]
@@ -257,7 +331,8 @@ class TestProvenTruncation:
                 for s in range(1, k)
             ]
             for s in range(1, k):
-                assert abs(lam[s - 1] - (P[s] + sign * P[k - s])) <= mpf(2) ** -(bits + 15)
+                value = mpf(lam[s - 1].numerator) / lam[s - 1].denominator
+                assert abs(value - (P[s] + sign * P[k - s])) <= mpf(2) ** -(bits + 15)
 
     @pytest.mark.parametrize("k, bits", GRID)
     def test_n_terms_within_bound_of_direct_sum(self, k, bits):
