@@ -416,9 +416,13 @@ def _mpf_str(x: Fraction, prec_bits: int) -> str:
     exponent = len(digits) - fixdps - 1
     # to_str: round on digit dps, then place the point
     if len(digits) > dps and digits[dps] in "56789":
-        digits = str(int(digits[:dps]) + 1)
-        if len(digits) > dps:  # carried through nines into 10^dps
-            digits = digits[:dps]
+        i = dps - 1  # carry on the string: no int <-> str past 4300 digits
+        while i >= 0 and digits[i] == "9":
+            i -= 1
+        if i >= 0:
+            digits = digits[:i] + str(int(digits[i]) + 1) + "0" * (dps - i - 1)
+        else:  # carried through nines into 10^dps
+            digits = "1" + "0" * (dps - 1)
             exponent += 1
     else:
         digits = digits[:dps]

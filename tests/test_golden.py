@@ -1,8 +1,9 @@
 """Byte identity of CLI output: sha256 of stdout, recorded before the
 moment-series L-values replaced the per-s incomplete-gamma series (the
 1024-, 2048- and 4096-bit `lfun` digests: before the q-series truncation
-was solved in closed form; the 256- and 384-bit ones: while the L-values
-were still summed and printed by mpmath), and
+was solved in closed form; the 256-, 384- and 15000-bit ones: while the
+L-values were still summed and printed by mpmath; at 15000 bits each value
+has 4514 digits, past CPython's 4300-digit int <-> str limit), and
 sha256 of every file `report` writes, recorded when `report` began to take
 its roots from the critical-line witness and list them in ascending
 imaginary part.  The roots files hold doubles, so `report` writes the same
@@ -70,6 +71,7 @@ GOLDEN = {
     ("lfun", 22, 384): "92ee022bc9f5468d40b3ee7da35dd13bdd4537453f8dddb4d6d1d4fbbb1be435",
     ("lfun", 26, 256): "bbbae55f14241f0bb20b40b6157d1ab83ffda5aa2f5abcb37b539cc096842350",
     ("lfun", 26, 384): "acbb5966d5481b72fc4378510c3a19e813f33ccea374ac5aded394fd5ac041fd",
+    ("lfun", 12, 15000): "f2e58e42983c1f150baa1518f46287f5eaca07688e1417c4a635194d80dbca87",
     ("periods", 12, None): "b53dd84b5f06436ca30d5975e24ae84385e76cfad698c6ecd52c33a67c4672e0",
     ("periods", 16, None): "d01f64e8caf25b247c2e56725b1d92b17a11e5d801d1a2f9ad8c783c3140b6e8",
     ("periods", 18, None): "f801dc2eebe537319bb8bac6f5a0b74a719689ac2babc3027530157f497620cf",

@@ -262,6 +262,10 @@ FORMAT_EDGES = {
     "W < 0, past fixprec": (2**200 + 1, -100, 53),
     "one bit": (5, 3, 1),
     "over 4300 digits": (3**9000, 14000, 15000),
+    # at 15000 bits dps = 4514, past CPython's 4300-digit int <-> str limit
+    "over 4300 digits, rounds up": (((10**4514 + 7) << 16000) // 10**4514, 16000, 15000),
+    "over 4300 digits, nines carry": (((13 * 10**4514 - 30) << 16000) // 10**4515, 16000, 15000),
+    "over 4300 digits, nines carry to 10": ((10 << 16000) - 1, 16000, 15000),
 }
 
 
