@@ -1,6 +1,7 @@
 """Exact zeta polynomials from period polynomials of level-one cusp forms,
-with Sturm-sequence certification of their zero loci, and a truncated
-Habiro-ring engine for the toric and Chebyshev Frobenius-lift structures.
+with certificates of their zero loci by Descartes root isolation in
+integers, and a truncated Habiro-ring engine for the toric and Chebyshev
+Frobenius-lift structures.
 
 The exported names are resolved on first use (PEP 562), so ``import
 zetapoly`` loads no submodule and each command loads only what it runs.

@@ -15,8 +15,8 @@ from pathlib import Path
 from .exactcore import ONE_DIM_WEIGHTS as WEIGHTS
 
 # Each command imports the modules it runs inside its body, so a job loads
-# only those.  mpmath loads only where `report` seeds a root layer that
-# doubles cannot carry.
+# only those.  No command loads mpmath or cmath: `report` refines its roots in
+# integers from the intervals of the critical-line certificate.
 
 
 def weight_stages(k: int):
@@ -126,9 +126,7 @@ def cmd_report(args) -> int:
                     any_failed = True
                 if record.Q.degree > 0:
                     try:
-                        roots = critical_line_roots(
-                            line.layers, record.critical_line, args.prec_bits, line.offset
-                        )
+                        roots = critical_line_roots(line, record.critical_line, args.prec_bits)
                     except RuntimeError as exc:
                         raise RuntimeError(f"weight {k}, d {d}: {exc}") from exc
                     roots_payload = {
@@ -160,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zetapoly",
         description="Exact zeta polynomials from cusp-form period polynomials, "
-        "with Sturm certification and a truncated Habiro-ring engine.",
+        "with exact zero-locus certificates and a truncated Habiro-ring engine.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,12 +1,16 @@
-"""Exact Sturm-sequence certificates for unit-circle and critical-line zero
-claims, the critical-line roots in integers, and roots_numeric, a complex
-solver in mpmath.  mpmath and cmath load only in the functions that use them.
+"""Exact certificates for unit-circle and critical-line zero claims, the
+critical-line roots refined in integers from the intervals that certified
+them, and roots_numeric, a complex solver in mpmath.  mpmath and cmath load
+only in roots_numeric.
 
 Both certificates are one count.  The zeros of R(u) = u^offset A(u^2) lie on
-the line Re u = 0 iff every root of A is real and <= 0, and A is counted by
-the Sturm chains of its squarefree layers (_parity_layers).  For the critical
-line Re x = c, R(u) = Q(c + u); for the unit circle, R is the Cayley
-transform (1-u)^e U((1+u)/(1-u)), which takes the circle onto that line.
+the line Re u = 0 iff every root of A is real and <= 0.  A is peeled into
+squarefree layers (_parity_layers), and the negative roots of each layer are
+isolated once, in integers, by Descartes' rule of signs (_isolate); the count
+is the number of isolating intervals.  For the critical line Re x = c,
+R(u) = Q(c + u); for the unit circle, R is the Cayley transform
+(1-u)^e U((1+u)/(1-u)), which takes the circle onto that line.  sturm_count
+is an independent count by Sturm chains.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import List, Optional
 
-from .exactcore import RatPoly, _poly, _Record
+from .exactcore import RatPoly, _linear_compose, _poly, _Record
 
 
 class SymmetryError(ValueError):
@@ -30,13 +34,14 @@ class RootConvergenceError(RuntimeError):
 
 class Certificate(_Record):
     """A "unit_circle" or "critical_line" verdict.  Not in the JSON, ==, hash
-    or repr: the squarefree layers of the A that the count peeled, and the
+    or repr: the squarefree layers of the A that the count peeled, the
     offset with R(u) = u^offset A(u^2), for R = Q(c + u) on the critical line
-    and the Cayley transform of U (offset 0) on the unit circle."""
+    and the Cayley transform of U (offset 0) on the unit circle, and for each
+    layer the isolating intervals of its negative roots (_isolate)."""
 
-    __slots__ = ("kind", "passed", "counted_roots", "expected_roots", "witness", "layers", "offset")
-    _defaults = ((), 0)
-    _hidden = ("layers", "offset")
+    _hidden = ("layers", "offset", "intervals")
+    __slots__ = ("kind", "passed", "counted_roots", "expected_roots", "witness") + _hidden
+    _defaults = ((), 0, ())
 
     def to_json_dict(self) -> dict:
         return {
@@ -48,21 +53,10 @@ class Certificate(_Record):
         }
 
 
-def _sign_at(q: RatPoly, x: Optional[Fraction], end: int) -> int:
-    """Sign of q at x, or at -inf/+inf when x is None (end = -1 or +1)."""
-    if q.is_zero():
-        return 0
-    if x is None:
-        s = 1 if q.num[-1] > 0 else -1
-        if end < 0 and q.degree % 2 == 1:
-            s = -s
-        return s
-    v = q(Fraction(x))
-    return (v > 0) - (v < 0)
-
-
-def _variations(chain: list, x: Optional[Fraction], end: int) -> int:
-    signs = [s for s in (_sign_at(q, x, end) for q in chain) if s != 0]
+def _variations(values) -> int:
+    """Sign changes along values, zeros skipped: Sturm chain values at a
+    point, or coefficients under Descartes' rule of signs."""
+    signs = [v > 0 for v in values if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -71,22 +65,20 @@ def sturm_count(p: RatPoly, a: Optional[Fraction], b: Optional[Fraction]) -> int
     if a is not None and b is not None and a > b:
         raise ValueError(f"reversed interval: a = {a} > b = {b}")
     sf = p.squarefree_part()  # raises ValueError on the zero polynomial
-    return _sturm_count_squarefree(sf, a, b)
-
-
-def _sturm_count_squarefree(sf: RatPoly, a: Optional[Fraction], b: Optional[Fraction]) -> int:
-    """sturm_count for an sf already known to be squarefree."""
     if sf.degree == 0:
         return 0
     # Sturm chain: squarefree part, derivative, then negated remainders
     chain = [sf, sf.derivative()]
     while chain[-1].degree > 0:
         chain.append(-(chain[-2] % chain[-1]))
-    return _variations(chain, a, -1) - _variations(chain, b, +1)
+    # the chain at a and at b; at -inf / +inf each q has the sign of its top term there
+    at = [[q.num[-1] * end**q.degree if x is None else q(x) for q in chain] for x, end in ((a, -1), (b, 1))]
+    return _variations(at[0]) - _variations(at[1])
 
 
 def _parity_layers(R: RatPoly, offset: int, claim: str):
-    """A with R(u) = u^offset A(u^2), and the squarefree layers of A: layer j
+    """A with R(u) = u^offset A(u^2), the squarefree layers of A, and the
+    isolating intervals of each layer's negative roots (_isolate).  Layer j
     holds, once each, the roots of multiplicity >= j, so a root lies in as
     many layers as its multiplicity.  Raises SymmetryError(claim) when R has
     a term of the other parity, i.e. R(-u) != (-1)^offset R(u)."""
@@ -102,7 +94,57 @@ def _parity_layers(R: RatPoly, offset: int, claim: str):
     while B.degree > 0:
         layers.append(B.squarefree_part())
         B = B // layers[-1]
-    return A, tuple(layers)
+    return A, tuple(layers), tuple(map(_isolate, layers))
+
+
+_X_PLUS_1 = RatPoly((1, 1))
+
+
+def _flips(P) -> int:
+    """Descartes' bound on the roots of P in (0, 1): the sign variations of
+    (1+y)^n P(1/(1+y)), exact when 0 or 1."""
+    return _variations(_linear_compose(P[::-1], 1, _X_PLUS_1).num)
+
+
+def _isolate(S: RatPoly) -> tuple:
+    """The negative roots of the squarefree S, each as a pair (lo, hi) of
+    dyadic Fractions, ascending: S has exactly one root in the open interval
+    (lo, hi), or the root lo = hi.  A root 0 is left out: it stays on the
+    left end of the nodes that reach it.
+
+    Descartes' rule of signs with bisection, in integers (Collins and Akritas
+    1976; Rouillier and Zimmermann 2004).  The roots x = -v of S(-x) lie in
+    (0, 2^k) by Fujiwara's bound, so T(y) = S(-2^k y), times a power of 2,
+    has them in (0, 1).  The node (i, j, P, flips) stands for the interval
+    (i, i + 1) / 2^j and holds P(y), a multiple of T((y + i) / 2^j) with the
+    same roots in (0, 1).  A node with two or more flips is split into
+    2^n P(y/2) and that shifted by 1, each an integer Taylor shift; a root
+    on the split point is recorded and divided out.  The halves' flips and
+    that root add up to at most the node's (subadditivity; Eigenwillig,
+    Sharma and Yap 2006), so when the left half keeps every flip the right
+    half is not made.  Termination needs S squarefree.
+    """
+    b = [-c if i % 2 else c for i, c in enumerate(S.num)]
+    n, top = len(b) - 1, abs(b[-1]).bit_length()
+    # |b_i / b_n|^(1/(n-i)) < 2^ceil((bits(b_i) - top + 1) / (n - i)); Fujiwara: |x| < 2 max
+    k = 1 + max((-((top - abs(c).bit_length() - 1) // (n - i)) for i, c in enumerate(b[:-1]) if c), default=0)
+    T = [c << (k * i - min(k, 0) * n) for i, c in enumerate(b)]
+    found, todo = [], [(0, 0, T, _flips(T))]
+    while todo:
+        i, j, P, flips = todo.pop()
+        if flips == 1:
+            w = Fraction(2) ** (k - j)  # the width of the node
+            found.append((-(i + 1) * w, -i * w))
+        elif flips > 1:
+            left = [c << (len(P) - 1 - d) for d, c in enumerate(P)]
+            todo.append((2 * i, j + 1, left, _flips(left)))
+            if todo[-1][3] < flips:  # else the right half holds no root
+                right = list(_linear_compose(left, 1, _X_PLUS_1).num)
+                if right[0] == 0:
+                    found.append((-(2 * i + 1) * Fraction(2) ** (k - j - 1),) * 2)
+                    del right[0]
+                todo.append((2 * i + 1, j + 1, right, _flips(right)))
+    return tuple(sorted(found))
 
 
 def unit_circle_certify(U: RatPoly) -> Certificate:
@@ -124,9 +166,9 @@ def unit_circle_certify(U: RatPoly) -> Certificate:
         raise ValueError("degree must be even")
     # two integer Taylor shifts and a reversal: z -> 2w - 1, w -> 1/w, w -> 1 - u
     R = U.compose(RatPoly((-1, 2))).reversed_coeffs().compose(RatPoly((1, -1)))
-    _, layers = _parity_layers(R, 0, "U must be self-inversive: U(1/z) z^e == U(z)")
+    _, layers, intervals = _parity_layers(R, 0, "U must be self-inversive: U(1/z) z^e == U(z)")
     # the roots of A in (-inf, 0), by multiplicity: a root 0 is U(1) = 0
-    count = sum(_sturm_count_squarefree(S, None, 0) - (S.num[0] == 0) for S in layers)
+    count = sum(map(len, intervals))
     return Certificate(
         kind="unit_circle",
         passed=count == e // 2,
@@ -134,6 +176,7 @@ def unit_circle_certify(U: RatPoly) -> Certificate:
         expected_roots=e // 2,
         witness=f"V(t), deg {e // 2}" if e else "constant, trivially certified",
         layers=layers,
+        intervals=intervals,
     )
 
 
@@ -150,11 +193,11 @@ def critical_line_certify(Q: RatPoly, c: Fraction, sign: int) -> Certificate:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     offset = 0 if sign == 1 else 1
-    A, layers = _parity_layers(
+    A, layers, intervals = _parity_layers(
         Q.compose(RatPoly((c, 1))), offset, f"Q(2c - x) != {sign:+d} Q(x) at c = {c}"
     )
-    # A's roots, each counted once per layer it lies in, i.e. by multiplicity
-    counted = 2 * sum(_sturm_count_squarefree(S, None, 0) for S in layers) + offset
+    # A's roots in (-inf, 0], each counted once per layer it lies in, i.e. by multiplicity
+    counted = 2 * sum(len(iv) + (S.num[0] == 0) for S, iv in zip(layers, intervals)) + offset
     return Certificate(
         kind="critical_line",
         passed=counted == Q.degree,
@@ -163,6 +206,7 @@ def critical_line_certify(Q: RatPoly, c: Fraction, sign: int) -> Certificate:
         witness=f"A(v), deg {A.degree}" if A.degree > 0 else "A constant, trivially certified",
         layers=layers,
         offset=offset,
+        intervals=intervals,
     )
 
 
@@ -305,91 +349,70 @@ def _scaled(a, n: int, s: int) -> int:
     return acc
 
 
-def _nstr(n: int, s: int) -> str:
-    """n / 2^s to 12 significant digits, as mpmath's nstr(x, 12) writes it
-    (past double range cut, not rounded; subnormal doubles keep fewer)."""
-    try:
-        mant, _, exp = f"{n / (1 << s):.12g}".partition("e")
-    except OverflowError:
-        digits = str(abs(n) >> s)
-        mant, exp = "-" * (n < 0) + digits[0] + "." + (digits[1:12].rstrip("0") or "0"), len(digits) - 1
-    return (mant if "." in mant else mant + ".0") + (f"e{int(exp):+d}" if exp else "")
+def _negative_roots(cert: Certificate, prec_bits: int):
+    """The roots v <= 0 of the A of cert, layer by layer, as the integers
+    -V >= 0 with V = v 2^F rounded down, F = prec_bits + 64, from the
+    isolating intervals of _isolate.
 
-
-def _real_seeds(a, prec_bits: int) -> List[tuple]:
-    """The real parts of the Aberth roots of the integer polynomial a, as
-    exact ratios (p, q): the sweep in doubles, or, when the doubles cannot
-    carry a, roots_numeric at prec_bits."""
-    pts = _start_points([math.log(abs(c)) if c else None for c in a])
-    # a generator, so that a start circle past double range overflows inside _double_seeds
-    zs = _double_seeds(a, (math.exp(r) * complex(math.cos(t), math.sin(t)) for r, t in pts))
-    if zs is not None:
-        return [z.real.as_integer_ratio() for z in zs]
-    from mpmath.libmp import to_rational
-
-    return [to_rational(z.real._mpf_) for z in roots_numeric(a, prec_bits)]
-
-
-def _negative_roots(S: RatPoly, prec_bits: int) -> List[int]:
-    """The roots v of a squarefree S, each with a witness that it is real and
-    < 0, as the integers V = v 2^F, F = prec_bits + 64; raises RuntimeError
-    when a witness fails.
-
-    Each seed (_real_seeds) is polished by Newton steps, with S and S' exact
-    on the integer multiple of S, until a step is at most 2^-(prec_bits+8)
-    max(1, |v|), then boxed in (v - h, min(v + h, 0)), h = 2^-(prec_bits+4)
-    max(1, |v|).  S must change sign across every box; deg S pairwise
-    disjoint boxes then hold all deg S roots of S.
+    Each root is refined in its interval from the midpoint by Newton steps on
+    the integer multiple of its layer S at the scale 2^s, with S and S'
+    exact.  Every point reached narrows a bracket (lo, hi) around the root,
+    and a step that would leave it is replaced by a bisection.  The precision
+    p runs 64, 128, ... up to prec_bits, each at the scale of the next,
+    s = min(2p, prec_bits) + 64, or finer where the interval's ends need it;
+    it stops once a Newton step is at most 2^-(p+8) max(1, |v|), lands on
+    the root, or the bracket is one unit wide.  The root is then boxed in
+    (v - h, v + h), h = 2^-(prec_bits+4) max(1, |v|), cut to the bracket: S
+    must change sign across the box, or RuntimeError is raised.  An exact
+    root (lo = hi) passes as it is.
     """
-    F = prec_bits + 64
-    a = S.primitive_integer().coeffs
-    roots = [0] * (a[0] == 0)  # a squarefree layer has 0 as a root at most once
-    a = a[len(roots) :]
-    if len(a) <= 1:
-        return roots
-    da = [i * c for i, c in enumerate(a)][1:]
-    boxes = []
-    for p, q in _real_seeds(a, prec_bits):
-        V = (p << F) // q
-        for _ in range(64):  # a few steps from a double seed; the cap stops a divergent one
-            dv = _scaled(da, V, F)
-            if dv == 0:
-                break
-            step = _scaled(a, V, F) // dv  # (S / S')(v) 2^F
-            V -= step
-            if abs(step) << (prec_bits + 8) <= max(1 << F, abs(V)):
-                break
-        h = max(1 << F, abs(V)) >> (prec_bits + 4)
-        lo, hi = V - h, min(V + h, 0)
-        if not (lo < hi and _scaled(a, lo, F) * _scaled(a, hi, F) < 0):
-            raise RuntimeError(f"sign test fails: A has no certified negative root near {_nstr(V, F)}")
-        boxes.append((lo, hi, V))
-    boxes.sort()
-    for (_, hi, v), (lo, _, w) in zip(boxes, boxes[1:]):
-        if hi >= lo:
-            raise RuntimeError(
-                f"sign test fails: boxes around roots {_nstr(v, F)} and {_nstr(w, F)} of A overlap"
-            )
-    return roots + [V for _, _, V in boxes]
+    for S, intervals in zip(cert.layers, cert.intervals):
+        a = S.primitive_integer().num
+        da = [i * c for i, c in enumerate(a)][1:]
+        yield from [0] * (a[0] == 0)  # a squarefree layer has 0 as a root at most once
+        for ends in intervals:
+            s = max(min(128, prec_bits) + 64, max(x.denominator for x in ends).bit_length() - 1)
+            lo, hi = (x.numerator * (1 << s) // x.denominator for x in ends)
+            slo = _scaled(a, lo, s) or _scaled(da, lo, s)  # the sign of S just right of lo
+            V, p = (lo + hi) // 2, 0
+            while p < prec_bits:
+                p = min(max(2 * p, 64), prec_bits)
+                up = max(min(2 * p, prec_bits) + 64 - s, 0)
+                s, V, lo, hi = s + up, V << up, lo << up, hi << up
+                while hi - lo > 1 and (fv := _scaled(a, V, s)):
+                    lo, hi = (V, hi) if (fv > 0) == (slo > 0) else (lo, V)
+                    dv = _scaled(da, V, s)
+                    step = fv // dv if dv else hi - lo  # (S / S')(v) 2^s; S' = 0 forces a bisection
+                    if lo <= V - step <= hi and abs(step) << (p + 8) <= max(1 << s, abs(V - step)):
+                        V -= step
+                        break
+                    V = V - step if lo < V - step < hi else (lo + hi) // 2
+            h = max(1 << s, abs(V)) >> (prec_bits + 4)
+            blo, bhi = max(V - h, lo), min(V + h, hi)
+            if (blo > lo and _scaled(a, blo, s) * slo <= 0) or (bhi < hi and _scaled(a, bhi, s) * slo >= 0):
+                raise RuntimeError("sign test fails: A keeps its sign near its root in (%s, %s)" % ends)
+            yield -(V >> (s - prec_bits - 64))
 
 
-def critical_line_roots(layers, c, prec_bits: int = 128, offset: int = 0) -> List[tuple]:
-    """All zeros of the Q with Q(c + u) = u^offset A(u^2), as exact pairs
-    (c, +-sqrt(-v)), the square root to prec_bits + 64 fractional bits, over
-    the roots v of A, ascending in imaginary part and repeated by
-    multiplicity.  layers are the squarefree layers of A in the Certificate
-    of critical_line_certify; a root lies in as many as its multiplicity.
+def critical_line_roots(cert: Certificate, c, prec_bits: int = 128) -> List[tuple]:
+    """All zeros of the Q of cert = critical_line_certify(Q, c, sign), with
+    Q(c + u) = u^offset A(u^2), as exact pairs (c, +-sqrt(-v)), the square
+    root to prec_bits + 64 fractional bits, over the roots v of A, ascending
+    in imaginary part and repeated by multiplicity.
 
-    Each layer is solved in integers (_negative_roots), so every root has an
-    integer sign-change witness at about prec_bits.  A failed witness raises
-    RuntimeError; there is no fallback to a complex solve.
+    The roots of each squarefree layer of A are refined in integers
+    (_negative_roots) from the isolating intervals that the certificate
+    counted, so a root lies in as many layers as its multiplicity, and
+    nothing is isolated again.  RuntimeError is raised when the intervals number
+    fewer than deg A, or when a root's sign test fails; there is no fallback
+    to a complex solve.
     """
-    c = Fraction(c)
-    F = prec_bits + 64
-    # v may be just above a root, in (-h, 0)
-    ys = sorted(math.isqrt(max(-V, 0) << F) for S in layers for V in _negative_roots(S, prec_bits))
-    ys = [Fraction(y, 1 << F) for y in ys]
-    return [(c, -y) for y in reversed(ys)] + [(c, Fraction(0))] * offset + [(c, y) for y in ys]
+    found, deg = ((n - cert.offset) // 2 for n in (cert.counted_roots, cert.expected_roots))
+    if found != deg:
+        raise RuntimeError(f"sign test fails: {found} of the deg A = {deg} roots of A are in (-oo, 0]")
+    c, F = Fraction(c), prec_bits + 64
+    ys = [Fraction(math.isqrt(W << F), 1 << F) for W in sorted(_negative_roots(cert, prec_bits))]
+    return [(c, -y) for y in reversed(ys)] + [(c, Fraction(0))] * cert.offset + [(c, y) for y in ys]
 
 
 def roots_json(roots) -> list:

@@ -300,8 +300,19 @@ class TestLazyImports:
         # dataclasses and the inspect machinery it imports
         assert "dataclasses" not in loaded
         assert "inspect" not in loaded
-        if command in ("rv", "certify"):
-            assert "cmath" not in loaded  # only the float roots path needs it
+        if command in ("rv", "certify", "report"):
+            assert "cmath" not in loaded  # only roots_numeric needs it
+
+    def test_roots_past_double_range_load_no_float_solver(self):
+        # A = (v + 10^400)(v + 1) overflows doubles; its roots are still refined in integers
+        script = (
+            "from zetapoly.exactcore import RatPoly\n"
+            "from zetapoly.zerocert import critical_line_certify, critical_line_roots\n"
+            "cert = critical_line_certify(RatPoly((10**400, 0, 10**400 + 1, 0, 1)), 0, 1)\n"
+            "assert len(critical_line_roots(cert, 0, 128)) == 4\n"
+        )
+        loaded = loaded_modules(script)
+        assert "mpmath" not in loaded and "cmath" not in loaded
 
     def test_import_package_loads_no_submodule(self):
         loaded = loaded_modules("import zetapoly")

@@ -1,6 +1,7 @@
-"""Differential tests against sympy: Sturm counts and the two zero-locus
-certificates on polynomials that sympy builds by exact expansion, the
-integer product and division paths of RatPoly, and Habiro residues."""
+"""Differential tests against sympy: Sturm counts, the two zero-locus
+certificates and their root counts on polynomials that sympy builds by
+exact expansion, the integer product and division paths of RatPoly, and
+Habiro residues."""
 
 import random
 import time
@@ -116,6 +117,51 @@ def test_critical_line_fails_with_a_pair_off_the_line(factors, a, b):
     # roots c + a +- ib and c - a +- ib: symmetric about the line, not on it
     expr *= ((u - a) ** 2 + b**2) * ((u + a) ** 2 + b**2)
     assert not critical_line_certify(from_sympy(expr), c, sign).passed
+
+
+@st.composite
+def integer_a(draw):
+    """A random integer A as a sympy Poly: real roots of either sign and 0,
+    and complex pairs -a +- i/sqrt(q), close to the negative axis for a large
+    q; every factor may repeat."""
+    A = sympy.Poly(draw(st.sampled_from((1, -1, 2, -3))), X)
+    for r, m in draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 3)), max_size=3)):
+        A *= sympy.Poly(X + r, X) ** m
+    pairs = st.tuples(st.integers(-6, 6), st.integers(1, 2**64), st.integers(1, 2))
+    for a, q, m in draw(st.lists(pairs, max_size=2)):
+        A *= sympy.Poly(q * (X + a) ** 2 + 1, X) ** m
+    return A
+
+
+def from_poly(poly) -> RatPoly:
+    return RatPoly(Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs()))
+
+
+def roots_at_most_zero(A, zero=True):
+    """The real roots of A in (-oo, 0] (in (-oo, 0) for zero=False), by
+    multiplicity: sympy's root count on each squarefree factor."""
+    return sum(k * (f.count_roots(None, 0) - (not zero and f.eval(0) == 0)) for f, k in A.sqf_list()[1])
+
+
+@SETTINGS
+@given(integer_a(), small_rational, st.integers(0, 1))
+def test_critical_line_count_matches_sympy(A, c, offset):
+    shift = sympy.Poly(X - to_sympy(c), X)
+    Q = from_poly(shift**offset * A.compose(shift**2))  # Q(c + u) = u^offset A(u^2)
+    cert = critical_line_certify(Q, c, (-1) ** offset)
+    assert cert.counted_roots == 2 * roots_at_most_zero(A) + offset
+
+
+@SETTINGS
+@given(integer_a().filter(lambda A: A.eval(1) != 0))
+def test_unit_circle_count_matches_sympy(A):
+    # U(z) = (z + 1)^(2m) A(((z - 1)/(z + 1))^2) has the Cayley transform 4^m A(u^2)
+    m = A.degree()
+    minus, plus = sympy.Poly(X - 1, X), sympy.Poly(X + 1, X)
+    terms = (c * minus ** (2 * i) * plus ** (2 * (m - i)) for i, c in enumerate(reversed(A.all_coeffs())))
+    U = sum(terms, 0 * plus)
+    cert = unit_circle_certify(from_poly(U))
+    assert cert.expected_roots == m and cert.counted_roots == roots_at_most_zero(A, zero=False)
 
 
 # -- integer products and divisions --------------------------------------

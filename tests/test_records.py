@@ -62,7 +62,7 @@ CASES = {
     ),
     "Certificate": (
         certificate_16_d7,
-        ("kind", "passed", "counted_roots", "expected_roots", "witness", "layers", "offset"),
+        ("kind", "passed", "counted_roots", "expected_roots", "witness", "layers", "offset", "intervals"),
         "Certificate(kind='critical_line', passed=True, counted_roots=4,"
         " expected_roots=4, witness='A(v), deg 2')",
     ),

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -351,43 +352,93 @@ def line_product(c, ts, multiplicities=None):
     return Q
 
 
+def line_certificate(A, c):
+    """The critical-line certificate of Q = A((x - c)^2), whose A is A."""
+    return critical_line_certify(A.compose(P(c * c, -2 * c, 1)), c, +1)
+
+
+def assert_matches_polyroots(factors, roots, bits):
+    """roots are those of the product of factors, each within 2^-bits max(1, |y|)
+    of mpmath polyroots at twice the precision, run on each (squarefree) factor."""
+    with mp.workprec(2 * bits):
+        oracle = []
+        for Q in factors:
+            coeffs = [mpf(q.numerator) / q.denominator for q in reversed(Q.coeffs)]
+            oracle += mpmath.polyroots(coeffs, maxsteps=200, extraprec=2 * bits)
+        assert len(roots) == len(oracle) == sum(Q.degree for Q in factors)
+        for z, w in zip(map(to_mpc, roots), sorted(oracle, key=lambda w: w.imag)):
+            assert abs(z - w) <= mpf(2) ** -bits * max(1, abs(w.imag)), (z, w)
+
+
 class TestCriticalLineRoots:
     @pytest.mark.parametrize(
         "A, cause",
         (
-            (P(-2, 1, 1), "A has no certified negative root near 1.0"),  # (v - 1)(v + 2)
-            (P(1, 1, 1), "A has no certified negative root near -0.5"),  # a complex pair
-            # (v + 1)((v + 3/2)^2 + 1/4): Newton takes the pair's seeds to -1
-            (P(5, 11, 8, 2), "boxes around roots -1.0 and -1.0 of A overlap"),
+            (P(-2, 1, 1), "1 of the deg A = 2 roots of A are in (-oo, 0]"),  # (v - 1)(v + 2)
+            (P(1, 1, 1), "0 of the deg A = 2 roots of A are in (-oo, 0]"),  # a complex pair
+            # (v + 1)((v + 3/2)^2 + 1/4): Newton once took the pair's double seeds to -1
+            (P(5, 11, 8, 2), "1 of the deg A = 3 roots of A are in (-oo, 0]"),
         ),
+        ids=("positive-root", "complex-pair", "pair-by-root"),
     )
     def test_sign_test_refuses_a_root_off_the_line(self, A, cause):
+        c = Fraction(-1, 2)
+        cert = line_certificate(A, c)
+        assert not cert.passed
         with pytest.raises(RuntimeError, match=re.escape("sign test fails: " + cause)):
-            critical_line_roots((A,), Fraction(-1, 2), 128)
+            critical_line_roots(cert, c, 128)
+
+    @pytest.mark.parametrize("bits", (128, 1024))
+    @pytest.mark.parametrize(
+        "factors",
+        (
+            (P(77, 1) * P(77 + Fraction(1, 2**20), 1) * P(3, 1) * P(1000, 1),),
+            (P(Fraction(1, 3), 1) * P(Fraction(1, 3) + Fraction(1, 2**60), 1) * P(5, 1),),
+            (P(2, 1) * P(5, 1), P(2, 1)),  # A = (v + 2)^2 (v + 5), in two layers
+            (P(1, 1) * P(2, 1) * P(3, 1),),  # -2 is the midpoint of the first split of (-4, 0)
+        ),
+        ids=("pair-2^-20-apart", "pair-2^-60-apart", "double-root", "root-on-a-split-point"),
+    )
+    def test_inputs_built_to_break_double_seeding(self, factors, bits):
+        # complex doubles once seeded each close pair at one point, and Newton
+        # took both seeds to one root: "boxes ... overlap" on a certified A
+        c = Fraction(-3, 2)
+        A = math.prod(factors, start=RatPoly.one())
+        cert = line_certificate(A, c)
+        assert cert.passed
+        roots = critical_line_roots(cert, c, bits)
+        assert_matches_polyroots([f.compose(P(c * c, -2 * c, 1)) for f in factors], roots, bits)
+
+    def test_root_on_a_split_point_is_exact(self):
+        cert = line_certificate(P(1, 1) * P(2, 1) * P(3, 1), Fraction(0))
+        assert cert.intervals == (((-4, -2), (-2, -2), (-2, 0)),)
+        roots = [complex(*z) for z in critical_line_roots(cert, 0, 128)]
+        assert roots[3:] == [1j, math.sqrt(2) * 1j, math.sqrt(3) * 1j]
 
     def test_repeated_roots_keep_their_multiplicity(self):
         c = Fraction(-3, 2)
         Q = line_product(c, (1, 4), (2, 1))  # ((x-c)^2 + 1)^2 ((x-c)^2 + 4)
         cert = critical_line_certify(Q, c, +1)
         assert cert.passed
-        roots = critical_line_roots(cert.layers, c, 128, cert.offset)
+        roots = critical_line_roots(cert, c, 128)
         assert [complex(*z) for z in roots] == [-1.5 + y * 1j for y in (-2, -1, -1, 1, 1, 2)]
 
     def test_roots_at_c_and_odd_sign(self):
         # x^3 (x^2 + 4): a root 0 of A and, for sign -1, the extra root c
         cert = critical_line_certify(P(0, 0, 0, 4, 0, 1), Fraction(0), -1)
         assert cert.passed and cert.offset == 1
-        roots = critical_line_roots(cert.layers, 0, 128, cert.offset)
+        roots = critical_line_roots(cert, 0, 128)
         assert [complex(*z) for z in roots] == [-2j, 0, 0, 0, 2j]
 
     def test_out_of_double_range_seeds_at_working_precision(self):
-        # A = (v + 10^400)(v + 1): the doubles cannot carry it, the mp sweep seeds it
+        # A = (v + 10^400)(v + 1): complex doubles cannot seed it, and the
+        # integer isolation needs no seeds
         A = P(10**400, 10**400 + 1, 1)
         with mp.workprec(192):
             assert zerocert._double_seeds(zerocert._as_mpc_coeffs(A), [mpc(-1), mpc(-2)]) is None
             big = mpf(10) ** 200
             oracle = [mpc(0, -big), mpc(0, -1), mpc(0, 1), mpc(0, big)]
-            roots = [to_mpc(z) for z in critical_line_roots((A,), 0, 128)]
+            roots = [to_mpc(z) for z in critical_line_roots(line_certificate(A, 0), 0, 128)]
             for z, w in zip(roots, oracle):
                 assert abs(z - w) < abs(w) * mpf(2) ** -100
 
@@ -397,13 +448,7 @@ class TestCriticalLineRoots:
         for k in (16, 18, 20, 22, 26):
             rec = rv_polynomial(cfi_quotient(odd_period_polynomial(k), k).U_poly, k - 9, weight=k)
             cert = critical_line_certify(rec.Q, rec.critical_line, +1)
-            roots = critical_line_roots(cert.layers, rec.critical_line, bits, cert.offset)
-            with mp.workprec(2 * bits):
-                coeffs = [mpf(q.numerator) / q.denominator for q in reversed(rec.Q.coeffs)]
-                oracle = mpmath.polyroots(coeffs, maxsteps=200, extraprec=2 * bits)
-                assert len(roots) == len(oracle) == rec.Q.degree
-                for z, w in zip(map(to_mpc, roots), sorted(oracle, key=lambda w: w.imag)):
-                    assert abs(z - w) <= mpf(2) ** -bits * max(1, abs(w.imag)), (k, z, w)
+            assert_matches_polyroots([rec.Q], critical_line_roots(cert, rec.critical_line, bits), bits)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -417,7 +462,7 @@ class TestCriticalLineRoots:
         Q = line_product(c, ts)
         cert = critical_line_certify(Q, c, +1)
         with mp.workprec(256):
-            roots = [to_mpc(z) for z in critical_line_roots(cert.layers, c, 128, cert.offset)]
+            roots = [to_mpc(z) for z in critical_line_roots(cert, c, 128)]
             coeffs = [mpf(q.numerator) / q.denominator for q in reversed(Q.coeffs)]
             oracle = mpmath.polyroots(coeffs, maxsteps=200, extraprec=256)
             scale = max(1, max(abs(z) for z in oracle))
