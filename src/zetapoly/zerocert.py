@@ -358,10 +358,11 @@ def _negative_roots(cert: Certificate, prec_bits: int):
     the integer multiple of its layer S at the scale 2^s, with S and S'
     exact.  Every point reached narrows a bracket (lo, hi) around the root,
     and a step that would leave it is replaced by a bisection.  The precision
-    p runs 64, 128, ... up to prec_bits, each at the scale of the next,
-    s = min(2p, prec_bits) + 64, or finer where the interval's ends need it;
-    it stops once a Newton step is at most 2^-(p+8) max(1, |v|), lands on
-    the root, or the bracket is one unit wide.  The root is then boxed in
+    p doubles from 64 (or prec_bits, if less) up to prec_bits, each at the
+    scale of the next, s = min(2p, prec_bits) + 64, or finer where the
+    interval's ends need it; it stops once a Newton step is at most
+    2^-(p+8) max(1, |v|), lands on the root, or the bracket is one unit
+    wide.  The root is then boxed in
     (v - h, v + h), h = 2^-(prec_bits+4) max(1, |v|), cut to the bracket: S
     must change sign across the box, or RuntimeError is raised.  An exact
     root (lo = hi) passes as it is.
@@ -403,9 +404,9 @@ def critical_line_roots(cert: Certificate, c, prec_bits: int = 128) -> List[tupl
     The roots of each squarefree layer of A are refined in integers
     (_negative_roots) from the isolating intervals that the certificate
     counted, so a root lies in as many layers as its multiplicity, and
-    nothing is isolated again.  RuntimeError is raised when the intervals number
-    fewer than deg A, or when a root's sign test fails; there is no fallback
-    to a complex solve.
+    nothing is isolated again.  RuntimeError is raised when the intervals
+    number fewer than deg A, or when a root's sign test fails; there is no
+    fallback to a complex solve.
     """
     found, deg = ((n - cert.offset) // 2 for n in (cert.counted_roots, cert.expected_roots))
     if found != deg:
