@@ -415,6 +415,11 @@ class TestCriticalLineRoots:
         roots = [complex(*z) for z in critical_line_roots(cert, 0, 128)]
         assert roots[3:] == [1j, math.sqrt(2) * 1j, math.sqrt(3) * 1j]
 
+    def test_isolates_only_in_the_certificate(self, monkeypatch):
+        cert = line_certificate(P(1, 1) * P(2, 1) * P(3, 1), Fraction(0))
+        monkeypatch.setattr(zerocert, "_isolate", lambda S: pytest.fail("isolated again"))
+        assert len(critical_line_roots(cert, 0, 128)) == 6
+
     def test_repeated_roots_keep_their_multiplicity(self):
         c = Fraction(-3, 2)
         Q = line_product(c, (1, 4), (2, 1))  # ((x-c)^2 + 1)^2 ((x-c)^2 + 4)
