@@ -17,16 +17,20 @@ denominators; a power is square-and-multiply on the numerator by it, over
 den^n.  A division is Knuth's pseudo-division (TAOCP vol. 2, 4.6.1,
 Algorithm R): the dividend's numerator times |lead|^(deg a - deg b + 1),
 with lead the divisor's leading numerator, makes every quotient step an
-exact integer division.  Composition with a constant is evaluation, with a
-linear polynomial one Taylor shift in integers (``_linear_compose``), and
-with any other B / db Horner's scheme on the numerators, one ``_mul`` per
-step, over den db^n.
+exact integer division.  Evaluation is exact only: a polynomial is called at
+an int or Fraction p/q by Horner's scheme in integers, and a float, complex
+or mpmath point raises TypeError, as every other operation does with an
+inexact operand.  Composition with a constant is evaluation, with a linear
+polynomial one Taylor shift in integers (``_linear_compose``), and with any
+other B / db Horner's scheme on the numerators, one ``_mul`` per step, over
+den db^n.
 
 This is the one module every command loads, so it also holds the few names
 that several others share: the supported weights and
 ``UnsupportedWeightError``.  The Chebyshev polynomials ``chebyshev_T``,
 which only ``habiro`` uses, stay here because the package exports them from
-this module.
+this module; each is built from the closed form of the Dickson polynomial
+D_k(r, 1), with no recursion.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
 # weights k with dim S_k = 1 for PSL(2,Z)
@@ -301,10 +305,11 @@ class RatPoly:
         return _poly([i * c for i, c in enumerate(self.num)][1:], self.den)
 
     def compose(self, other: "RatPoly") -> "RatPoly":
-        """Return self(other(z)).  A constant other is evaluated, a linear one
-        is one Taylor shift, and any other B / db goes by Horner in integers,
-        acc <- acc B + num_i db^(n-i), over den db^n: the integer path of
-        __call__ with a polynomial in place of p."""
+        """Return self(other(z)) for a RatPoly, int or Fraction other.  A
+        constant other is evaluated exactly by __call__, a linear one is one
+        Taylor shift, and any other B / db goes by Horner in integers,
+        acc <- acc B + num_i db^(n-i), over den db^n: __call__'s Horner with a
+        polynomial in place of p.  An inexact other raises TypeError."""
         other = other if isinstance(other, RatPoly) else RatPoly((other,))
         if other.degree < 1:
             return RatPoly((self(other[0]),))
@@ -321,20 +326,17 @@ class RatPoly:
         return _poly(acc, self.den * scale)  # scale = db^n
 
     def __call__(self, x):
-        """Evaluate by Horner: exactly at an int or Fraction p/q, in integers
-        as sum_i num_i p^i q^(n-i) over q^n den, and in the numeric type of x
-        for float, complex or mpmath."""
-        if isinstance(x, (int, Fraction)):
-            p, q = x.numerator, x.denominator
-            acc, scale = 0, 1
-            for c in reversed(self.num):
-                acc = acc * p + (c if q == 1 else c * scale)
-                scale *= q
-            return _ratio(acc * q, scale * self.den)  # scale = q^(n+1)
-        result = 0 * x
-        for c in reversed(self.coeffs):
-            result = result * x + _num(c, x)
-        return result
+        """The exact value at an int or Fraction x = p/q, by Horner in
+        integers: sum_i num_i p^i q^(n-i) over q^n den.  Any other x (float,
+        complex, mpmath) raises TypeError, as in every other operation."""
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"inexact point {x!r}; use int or Fraction")
+        p, q = x.numerator, x.denominator
+        acc, scale = 0, 1
+        for c in reversed(self.num):
+            acc = acc * p + (c if q == 1 else c * scale)
+            scale *= q
+        return _ratio(acc * q, scale * self.den)  # scale = q^(n+1)
 
     # -- gcd machinery ------------------------------------------------
 
@@ -537,13 +539,6 @@ def _coerce(v) -> RatPoly:
     return None
 
 
-
-def _num(c, like):
-    # convert an exact rational to the numeric type of `like` without
-    # an intermediate float
-    return (0 * like + c.numerator) / c.denominator
-
-
 def is_self_inversive(p: RatPoly) -> bool:
     """True iff p(1/z) * z^deg(p) == p(z)."""
     return bool(p) and p.num == p.num[::-1]
@@ -551,12 +546,16 @@ def is_self_inversive(p: RatPoly) -> bool:
 
 @lru_cache(maxsize=None)
 def chebyshev_T(k: int) -> RatPoly:
-    """Monic (k >= 1) integer polynomial with T_k(q + 1/q) = q^k + q^(-k):
-    T_0 = 2, T_1 = r, T_{k+1} = r T_k - T_{k-1}."""
+    """The integer polynomial T_k with T_k(q + 1/q) = q^k + q^(-k), monic for
+    k >= 1 and T_0 = 2: the Dickson polynomial D_k(r, 1) in closed form,
+    T_k(r) = sum_(0 <= j <= k/2) (-1)^j (C(k-j, j) + C(k-j-1, j-1)) r^(k-2j),
+    where C(k-j, j) + C(k-j-1, j-1) = k/(k-j) C(k-j, j) (Lidl, Mullen and
+    Turnwald, Dickson Polynomials, 1993).  It solves T_(k+1) = r T_k - T_(k-1)
+    from T_0 = 2 and T_1 = r, with no recursion and no products."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k == 0:
-        return RatPoly((2,))
-    if k == 1:
-        return RatPoly.x()
-    return RatPoly.x() * chebyshev_T(k - 1) - chebyshev_T(k - 2)
+    c = [0] * (k + 1)
+    c[k] = 1 if k else 2
+    for j in range(1, k // 2 + 1):
+        c[k - 2 * j] = (-1) ** j * (comb(k - j, j) + comb(k - j - 1, j - 1))
+    return _poly(c)

@@ -52,15 +52,12 @@ class CycloInt(_Record):
             raise ValueError("non-integer coordinate")
         return cls(conductor=m, coords=red.num)
 
-    def as_poly(self) -> RatPoly:
-        return RatPoly(self.coords)
-
     def involution(self) -> "CycloInt":
         """Image under zeta -> zeta^(-1), i.e. x -> x^(m-1) mod Phi_m."""
         m = self.conductor
         if m == 1:
             return self
-        image = _substitute_power(self.as_poly(), m - 1)
+        image = _substitute_power(RatPoly(self.coords), m - 1)
         return CycloInt.from_poly(m, image)
 
     def to_json_dict(self) -> dict:
@@ -185,11 +182,9 @@ def habiro_r(N: int) -> HabiroTrunc:
 
 
 def habiro_qinv(N: int) -> HabiroTrunc:
-    """q^(-1) = 1 + sum_{n>=1} q^n (q)_n; the inverse property is verified."""
-    acc = RatPoly.one()
-    for n in range(1, N):
-        acc = acc + RatPoly.monomial(n) * qpochhammer(n)
-    out = HabiroTrunc.make(N, acc)
+    """q^(-1) = r - q, Habiro's series 1 + sum_{n>=1} q^n (q)_n read off the
+    series of r; the inverse property q q^(-1) = 1 is verified."""
+    out = habiro_r(N) - habiro_q(N)
     if habiro_q(N) * out != habiro_one(N):
         raise RuntimeError("q * q^(-1) != 1 mod (q)_N")
     return out
@@ -315,13 +310,14 @@ def involution_invariance_check(p: RatPoly, m: int) -> bool:
     return value == value.involution()
 
 
-def fixed_seed_elements(count: int = 20, max_degree: int = 5, seed: int = 20260823):
-    """Deterministic pseudo-random integer polynomials in r for the
-    reproducible congruence batteries."""
-    rng = random.Random(seed)
+def fixed_seed_elements():
+    """Twenty deterministic pseudo-random nonzero integer polynomials in r, of
+    degree 1 to 5 with coefficients in -9..9, for the reproducible
+    congruence batteries."""
+    rng = random.Random(20260823)
     out = []
-    while len(out) < count:
-        deg = rng.randint(1, max_degree)
+    while len(out) < 20:
+        deg = rng.randint(1, 5)
         coeffs = [rng.randint(-9, 9) for _ in range(deg + 1)]
         p = RatPoly(coeffs)
         if not p.is_zero():

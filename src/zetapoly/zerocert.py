@@ -80,8 +80,10 @@ def _parity_layers(R: RatPoly, offset: int, claim: str):
     """A with R(u) = u^offset A(u^2), the squarefree layers of A, and the
     isolating intervals of each layer's negative roots (_isolate).  Layer j
     holds, once each, the roots of multiplicity >= j, so a root lies in as
-    many layers as its multiplicity.  Raises SymmetryError(claim) when R has
-    a term of the other parity, i.e. R(-u) != (-1)^offset R(u)."""
+    many layers as its multiplicity.  From B = A, each step takes the one
+    gcd g = gcd(B, B'), appends the layer B // g and sets B <- g, until B is
+    constant.  Raises SymmetryError(claim) when R has a term of the other
+    parity, i.e. R(-u) != (-1)^offset R(u)."""
     if any(R.num[1 - offset :: 2]):
         raise SymmetryError(claim)
     A = _poly(R.num[offset::2], R.den)
@@ -92,8 +94,9 @@ def _parity_layers(R: RatPoly, offset: int, claim: str):
         raise RuntimeError("even/odd decomposition failed to reconstruct input")
     layers, B = [], A
     while B.degree > 0:
-        layers.append(B.squarefree_part())
-        B = B // layers[-1]
+        g = B.gcd(B.derivative())
+        layers.append(B // g)
+        B = g
     return A, tuple(layers), tuple(map(_isolate, layers))
 
 

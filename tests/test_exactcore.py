@@ -101,9 +101,6 @@ class TestCoefficientConvention:
         assert value == 7 and type(value) is int
         assert type(P(Fraction(1, 2), Fraction(1, 2))(Fraction(1))) is int
 
-    def test_float_point_still_evaluates_numerically(self):
-        assert P(1, 2)(0.5) == 2.0
-
     def test_exact_division_has_no_float(self):
         quot, rem = divmod(P(1, 0, 3), P(0, 2))
         assert quot == P(0, Fraction(3, 2)) and rem == P(1)
@@ -353,8 +350,20 @@ def test_equal_values_hash_equal():
         lambda p: p % "x",
         lambda p: p.compose(1.5),
         lambda p: p.gcd(2.5),
+        lambda p: p(0.5),
+        lambda p: p(0.5 + 1j),
+        lambda p: p(mpf(3)),
     ],
-    ids=["divmod-float", "floordiv-float", "mod-str", "compose-float", "gcd-float"],
+    ids=[
+        "divmod-float",
+        "floordiv-float",
+        "mod-str",
+        "compose-float",
+        "gcd-float",
+        "call-float",
+        "call-complex",
+        "call-mpf",
+    ],
 )
 def test_inexact_operand_raises_type_error(op):
     with pytest.raises(TypeError):

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -149,6 +150,16 @@ class TestHabiroQinv:
     def test_r_identity(self, n):
         assert habiro_r(n) == habiro_q(n) + habiro_qinv(n)
 
+    def test_equals_habiro_series(self):
+        # the series 1 + sum_(1<=n<N) q^n (q)_n, built here with its own
+        # running product, is the oracle for q^(-1) = r - q
+        for N in range(1, 31):
+            series, pochhammer = RatPoly.one(), RatPoly.one()
+            for n in range(1, N):
+                pochhammer = pochhammer * (RatPoly.one() - RatPoly.monomial(n))
+                series = series + RatPoly.monomial(n) * pochhammer
+            assert habiro_qinv(N) == HabiroTrunc.make(N, series), N
+
 
 class TestEvalAtRoot:
     def test_conductor_1(self):
@@ -182,6 +193,21 @@ class TestChebyshev:
 
     def test_t3(self):
         assert chebyshev_T(3) == P(0, -3, 0, 1)
+
+    def test_closed_form_matches_recurrence(self):
+        # T_(k+1) = r T_k - T_(k-1), run iteratively from T_0 = 2, T_1 = r
+        prev, cur = P(2), RatPoly.x()
+        assert chebyshev_T(0) == prev
+        for k in range(1, 301):
+            assert chebyshev_T(k) == cur, k
+            prev, cur = cur, RatPoly.x() * cur - prev
+
+    def test_large_k_has_no_recursion_limit(self):
+        # k and p well past Python's recursion limit
+        T = chebyshev_T(1200)
+        assert T.degree == 1200 and T[1200] == 1 and T[0] == 2 and T[1] == 0
+        assert psi_chebyshev(RatPoly.x(), 997) == chebyshev_T(997)
+        assert frobenius_congruence_check(1009, RatPoly.x())
 
     def test_defining_q_identity(self):
         # T_k(q + 1/q) = q^k + q^(-k), checked as a Laurent identity cleared by q^k
@@ -453,5 +479,13 @@ class TestBlockedReduction:
             assert habiro._reduce(poly, n) is poly
 
     def test_caches_the_tracer_reads(self):
-        for f in (habiro.cyclotomic_poly, habiro.qpochhammer, habiro.chebyshev_T):
-            assert callable(f.cache_info)
+        # the names come from CACHED in bench/tracer.py, read as source only
+        tree = ast.parse((Path(__file__).parents[1] / "bench" / "tracer.py").read_text())
+        (names,) = [
+            ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["CACHED"]
+        ]
+        assert names
+        for name in names:
+            assert callable(getattr(habiro, name).cache_info), name

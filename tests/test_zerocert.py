@@ -213,6 +213,28 @@ class TestCriticalLineCertify:
         assert critical_line_certify(rec.Q, rec.critical_line, +1).passed
         assert len(calls) == 1
 
+    def test_peels_each_layer_with_one_division(self, monkeypatch):
+        # A = (v + 1)^3 (v + 2)^2 (v + 3): the layers of peeling by
+        # squarefree_part, from one gcd and one exact division per layer
+        A = P(1, 1) ** 3 * P(2, 1) ** 2 * P(3, 1)
+        expected, B = [], A
+        while B.degree > 0:
+            expected.append(B.squarefree_part())
+            B = B // expected[-1]
+        assert expected == [P(6, 11, 6, 1), P(2, 3, 1), P(1, 1)]
+        divisions = []
+        floordiv = RatPoly.__floordiv__
+
+        def counting(self, other):
+            divisions.append(other)
+            return floordiv(self, other)
+
+        monkeypatch.setattr(RatPoly, "__floordiv__", counting)
+        R = A.compose(P(0, 0, 1))  # R(u) = A(u^2), offset 0
+        A_out, layers, _ = zerocert._parity_layers(R, 0, "even")
+        assert A_out == A and list(layers) == expected
+        assert len(divisions) == len(layers)
+
 
 class TestRootsNumeric:
     def test_pure_imaginary(self):
