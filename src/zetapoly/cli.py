@@ -2,15 +2,22 @@
 
 Exit codes: 0 = all checks passed, 1 = computation ran but a check or an
 internal contract failed, 2 = invalid or unsupported input, or an output
-path that cannot be written.
+path that cannot be written.  A malformed command line prints the usage and
+an error naming the command or option to stderr and exits 2.
+
+One table, COMMANDS, gives each command its handler, its help line and its
+options (type, default or REQUIRED, help); parse_args reads argv and prints
+the help from it.  An option is given as `--opt value` or `--opt=value`, by
+its full name or an unambiguous prefix, and a value may start with a single
+`-`.  There is no argparse, so past the interpreter's start-up a job loads
+only json, fractions, array and its own zetapoly modules (and `report`
+csv).
 """
 
-from __future__ import annotations
-
-import argparse
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .exactcore import ONE_DIM_WEIGHTS as WEIGHTS
 
@@ -150,57 +157,136 @@ def cmd_report(args) -> int:
 def _prec_bits(text: str) -> int:
     bits = int(text)
     if bits < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
+        raise ValueError(f"must be >= 1, not {bits}")
     return bits
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="zetapoly",
-        description="Exact zeta polynomials from cusp-form period polynomials, "
-        "with exact zero-locus certificates and a truncated Habiro-ring engine.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of an option that must be given
+_WEIGHT = (int, REQUIRED, "the weight k: 12, 16, 18, 20, 22 or 26")
+_D = (int, None, "the degree d > e = k - 12 (default e + 2)")
+_OUT = (str, None, "write the JSON to this file, not to stdout")
 
-    p = sub.add_parser("periods", help="odd period polynomial and its quotient U")
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_periods)
+# command -> (handler, help line, {option: (type, default, help)})
+COMMANDS = {
+    "periods": (cmd_periods, "odd period polynomial and its quotient U",
+                {"--weight": _WEIGHT, "--out": _OUT}),
+    "rv": (cmd_rv, "zeta polynomial record with certificates",
+           {"--weight": _WEIGHT, "--d": _D, "--out": _OUT}),
+    "certify": (cmd_rv, "certificates only",
+                {"--weight": _WEIGHT, "--d": _D, "--out": _OUT}),
+    "habiro": (cmd_habiro, "run the Habiro-ring verification battery",
+               {"--level": (int, REQUIRED, "the truncation level N >= 1"), "--out": _OUT}),
+    "lfun": (cmd_lfun, "completed L-values of the eigenform", {
+        "--weight": _WEIGHT,
+        "--s": (int, None, "one point s in 1..k-1 (default all of them)"),
+        "--prec-bits": (_prec_bits, 128, "the precision of the values in bits, >= 1"),
+        "--out": _OUT,
+    }),
+    "report": (cmd_report, "sweep all weights and d = e+1..e+6", {
+        "--out-dir": (str, "report", "the directory for summary.csv and the roots files"),
+        "--prec-bits": (_prec_bits, 128, "the precision of the roots in bits, >= 1"),
+    }),
+}
 
-    p = sub.add_parser("rv", help="zeta polynomial record with certificates")
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_rv)
+ABOUT = """\
+Exact zeta polynomials from cusp-form period polynomials, with exact
+zero-locus certificates and a truncated Habiro-ring engine.
 
-    p = sub.add_parser("certify", help="certificates only")
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_rv)
+commands:
+{}
 
-    p = sub.add_parser("habiro", help="run the Habiro-ring verification battery")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_habiro)
+`zetapoly <command> --help` lists the options of a command."""
 
-    p = sub.add_parser("lfun", help="completed L-values of the eigenform")
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--prec-bits", type=_prec_bits, default=128)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_lfun)
 
-    p = sub.add_parser("report", help="sweep all weights and d = e+1..e+6")
-    p.add_argument("--out-dir", default="report")
-    p.add_argument("--prec-bits", type=_prec_bits, default=128)
-    p.set_defaults(func=cmd_report)
+def _usage(command=None) -> str:
+    if command is None:
+        return "usage: zetapoly <command> [options]"
+    shown = (_flag(name) if spec[1] is REQUIRED else f"[{_flag(name)}]"
+             for name, spec in COMMANDS[command][2].items())
+    return f"usage: zetapoly {command} " + " ".join(shown)
 
-    return parser
+
+def _flag(name: str) -> str:
+    return f"{name} {name[2:].replace('-', '_').upper()}"
+
+
+def _help(command=None) -> str:
+    if command is None:
+        width = max(map(len, COMMANDS))
+        lines = (f"  {name:{width}}  {spec[1]}" for name, spec in COMMANDS.items())
+        return f"{_usage()}\n\n" + ABOUT.format("\n".join(lines))
+    _, about, options = COMMANDS[command]
+    width = max(len(_flag(name)) for name in options)
+    lines = [_usage(command), "", about, "", "options:"]
+    for name, (_, default, text) in options.items():
+        if default is REQUIRED:
+            text += " (required)"
+        elif default is not None:
+            text += f" (default {default})"
+        lines.append(f"  {_flag(name):{width}}  {text}")
+    return "\n".join(lines)
+
+
+def _fail(command, message: str):
+    """A usage error: the usage and the message to stderr, exit status 2."""
+    print(_usage(command), file=sys.stderr)
+    print(f"zetapoly{' ' + command if command else ''}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _option(command, arg: str, names) -> tuple:
+    """The option of names that arg gives, by its full name or an
+    unambiguous prefix, and its =value (None without one); -h is --help."""
+    if arg == "-h":
+        return "--help", None
+    flag, eq, value = arg.partition("=")
+    if not flag.startswith("--"):
+        _fail(command, f"unrecognized argument: {arg}")
+    found = [flag] if flag in names else [name for name in names if name.startswith(flag)]
+    if not found:
+        _fail(command, f"unrecognized argument: {flag}")
+    if len(found) > 1:
+        _fail(command, f"ambiguous option: {flag} could match {', '.join(found)}")
+    return found[0], value if eq else None
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """argv as a namespace: command, func (its handler) and one attribute per
+    option of the command.  -h or --help prints help and exits 0; a malformed
+    command line prints the usage and an error to stderr and exits 2."""
+    if not argv:
+        _fail(None, f"a command is required: {', '.join(COMMANDS)}")
+    command, rest = argv[0], list(argv[1:])
+    if command.startswith("-"):
+        _option(None, command, ["--help"])
+        print(_help())
+        raise SystemExit(0)
+    if command not in COMMANDS:
+        _fail(None, f"invalid command {command!r} (choose from {', '.join(COMMANDS)})")
+    func, _, options = COMMANDS[command]
+    values = {}
+    while rest:
+        name, value = _option(command, rest.pop(0), [*options, "--help"])
+        if name == "--help":
+            print(_help(command))
+            raise SystemExit(0)
+        if value is None:
+            if not rest or rest[0].startswith("--"):
+                _fail(command, f"argument {name}: expected one value")
+            value = rest.pop(0)
+        try:
+            values[name] = options[name][0](value)
+        except ValueError as exc:
+            _fail(command, f"argument {name}: {exc}")
+    missing = [name for name, spec in options.items() if spec[1] is REQUIRED and name not in values]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    fields = {name[2:].replace("-", "_"): values.get(name, spec[1]) for name, spec in options.items()}
+    return SimpleNamespace(command=command, func=func, **fields)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # invalid input or an unwritable path

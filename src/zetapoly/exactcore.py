@@ -33,8 +33,6 @@ this module; each is built from the closed form of the Dickson polynomial
 D_k(r, 1), with no recursion.
 """
 
-from __future__ import annotations
-
 import operator
 import sys
 from array import array

@@ -3,14 +3,12 @@ evaluation at roots of unity in cyclotomic integer rings, and the toric and
 Chebyshev systems of commuting Frobenius lifts.
 """
 
-from __future__ import annotations
-
 import random
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, mul, sub
 
-from .exactcore import RatPoly, _poly, _power, _Record, chebyshev_T
+from .exactcore import RatPoly, _mul, _poly, _power, _Record, chebyshev_T
 
 
 class LevelError(ValueError):
@@ -256,11 +254,24 @@ def _is_prime(p: int) -> bool:
 
 
 def frobenius_congruence_check(p: int, x: RatPoly) -> bool:
-    """True iff psi^p(x) == x^p mod p in Z[r] (Chebyshev structure)."""
+    """True iff psi^p(x) == x^p mod p in Z[r] (Chebyshev structure), for x
+    with integer coefficients.  Both sides are made mod p: x o T_p by
+    Horner's scheme and x^p by square-and-multiply, the coefficients of
+    every product reduced mod p, so no operand has one of p or more."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    defect = psi_chebyshev(x, p) - x**p
-    return all(c % p == 0 for c in defect.coeffs)
+    if x.den != 1:
+        raise ValueError("polynomial must have integer coefficients")
+
+    def mul_mod(a, b):
+        return [c % p for c in _mul(a, b)]
+
+    T = [c % p for c in chebyshev_T(p).num]
+    psi = [0]
+    for c in reversed(x.num):
+        psi = mul_mod(psi, T)
+        psi[0] = (psi[0] + c) % p
+    return _poly(psi) == _poly(_power([c % p for c in x.num], p, [1], mul_mod))
 
 
 def frobenius_congruence_toric(p: int, x: HabiroTrunc) -> bool:

@@ -8,8 +8,6 @@ mpmath, at a configurable mantissa (default 128 bits), is imported only by
 `period_polynomial_numeric` and `eichler_integral_numeric`.
 """
 
-from __future__ import annotations
-
 import math
 from bisect import bisect_left
 from fractions import Fraction

@@ -3,8 +3,6 @@ odd period polynomials for one-dimensional weights, and the quotient by the
 fixed degree-10 factor z(z^2-4)(z^2-1/4)(z^2-1)^2.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import comb
 from typing import List

@@ -9,8 +9,6 @@ vanishes at x = -1, ..., -(d-e-1), and its remaining zeros sit on the
 symmetry line Re x = -(d-e)/2 of that functional equation.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from typing import Optional

@@ -13,8 +13,6 @@ R(u) = Q(c + u); for the unit circle, R is the Cayley transform
 is an independent count by Sturm chains.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from typing import List, Optional
@@ -352,6 +350,16 @@ def _scaled(a, n: int, s: int) -> int:
     return acc
 
 
+def _scaled_with_slope(a, n: int, s: int) -> tuple:
+    """_scaled(a, n, s) and _scaled(a', n, s), a' the derivative of a, by one
+    Horner pass: the second is the derivative of the first in n."""
+    acc = slope = 0
+    for k, c in enumerate(reversed(a)):
+        slope = slope * n + acc
+        acc = acc * n + (c << (s * k))
+    return acc, slope
+
+
 def _negative_roots(cert: Certificate, prec_bits: int):
     """The roots v <= 0 of the A of cert, layer by layer, as the integers
     -V >= 0 with V = v 2^F rounded down, F = prec_bits + 64, from the
@@ -359,7 +367,7 @@ def _negative_roots(cert: Certificate, prec_bits: int):
 
     Each root is refined in its interval from the midpoint by Newton steps on
     the integer multiple of its layer S at the scale 2^s, with S and S'
-    exact.  Every point reached narrows a bracket (lo, hi) around the root,
+    exact, both from one Horner pass (_scaled_with_slope).  Every point reached narrows a bracket (lo, hi) around the root,
     and a step that would leave it is replaced by a bisection.  The precision
     p doubles from 64 (or prec_bits, if less) up to prec_bits, each at the
     scale of the next, s = min(2p, prec_bits) + 64, or finer where the
@@ -372,20 +380,22 @@ def _negative_roots(cert: Certificate, prec_bits: int):
     """
     for S, intervals in zip(cert.layers, cert.intervals):
         a = S.primitive_integer().num
-        da = [i * c for i, c in enumerate(a)][1:]
         yield from [0] * (a[0] == 0)  # a squarefree layer has 0 as a root at most once
         for ends in intervals:
             s = max(min(128, prec_bits) + 64, max(x.denominator for x in ends).bit_length() - 1)
             lo, hi = (x.numerator * (1 << s) // x.denominator for x in ends)
-            slo = _scaled(a, lo, s) or _scaled(da, lo, s)  # the sign of S just right of lo
+            fv, dv = _scaled_with_slope(a, lo, s)
+            slo = fv or dv  # the sign of S just right of lo
             V, p = (lo + hi) // 2, 0
             while p < prec_bits:
                 p = min(max(2 * p, 64), prec_bits)
                 up = max(min(2 * p, prec_bits) + 64 - s, 0)
                 s, V, lo, hi = s + up, V << up, lo << up, hi << up
-                while hi - lo > 1 and (fv := _scaled(a, V, s)):
+                while hi - lo > 1:
+                    fv, dv = _scaled_with_slope(a, V, s)
+                    if not fv:
+                        break
                     lo, hi = (V, hi) if (fv > 0) == (slo > 0) else (lo, V)
-                    dv = _scaled(da, V, s)
                     step = fv // dv if dv else hi - lo  # (S / S')(v) 2^s; S' = 0 forces a bisection
                     if lo <= V - step <= hi and abs(step) << (p + 8) <= max(1 << s, abs(V - step)):
                         V -= step

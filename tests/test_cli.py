@@ -300,6 +300,9 @@ class TestLazyImports:
         # dataclasses and the inspect machinery it imports
         assert "dataclasses" not in loaded
         assert "inspect" not in loaded
+        # the command line is read from cli.COMMANDS, with no argparse and the
+        # gettext and locale it loads
+        assert not {"argparse", "gettext", "locale", "__future__"}.intersection(loaded)
         if command in ("rv", "certify", "report"):
             assert "cmath" not in loaded  # only roots_numeric needs it
 
@@ -331,6 +334,98 @@ class TestLazyImports:
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             zetapoly.no_such_name
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv, named",
+        (
+            (["bogus", "--weight", "12"], "'bogus'"),
+            (["rv", "--weight", "16", "--bogus", "1"], "--bogus"),
+            (["rv", "--weight", "16", "5"], "5"),
+            (["rv", "--weight"], "--weight"),
+            (["lfun", "--weight", "12", "--s", "--prec-bits", "64"], "--s"),
+            (["rv", "--d", "5"], "--weight"),
+            (["habiro", "--level", "eight"], "--level"),
+            (["habiro", "--level=8.0"], "--level"),
+            (["lfun", "--weight", "12", "--prec-bits", "-5"], "--prec-bits"),
+            (["rv", "--weight", "16", "--"], "--d, --out"),
+            ([], "periods, rv, certify, habiro, lfun, report"),
+        ),
+        ids=(
+            "unknown-command", "unknown-option", "stray-value", "missing-value",
+            "option-as-value", "missing-required", "non-integer", "non-integer-eq",
+            "nonpositive-bits", "ambiguous-prefix", "no-arguments",
+        ),
+    )
+    def test_usage_error_exits_2_naming_the_culprit(self, capsys, argv, named):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage, error = captured.err.splitlines()
+        assert usage.startswith("usage: zetapoly ")
+        assert error.startswith("zetapoly") and ": error: " in error and named in error
+
+    def test_ambiguous_prefix_and_exact_name(self, capsys, monkeypatch):
+        handler, text, options = cli.COMMANDS["report"]
+        options = dict(options, **{"--out": (str, None, "a second option sharing --out")})
+        monkeypatch.setitem(cli.COMMANDS, "report", (handler, text, options))
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_args(["report", "--ou", "x"])
+        assert exc.value.code == 2
+        assert "ambiguous option: --ou could match --out-dir, --out" in capsys.readouterr().err
+        args = cli.parse_args(["report", "--out", "x", "--out-d", "y"])
+        assert (args.out, args.out_dir) == ("x", "y")
+
+    @pytest.mark.parametrize(
+        "full, short",
+        (
+            (["lfun", "--weight", "12", "--s", "5", "--prec-bits", "256"],
+             ["lfun", "--weight=12", "--s=5", "--prec-bits=256"]),
+            (["lfun", "--weight", "12", "--s", "5", "--prec-bits", "256"],
+             ["lfun", "--w", "12", "--s", "5", "--prec", "256"]),
+            (["report", "--out-dir", "x", "--prec-bits", "53"], ["report", "--o=x", "--p=53"]),
+            (["rv", "--weight", "16", "--d", "5", "--out", "-"], ["rv", "--we", "16", "--d=5", "--o", "-"]),
+            (["certify", "--weight", "26"], ["certify", "--weight=26"]),
+            (["habiro", "--level", "8"], ["habiro", "--lev=8"]),
+            (["periods", "--weight", "12"], ["periods", "--weig", "12"]),
+        ),
+    )
+    def test_equals_and_prefix_parse_as_the_full_form(self, full, short):
+        assert cli.parse_args(short) == cli.parse_args(full)
+
+    def test_namespace_has_every_option_with_its_default(self):
+        args = cli.parse_args(["lfun", "--weight", "12", "--s", "-3"])
+        assert vars(args) == {
+            "command": "lfun", "func": cli.cmd_lfun,
+            "weight": 12, "s": -3, "prec_bits": 128, "out": None,
+        }
+        args = cli.parse_args(["report"])
+        assert (args.command, args.func, args.out_dir, args.prec_bits) == ("report", cli.cmd_report, "report", 128)
+        assert cli.parse_args(["certify", "--weight", "18"]).func is cli.cmd_rv
+
+    @pytest.mark.parametrize("flag", ["--help", "-h", "--he"])
+    def test_top_level_help_lists_the_commands(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: zetapoly <command>")
+        listed = [line.split()[0] for line in out.split("commands:\n")[1].split("\n\n")[0].splitlines()]
+        assert listed == ["periods", "rv", "certify", "habiro", "lfun", "report"]
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_command_help_lists_its_options(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: zetapoly {command} ")
+        listed = [line.split()[0] for line in out.split("options:\n")[1].splitlines()]
+        assert listed == list(cli.COMMANDS[command][2])
 
 
 class TestDeterminism:

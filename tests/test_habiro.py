@@ -293,6 +293,23 @@ class TestFrobenius:
             for x in elements:
                 assert frobenius_congruence_check(p, x)
 
+    def test_matches_the_defect_over_z(self):
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            for x in [RatPoly.x()] + fixed_seed_elements():
+                defect = psi_chebyshev(x, p) - x**p
+                assert frobenius_congruence_check(p, x) == all(c % p == 0 for c in defect.coeffs)
+
+    def test_large_prime_on_a_degree_5_element(self):
+        x = P(5, 1, -9, 9, -4, 3)
+        assert x in fixed_seed_elements()
+        start = time.process_time()
+        assert frobenius_congruence_check(1009, x)
+        assert time.process_time() - start < 5  # 13.3 s when made over Z
+
+    def test_non_integral_rejected(self):
+        with pytest.raises(ValueError, match="integer coefficients"):
+            frobenius_congruence_check(3, P(Fraction(1, 2), 1))
+
 
 class TestCompatibility:
     def test_k1(self):

@@ -49,6 +49,33 @@ def test_module_level_imports_see_nested_statements():
     assert sorted(module_level_imports(tree)) == ["cmath", "mpmath", "os"]
 
 
+# start-up imports that no command needs, barred at any level: argparse (with
+# the gettext and locale it loads) and __future__
+NEVER = {"argparse", "__future__"}
+
+
+def all_imports(tree):
+    """The top-level names of every absolute import in the module, function
+    bodies included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_import_of_startup_only_modules(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = sorted(NEVER.intersection(all_imports(tree)))
+    assert not found, f"{path.name}: import of {found}; no command needs it"
+
+
+def test_all_imports_see_function_bodies():
+    tree = ast.parse("from __future__ import annotations\ndef f():\n    import argparse.x\nfrom . import y\n")
+    assert sorted(all_imports(tree)) == ["__future__", "argparse"]
+
+
 # the integer product kernels, reached only through the one dispatcher
 PRODUCT_KERNELS = {"_kronecker_mul", "_schoolbook_mul"}
 DISPATCHER = "_mul"

@@ -437,6 +437,16 @@ class TestCriticalLineRoots:
         roots = [complex(*z) for z in critical_line_roots(cert, 0, 128)]
         assert roots[3:] == [1j, math.sqrt(2) * 1j, math.sqrt(3) * 1j]
 
+    def test_value_and_slope_in_one_pass(self):
+        rng = random.Random(2402)
+        for _ in range(300):
+            a = [rng.randint(-2**70, 2**70) for _ in range(rng.randint(1, 12))]
+            da = [i * c for i, c in enumerate(a)][1:]
+            V, s = rng.randint(-2**200, 2**200), rng.randint(0, 260)
+            assert zerocert._scaled_with_slope(a, V, s) == (
+                zerocert._scaled(a, V, s), zerocert._scaled(da, V, s)
+            )
+
     def test_isolates_only_in_the_certificate(self, monkeypatch):
         cert = line_certificate(P(1, 1) * P(2, 1) * P(3, 1), Fraction(0))
         monkeypatch.setattr(zerocert, "_isolate", lambda S: pytest.fail("isolated again"))
