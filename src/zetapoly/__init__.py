@@ -46,7 +46,6 @@ _EXPORTS = {
         "unit_circle_certify",
         "critical_line_certify",
         "critical_line_roots",
-        "roots_numeric",
     ),
     "habiro": (
         "HabiroTrunc",

@@ -15,15 +15,15 @@ csv).
 """
 
 import json
+import os
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 from .exactcore import ONE_DIM_WEIGHTS as WEIGHTS
 
 # Each command imports the modules it runs inside its body, so a job loads
-# only those.  No command loads mpmath or cmath: `report` refines its roots in
-# integers from the intervals of the critical-line certificate.
+# only those.  No command loads mpmath: `report` refines its roots in integers
+# from the intervals of the critical-line certificate.
 
 
 def weight_stages(k: int):
@@ -51,7 +51,8 @@ def zeta_record_for_d(quot, d=None):
 def _emit(payload, out):
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
-        Path(out).write_text(text + "\n")
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
     else:
         print(text)
 
@@ -110,8 +111,7 @@ def cmd_report(args) -> int:
 
     from .zerocert import critical_line_roots, roots_json
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    os.makedirs(args.out_dir or ".", exist_ok=True)  # "" is the working directory
     rows = []
     any_failed = False
     for k in WEIGHTS:
@@ -142,12 +142,12 @@ def cmd_report(args) -> int:
                         "critical_line": str(record.critical_line),
                         "roots": roots_json(roots),
                     }
-                    _emit(roots_payload, out_dir / f"roots_w{k}_d{d}.json")
+                    _emit(roots_payload, os.path.join(args.out_dir, f"roots_w{k}_d{d}.json"))
             except Exception as exc:  # keep the sweep going, record the failure
                 funceq = uc = cl = f"error:{type(exc).__name__}: {exc}"
                 any_failed = True
             rows.append([k, e, d, funceq, uc, cl])
-    with open(out_dir / "summary.csv", "w", newline="") as fh:
+    with open(os.path.join(args.out_dir, "summary.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["weight", "e", "d", "funceq", "unit_circle", "critical_line"])
         writer.writerows(rows)

@@ -36,10 +36,10 @@ D_k(r, 1), with no recursion.
 import operator
 import sys
 from array import array
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
-from typing import Iterable, Sequence
 
 # weights k with dim S_k = 1 for PSL(2,Z)
 ONE_DIM_WEIGHTS = (12, 16, 18, 20, 22, 26)

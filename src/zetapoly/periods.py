@@ -5,7 +5,6 @@ fixed degree-10 factor z(z^2-4)(z^2-1/4)(z^2-1)^2.
 
 from fractions import Fraction
 from math import comb
-from typing import List
 
 from .exactcore import ONE_DIM_WEIGHTS, RatPoly, UnsupportedWeightError, _Record, is_self_inversive, rref
 
@@ -54,7 +53,7 @@ def slash_action(r: RatPoly, g: MoebiusGen, w: int) -> RatPoly:
     return out
 
 
-def _relation_image(j: int, w: int) -> List[int]:
+def _relation_image(j: int, w: int) -> list[int]:
     """Stacked coefficient vector of z^j|_w(1+S) and z^j|_w(1+U+U^2), from
     z^j|S = (-1)^j z^(w-j), z^j|U = z^(w-j) (z-1)^j, z^j|U^2 = (1-z)^(w-j)."""
     rel_s = [0] * (w + 1)
@@ -67,7 +66,7 @@ def _relation_image(j: int, w: int) -> List[int]:
     return rel_s + rel_u
 
 
-def _rational_nullspace(rows: List[list], ncols: int) -> List[list]:
+def _rational_nullspace(rows: list[list], ncols: int) -> list[list]:
     """Basis of the right nullspace, one vector per free column of the
     reduced row echelon form."""
     reduced, pivots = rref(rows)

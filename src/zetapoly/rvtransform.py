@@ -11,7 +11,6 @@ symmetry line Re x = -(d-e)/2 of that functional equation.
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 from .exactcore import RatPoly, _Record, is_self_inversive
 
@@ -84,7 +83,7 @@ def functional_equation_defect(H: RatPoly, d: int, e: int) -> RatPoly:
     return H - (-1) ** (d - 1) * reflected
 
 
-def rv_polynomial(U: RatPoly, d: int, weight: Optional[int] = None) -> ZetaPolyRecord:
+def rv_polynomial(U: RatPoly, d: int, weight: int | None = None) -> ZetaPolyRecord:
     """Build Q in closed form and H = Q prod_{t=1}^{d-e-1} (x+t), and verify H
     against the exact series coefficients of U(z)/(1-z)^d, and all its other
     contracts, before returning the record."""

@@ -1,7 +1,7 @@
-"""Exact certificates for unit-circle and critical-line zero claims, the
+"""Exact certificates for unit-circle and critical-line zero claims, and the
 critical-line roots refined in integers from the intervals that certified
-them, and roots_numeric, a complex solver in mpmath.  mpmath and cmath load
-only in roots_numeric.
+them.  No root is found in floating point: roots_json only rounds the exact
+roots to doubles for output.
 
 Both certificates are one count.  The zeros of R(u) = u^offset A(u^2) lie on
 the line Re u = 0 iff every root of A is real and <= 0.  A is peeled into
@@ -15,19 +15,12 @@ is an independent count by Sturm chains.
 
 import math
 from fractions import Fraction
-from typing import List, Optional
 
 from .exactcore import RatPoly, _linear_compose, _poly, _Record
 
 
 class SymmetryError(ValueError):
     pass
-
-
-class RootConvergenceError(RuntimeError):
-    def __init__(self, message, roots):
-        super().__init__(message)
-        self.roots = roots
 
 
 class Certificate(_Record):
@@ -58,7 +51,7 @@ def _variations(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def sturm_count(p: RatPoly, a: Optional[Fraction], b: Optional[Fraction]) -> int:
+def sturm_count(p: RatPoly, a: Fraction | None, b: Fraction | None) -> int:
     """Number of distinct real roots of p in (a, b]; None means -inf / +inf."""
     if a is not None and b is not None and a > b:
         raise ValueError(f"reversed interval: a = {a} > b = {b}")
@@ -211,136 +204,6 @@ def critical_line_certify(Q: RatPoly, c: Fraction, sign: int) -> Certificate:
     )
 
 
-# ---------------------------------------------------------------------
-# floating-point roots (presentation only)
-# ---------------------------------------------------------------------
-
-
-def _as_mpc_coeffs(p) -> List:
-    from mpmath import mpc, mpf
-
-    if isinstance(p, RatPoly):
-        return [mpf(c.numerator) / c.denominator for c in p.coeffs]
-    return [mpc(c) for c in p]
-
-
-def _poly_eval(coeffs, z):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
-def _aberth(coeffs, deriv, zs, eps) -> None:
-    """Gauss-Seidel Aberth sweeps on zs in place, in whatever number type zs
-    holds, until every step is at most eps * |z| (200 sweeps at most)."""
-    n = len(zs)
-    for _ in range(200):
-        done = True
-        for i in range(n):
-            z = zs[i]
-            pv = _poly_eval(coeffs, z)
-            dv = _poly_eval(deriv, z)
-            if dv == 0:
-                zs[i] = z + 1e-8 * (1 + abs(z))
-                done = False
-                continue
-            newton = pv / dv
-            repulse = sum(1 / (z - w) for j, w in enumerate(zs) if j != i)
-            denom = 1 - newton * repulse
-            step = newton if denom == 0 else newton / denom
-            zs[i] = z - step
-            done = done and abs(step) <= eps * abs(zs[i])
-        if done:
-            return
-
-
-def _double_seeds(coeffs, start) -> Optional[List]:
-    """The Aberth sweep in complex doubles from `start`, as a complex list, to
-    a relative step of 1e-14.  None when the doubles cannot carry it: a
-    coefficient or a modulus out of double range, a division by zero, or a
-    non-finite or repeated point."""
-    import cmath
-
-    try:  # complex() of an int past 1.8e308 and abs() of such a point overflow
-        c = [complex(x) for x in coeffs]
-        if any(not cmath.isfinite(x) or (x == 0) != (y == 0) for x, y in zip(c, coeffs)):
-            return None
-        zs = [complex(z) for z in start]
-        _aberth(c, [i * x for i, x in enumerate(c)][1:], zs, 1e-14)
-    except (ZeroDivisionError, OverflowError):
-        return None
-    if not all(map(cmath.isfinite, zs)) or len(set(zs)) < len(zs):
-        return None
-    return zs
-
-
-def _start_points(logs) -> List:
-    """Aberth start points from the Newton polygon (Bini 1996), as pairs
-    (log r, angle), from logs[i] = log|c_i| (None where c_i = 0; not at either
-    end): for each edge (i, j) of the upper convex hull of the points
-    (i, logs[i]), j - i points spread round the circle of radius
-    r = exp((logs[i] - logs[j]) / (j - i)), where the polynomial has j - i
-    roots of about that modulus."""
-    hull = []  # vertices (i, log|c_i|), left to right
-    for j, y in enumerate(logs):
-        if y is None:
-            continue
-        while len(hull) > 1:  # drop the last vertex while it is on or below the chord
-            (i0, y0), (i1, y1) = hull[-2:]
-            if (y1 - y0) * (j - i0) > (y - y0) * (i1 - i0):
-                break
-            hull.pop()
-        hull.append((j, y))
-    return [
-        ((yi - yj) / (j - i), 2 * math.pi * (k - i + 0.25) / (j - i) + 0.003 * k)
-        for (i, yi), (j, yj) in zip(hull, hull[1:])
-        for k in range(i, j)
-    ]
-
-
-def roots_numeric(p, prec_bits: int = 128) -> List:
-    """All complex roots by Aberth simultaneous iteration: one sweep, run
-    first in complex doubles from the Newton-polygon circles and then at
-    working precision from where the doubles stopped, or from the circles
-    when they failed (precision escalation, as in MPSolve).  Each run stops
-    once every step is at most a fixed fraction of its root: 1e-14 in
-    doubles, 2^(-prec_bits-24) at working precision.  Accepts a RatPoly or a
-    coefficient list (constant first).  Guarantees, for every root z,
-    |p(z)| < 2^(-prec_bits/2) * sum |c_i| |z|^i, or raises
-    RootConvergenceError.
-    """
-    from mpmath import mp, mpc, mpf
-
-    with mp.workprec(prec_bits + 64):
-        coeffs = _as_mpc_coeffs(p)
-        while coeffs and abs(coeffs[-1]) == 0:
-            coeffs.pop()
-        if len(coeffs) <= 1:
-            raise ValueError("polynomial must have positive degree")
-        roots = []
-        # deflate exact zeros at the origin
-        while abs(coeffs[0]) == 0:
-            roots.append(mpc(0))
-            coeffs = coeffs[1:]
-        n = len(coeffs) - 1
-        if n > 0:
-            logs = [float(mp.log(abs(c))) if c else None for c in coeffs]
-            zs = [mp.exp(r) * mp.expj(t) for r, t in _start_points(logs)]
-            zs = [mpc(z) for z in _double_seeds(coeffs, zs) or ()] or zs
-            deriv = [i * c for i, c in enumerate(coeffs)][1:]
-            _aberth(coeffs, deriv, zs, mpf(2) ** (-(prec_bits + 24)))
-            roots.extend(zs)
-            sizes = [abs(c) for c in coeffs]
-            bound = mpf(2) ** (-(prec_bits // 2))
-            bad = [z for z in zs if abs(_poly_eval(coeffs, z)) >= bound * _poly_eval(sizes, abs(z))]
-            if bad:
-                raise RootConvergenceError(
-                    f"{len(bad)} root(s) failed the residual bound", roots
-                )
-        return [mpc(z) for z in roots]
-
-
 def _scaled(a, n: int, s: int) -> int:
     """2^(s deg a) a(n / 2^s) for the integer polynomial a (constant first),
     by Horner in integers."""
@@ -408,7 +271,7 @@ def _negative_roots(cert: Certificate, prec_bits: int):
             yield -(V >> (s - prec_bits - 64))
 
 
-def critical_line_roots(cert: Certificate, c, prec_bits: int = 128) -> List[tuple]:
+def critical_line_roots(cert: Certificate, c, prec_bits: int = 128) -> list[tuple]:
     """All zeros of the Q of cert = critical_line_certify(Q, c, sign), with
     Q(c + u) = u^offset A(u^2), as exact pairs (c, +-sqrt(-v)), the square
     root to prec_bits + 64 fractional bits, over the roots v of A, ascending

@@ -254,12 +254,13 @@ class TestReportFailureCause:
         return rows
 
 
-def loaded_modules(script, *argv, cwd=None):
-    """sys.modules, sorted, after `script` has run in a fresh interpreter."""
+def loaded_modules(script, *argv, cwd=None, flags=()):
+    """sys.modules, sorted, after `script` has run in a fresh interpreter
+    started with the interpreter options flags."""
     script += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     env = dict(os.environ, PYTHONPATH=str(Path(zetapoly.__file__).parents[1]))
     done = subprocess.run(
-        [sys.executable, "-c", script, *argv], env=env, cwd=cwd, capture_output=True, text=True
+        [sys.executable, *flags, "-c", script, *argv], env=env, cwd=cwd, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
@@ -277,25 +278,27 @@ COMMAND_MODULES = {
     "report": ([], PIPELINE),
 }
 
+# runs the command in sys.argv[1:] with its output discarded
+RUN_CLI = (
+    "import contextlib, io, sys\n"
+    "import zetapoly.cli as cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    if cli.main(sys.argv[1:]) != 0:\n"
+    "        sys.exit('command failed')\n"
+)
+
 
 class TestLazyImports:
     @pytest.mark.parametrize("command", COMMAND_MODULES)
     def test_command_loads_only_its_modules(self, tmp_path, command):
         args, modules = COMMAND_MODULES[command]
-        script = (
-            "import contextlib, io, sys\n"
-            "import zetapoly.cli as cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    if cli.main(sys.argv[1:]) != 0:\n"
-            "        sys.exit('command failed')\n"
-        )
-        loaded = loaded_modules(script, command, *args, cwd=tmp_path)
+        loaded = loaded_modules(RUN_CLI, command, *args, cwd=tmp_path)
         assert {m for m in loaded if m.startswith("zetapoly.")} == {
             f"zetapoly.{m}" for m in ("cli",) + modules
         }
         # lfun sums its L-values in integers and prints them by an integer
         # port of mpmath's formatter; report refines its roots in integers
-        assert "mpmath" not in loaded
+        assert "mpmath" not in loaded and "cmath" not in loaded
         # the value classes are plain slotted records: no command pays for
         # dataclasses and the inspect machinery it imports
         assert "dataclasses" not in loaded
@@ -303,8 +306,16 @@ class TestLazyImports:
         # the command line is read from cli.COMMANDS, with no argparse and the
         # gettext and locale it loads
         assert not {"argparse", "gettext", "locale", "__future__"}.intersection(loaded)
-        if command in ("rv", "certify", "report"):
-            assert "cmath" not in loaded  # only roots_numeric needs it
+
+    @pytest.mark.parametrize(
+        "argv", (["habiro", "--level", "8"], ["lfun", "--weight", "12"], ["rv", "--weight", "26", "--d", "60"])
+    )
+    def test_no_typing_or_pathlib_without_site(self, tmp_path, argv):
+        # under -S no site hook preloads them: annotations use builtins and
+        # collections.abc, and files are written by open and os.makedirs
+        loaded = loaded_modules(RUN_CLI, *argv, cwd=tmp_path, flags=("-S",))
+        assert "zetapoly.cli" in loaded
+        assert not {"typing", "pathlib", "fnmatch", "urllib"}.intersection(loaded)
 
     def test_roots_past_double_range_load_no_float_solver(self):
         # A = (v + 10^400)(v + 1) overflows doubles; its roots are still refined in integers

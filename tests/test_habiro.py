@@ -160,6 +160,18 @@ class TestHabiroQinv:
                 series = series + RatPoly.monomial(n) * pochhammer
             assert habiro_qinv(N) == HabiroTrunc.make(N, series), N
 
+    @pytest.mark.parametrize("N", (1, 3, 8))
+    def test_battery_sees_a_wrong_r(self, monkeypatch, N):
+        # q^(-1) is built without r, so the battery's r = q + q^(-1) is a
+        # check: an r off by its top monomial q^(m-1), m = N(N+1)/2, fails it
+        real = habiro.habiro_r
+        monkeypatch.setattr(
+            habiro, "habiro_r", lambda n: real(n) + HabiroTrunc.make(n, RatPoly.monomial(n * (n + 1) // 2 - 1))
+        )
+        results = habiro_battery(N)
+        assert results["r_equals_q_plus_qinv"] is False
+        assert results["q_times_qinv_is_one"] is True
+
 
 class TestEvalAtRoot:
     def test_conductor_1(self):

@@ -16,7 +16,7 @@ def test_no_assert_statements(path):
 
 # modules that only some functions need, or that no command needs: importing
 # one at module level would load it in every command that loads the module
-LAZY_ONLY = {"mpmath", "cmath", "dataclasses", "inspect"}
+LAZY_ONLY = {"mpmath", "dataclasses", "inspect"}
 
 
 def module_level_imports(tree):
@@ -49,9 +49,11 @@ def test_module_level_imports_see_nested_statements():
     assert sorted(module_level_imports(tree)) == ["cmath", "mpmath", "os"]
 
 
-# start-up imports that no command needs, barred at any level: argparse (with
-# the gettext and locale it loads) and __future__
-NEVER = {"argparse", "__future__"}
+# imports that no command needs, barred at any level: argparse (with the
+# gettext and locale it loads), __future__, typing and pathlib (annotations
+# use builtins and collections.abc, files are written by open), and cmath
+# (no root is found in floating point)
+NEVER = {"argparse", "__future__", "typing", "pathlib", "cmath"}
 
 
 def all_imports(tree):

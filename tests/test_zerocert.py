@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
-from zetapoly import modforms, zerocert
+from zetapoly import zerocert
 from zetapoly.exactcore import RatPoly
 from zetapoly.periods import cfi_quotient, odd_period_polynomial
 from zetapoly.rvtransform import rv_polynomial
@@ -17,7 +17,6 @@ from zetapoly.zerocert import (
     SymmetryError,
     critical_line_certify,
     critical_line_roots,
-    roots_numeric,
     sturm_count,
     unit_circle_certify,
 )
@@ -236,40 +235,6 @@ class TestCriticalLineCertify:
         assert len(divisions) == len(layers)
 
 
-class TestRootsNumeric:
-    def test_pure_imaginary(self):
-        roots = roots_numeric(P(1, 0, 1), 128)
-        roots.sort(key=lambda z: z.imag)
-        assert abs(roots[0] + 1j) < 1e-12
-        assert abs(roots[1] - 1j) < 1e-12
-
-    def test_two_integers(self):
-        roots = roots_numeric(P(2, 3, 1), 128)
-        vals = sorted(float(z.real) for z in roots)
-        assert abs(vals[0] + 2) < 1e-12 and abs(vals[1] + 1) < 1e-12
-
-    def test_weight12_odd_period_polynomial(self):
-        with mp.workprec(200):
-            roots = roots_numeric(odd_period_polynomial(12), 128)
-            expected = [0, 1, 1, -1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)]
-            assert len(roots) == 9
-            for target in set(expected):
-                close = [z for z in roots if abs(z - mpf(float(target))) < mpf("1e-10")]
-                want = expected.count(target)
-                assert len(close) == want, (target, close)
-
-
-@pytest.fixture(scope="module")
-def report_records():
-    """The 30 zeta polynomial records of `report` with a nonconstant Q."""
-    records = []
-    for k in (12, 16, 18, 20, 22, 26):
-        U = cfi_quotient(odd_period_polynomial(k), k).U_poly
-        e = k - 12
-        records += [rv_polynomial(U, d, weight=k) for d in range(e + 1, e + 7)]
-    return [rec for rec in records if rec.Q.degree > 0]
-
-
 def to_mpc(root):
     """An exact (re, im) pair of critical_line_roots as an mpc at the current precision."""
     return mpc(*(mpf(x.numerator) / x.denominator for x in root))
@@ -285,84 +250,11 @@ def assert_same_roots(roots, oracle, tol):
         left.remove(nearest)
 
 
-class TestRootsNumericSeeding:
-    @pytest.mark.parametrize("kind", ("huge", "tiny", "modulus"))
-    def test_outside_double_range_falls_back(self, kind):
-        with mp.workprec(192):
-            coeffs = {
-                "huge": [mpf(10) ** 400, 0, 1],  # overflows a double
-                "tiny": [mpf(10) ** -400, 0, 1],  # underflows to 0
-                "modulus": [mpc(-1.5e308, -1.5e308), 1],  # parts fit, |root| does not
-            }[kind]
-            coeffs = [mpc(c) for c in coeffs]
-            start = [mpc(1, 1), mpc(-1, -1)][: len(coeffs) - 1]
-            assert zerocert._double_seeds(coeffs, start) is None
-            if kind == "tiny":
-                # the Newton polygon puts the start circle at the roots' modulus
-                root = mpf(10) ** -200
-                oracle = [mpc(0, root), mpc(0, -root)]
-                assert_same_roots(roots_numeric(coeffs, 128), oracle, root * mpf(2) ** -100)
-                return
-            roots = roots_numeric(coeffs, 128)
-            bound = mpf(2) ** -64 * max(abs(c) for c in coeffs)
-            assert len(roots) == len(coeffs) - 1
-            assert all(abs(zerocert._poly_eval(coeffs, z)) < bound for z in roots)
-
-    def test_roots_beyond_double_range(self):
-        with mp.workprec(192):
-            root = mpf(10) ** 200
-            oracle = [mpc(0, root), mpc(0, -root)]
-            assert_same_roots(roots_numeric(P(10**400, 0, 1), 128), oracle, root * mpf(2) ** -100)
-
-    def test_mpc_coefficients_converge(self):
-        # the numeric full period polynomial of the weight-12 form, as criterion 6 passes it
-        with mp.workprec(256):
-            coeffs = modforms.period_polynomial_numeric(modforms.eigenform(12), 128)
-            assert zerocert._double_seeds([mpc(c) for c in coeffs], [mpc(mp.expjpi(mpf(i) / 5)) for i in range(10)])
-            roots = roots_numeric(coeffs, 128)
-            oracle = mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=256)
-            assert_same_roots(roots, oracle, mpf(2) ** -100)
-
-    def test_report_roots_match_polyroots(self, report_records):
-        with mp.workprec(256):
-            for rec in report_records:
-                roots = roots_numeric(rec.Q, 128)
-                coeffs = [mpf(c.numerator) / c.denominator for c in reversed(rec.Q.coeffs)]
-                oracle = mpmath.polyroots(coeffs, maxsteps=200, extraprec=256)
-                assert_same_roots(roots, oracle, mpf(2) ** -100)
-                c = mpf(rec.critical_line.numerator) / rec.critical_line.denominator
-                assert all(abs(z.real - c) < mpf(2) ** -100 for z in roots)
-
-    @staticmethod
-    def count_mp_evaluations(monkeypatch):
-        """Record every _poly_eval at an mp point; the double pass is not counted.
-        Any run makes at least 3 per root (one mp sweep of p and p', then the
-        residual), so a count below that means the sweep bypassed _poly_eval."""
-        calls = []
-        real = zerocert._poly_eval
-
-        def counting(coeffs, z):
-            if isinstance(z, (mpc, mpf)):
-                calls.append(z)
-            return real(coeffs, z)
-
-        monkeypatch.setattr(zerocert, "_poly_eval", counting)
-        return calls
-
-    def test_report_needs_few_mp_evaluations(self, report_records, monkeypatch):
-        # 8172 evaluations when the mp loop started from the circle, 2088 with
-        # double seeds and a Newton polish
-        calls = self.count_mp_evaluations(monkeypatch)
-        for rec in report_records:
-            roots_numeric(rec.Q, 128)
-        assert len(report_records) == 30
-        assert 3 * sum(rec.Q.degree for rec in report_records) <= len(calls) <= 2088
-
-    def test_large_roots_stop_early(self, monkeypatch):
-        # an absolute stop rule never stops here: 200 sweeps, 826 evaluations
-        calls = self.count_mp_evaluations(monkeypatch)
-        roots_numeric(P(10**400, 0, 1), 128)
-        assert 3 * 2 <= len(calls) <= 60
+def polyroots(Q):
+    """mpmath's roots of the RatPoly Q at the current precision, the oracle of
+    the certificates' cross-checks."""
+    coeffs = [mpf(q.numerator) / q.denominator for q in reversed(Q.coeffs)]
+    return mpmath.polyroots(coeffs, maxsteps=200, extraprec=256)
 
 
 def line_product(c, ts, multiplicities=None):
@@ -468,11 +360,10 @@ class TestCriticalLineRoots:
         assert [complex(*z) for z in roots] == [-2j, 0, 0, 0, 2j]
 
     def test_out_of_double_range_seeds_at_working_precision(self):
-        # A = (v + 10^400)(v + 1): complex doubles cannot seed it, and the
-        # integer isolation needs no seeds
+        # A = (v + 10^400)(v + 1) overflows complex doubles, and the integer
+        # isolation needs no seeds
         A = P(10**400, 10**400 + 1, 1)
         with mp.workprec(192):
-            assert zerocert._double_seeds(zerocert._as_mpc_coeffs(A), [mpc(-1), mpc(-2)]) is None
             big = mpf(10) ** 200
             oracle = [mpc(0, -big), mpc(0, -1), mpc(0, 1), mpc(0, big)]
             roots = [to_mpc(z) for z in critical_line_roots(line_certificate(A, 0), 0, 128)]
@@ -500,8 +391,7 @@ class TestCriticalLineRoots:
         cert = critical_line_certify(Q, c, +1)
         with mp.workprec(256):
             roots = [to_mpc(z) for z in critical_line_roots(cert, c, 128)]
-            coeffs = [mpf(q.numerator) / q.denominator for q in reversed(Q.coeffs)]
-            oracle = mpmath.polyroots(coeffs, maxsteps=200, extraprec=256)
+            oracle = polyroots(Q)
             scale = max(1, max(abs(z) for z in oracle))
             assert_same_roots(roots, oracle, scale * mpf(2) ** -100)
         assert [z.imag for z in roots] == sorted(z.imag for z in roots)
@@ -513,7 +403,7 @@ class TestCertificateNumericAgreement:
         U = cfi_quotient(odd_period_polynomial(k), k).U_poly
         assert unit_circle_certify(U).passed
         with mp.workprec(200):
-            for z in roots_numeric(U, 128):
+            for z in polyroots(U):
                 assert abs(abs(z) - 1) < mpf("1e-8")
 
     @pytest.mark.parametrize("k,d", ((16, 5), (18, 9), (20, 11)))
@@ -524,5 +414,5 @@ class TestCertificateNumericAgreement:
         assert cert.passed
         c = float(rec.critical_line)
         with mp.workprec(200):
-            for z in roots_numeric(rec.Q, 128):
+            for z in polyroots(rec.Q):
                 assert abs(z.real - c) < mpf("1e-8")
