@@ -23,7 +23,6 @@ _EXPORTS = {
         "eichler_integral_numeric",
     ),
     "periods": (
-        "MoebiusGen",
         "PeriodSpace",
         "CFIQuotient",
         "slash_action",
@@ -42,7 +41,6 @@ _EXPORTS = {
     ),
     "zerocert": (
         "Certificate",
-        "sturm_count",
         "unit_circle_certify",
         "critical_line_certify",
         "critical_line_roots",

@@ -105,11 +105,6 @@ def _exact(c):
     raise TypeError(f"inexact coefficient {c!r}; use int or Fraction")
 
 
-def rational_to_str(x) -> str:
-    """Serialize a rational as "p/q", or "p" when the denominator is 1."""
-    return str(_exact(x))
-
-
 def rref(rows: Sequence[Sequence]) -> tuple[list, list]:
     """Reduced row echelon form over Q by Gauss-Jordan elimination.
 
@@ -171,10 +166,6 @@ class RatPoly:
             raise ValueError("negative exponent")
         return cls((0,) * n + (c,))
 
-    @classmethod
-    def from_strings(cls, strings: Sequence[str]) -> "RatPoly":
-        return cls(Fraction(s) for s in strings)
-
     # -- basic queries ------------------------------------------------
 
     @property
@@ -202,7 +193,7 @@ class RatPoly:
         return 0
 
     def coeff_strings(self) -> list:
-        return [rational_to_str(c) for c in self.coeffs]
+        return [str(c) for c in self.coeffs]
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -211,7 +202,8 @@ class RatPoly:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a constant equals its value, so it hashes as that value
+        return hash(self[0]) if len(self.num) < 2 else hash((self.num, self.den))
 
     def __repr__(self):
         if not self.num:
@@ -349,13 +341,6 @@ class RatPoly:
         while not b.is_zero():
             a, b = b, a % b
         return a.monic()
-
-    def squarefree_part(self) -> "RatPoly":
-        """self / gcd(self, self'), same root set without multiplicities."""
-        if self.is_zero():
-            raise ValueError("squarefree part of the zero polynomial")
-        g = self.gcd(self.derivative())
-        return self // g
 
     def primitive_integer(self) -> "RatPoly":
         """Scale to integer coefficients with content 1 and positive leading."""

@@ -13,18 +13,6 @@ class DivisibilityError(ValueError):
     """The odd period polynomial was not divisible by the fixed factor."""
 
 
-class MoebiusGen(_Record):
-    __slots__ = ("a", "b", "c", "d")
-
-    def _validate(self):
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError("determinant must be 1")
-
-
-S_GEN = MoebiusGen(0, -1, 1, 0)  # z -> -1/z
-U_GEN = MoebiusGen(1, -1, 1, 0)  # z -> 1 - 1/z
-
-
 class PeriodSpace(_Record):
     __slots__ = ("w", "parity", "basis")  # parity "all" | "even" | "odd"; basis of RatPoly
 
@@ -33,14 +21,18 @@ class CFIQuotient(_Record):
     __slots__ = ("weight", "e", "U_poly")
 
 
-def slash_action(r: RatPoly, g: MoebiusGen, w: int) -> RatPoly:
-    """(r|_w g)(z) = (cz+d)^w r((az+b)/(cz+d)), exact for deg r <= w."""
+def slash_action(r: RatPoly, g: tuple, w: int) -> RatPoly:
+    """(r|_w g)(z) = (cz+d)^w r((az+b)/(cz+d)) for the integer matrix
+    g = (a, b, c, d) of any nonzero determinant, exact for deg r <= w."""
     if w < 0 or w % 2 != 0:
         raise ValueError("w must be a nonnegative even integer")
     if r.degree > w:
         raise ValueError(f"degree {r.degree} exceeds w = {w}")
-    num = RatPoly((g.b, g.a))  # a z + b
-    den = RatPoly((g.d, g.c))  # c z + d
+    a, b, c, d = g
+    if a * d == b * c:
+        raise ValueError(f"matrix {g} has determinant 0")
+    num = RatPoly((b, a))  # a z + b
+    den = RatPoly((d, c))  # c z + d
     num_pows = [RatPoly.one()]
     den_pows = [RatPoly.one()]
     for _ in range(w):
@@ -87,12 +79,7 @@ def relations_kernel(w: int, parity: str = "all") -> PeriodSpace:
         raise ValueError("w must be an even integer >= 2")
     if parity not in ("all", "even", "odd"):
         raise ValueError("parity must be all, even, or odd")
-    if parity == "even":
-        exps = [j for j in range(w + 1) if j % 2 == 0]
-    elif parity == "odd":
-        exps = [j for j in range(w + 1) if j % 2 == 1]
-    else:
-        exps = list(range(w + 1))
+    exps = range(w + 1) if parity == "all" else range(parity == "odd", w + 1, 2)
     cols = [_relation_image(j, w) for j in exps]
     nrows = 2 * (w + 1)
     rows = [[cols[c][r] for c in range(len(exps))] for r in range(nrows)]

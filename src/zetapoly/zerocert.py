@@ -9,8 +9,7 @@ squarefree layers (_parity_layers), and the negative roots of each layer are
 isolated once, in integers, by Descartes' rule of signs (_isolate); the count
 is the number of isolating intervals.  For the critical line Re x = c,
 R(u) = Q(c + u); for the unit circle, R is the Cayley transform
-(1-u)^e U((1+u)/(1-u)), which takes the circle onto that line.  sturm_count
-is an independent count by Sturm chains.
+(1-u)^e U((1+u)/(1-u)), which takes the circle onto that line.
 """
 
 import math
@@ -45,26 +44,10 @@ class Certificate(_Record):
 
 
 def _variations(values) -> int:
-    """Sign changes along values, zeros skipped: Sturm chain values at a
-    point, or coefficients under Descartes' rule of signs."""
+    """Sign changes along values, zeros skipped: the count in Descartes'
+    rule of signs when values are a polynomial's coefficients."""
     signs = [v > 0 for v in values if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def sturm_count(p: RatPoly, a: Fraction | None, b: Fraction | None) -> int:
-    """Number of distinct real roots of p in (a, b]; None means -inf / +inf."""
-    if a is not None and b is not None and a > b:
-        raise ValueError(f"reversed interval: a = {a} > b = {b}")
-    sf = p.squarefree_part()  # raises ValueError on the zero polynomial
-    if sf.degree == 0:
-        return 0
-    # Sturm chain: squarefree part, derivative, then negated remainders
-    chain = [sf, sf.derivative()]
-    while chain[-1].degree > 0:
-        chain.append(-(chain[-2] % chain[-1]))
-    # the chain at a and at b; at -inf / +inf each q has the sign of its top term there
-    at = [[q.num[-1] * end**q.degree if x is None else q(x) for q in chain] for x, end in ((a, -1), (b, 1))]
-    return _variations(at[0]) - _variations(at[1])
 
 
 def _parity_layers(R: RatPoly, offset: int, claim: str):

@@ -1,4 +1,4 @@
-"""Differential tests against sympy: Sturm counts, the two zero-locus
+"""Differential tests against sympy: the gcd of RatPoly, the two zero-locus
 certificates and their root counts on polynomials that sympy builds by
 exact expansion, the integer product and division paths of RatPoly, and
 Habiro residues."""
@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from zetapoly.exactcore import _KRONECKER_MIN_LEN, RatPoly
 from zetapoly.habiro import habiro_q, habiro_qinv, habiro_r, psi_toric
-from zetapoly.zerocert import critical_line_certify, sturm_count, unit_circle_certify
+from zetapoly.zerocert import critical_line_certify, unit_circle_certify
 
 sympy = pytest.importorskip("sympy")
 
@@ -47,14 +47,11 @@ def rational_polys(draw):
 
 
 @SETTINGS
-@given(rational_polys(), small_rational, small_rational, st.booleans())
-def test_sturm_count_matches_sympy(expr, a, b, integral):
-    if integral:
-        expr = sympy.Poly(expr, X).clear_denoms()[1].as_expr()
-    a, b = min(a, b), max(a, b)
-    p = from_sympy(expr)
-    expected = sympy.Poly(expr, X).count_roots(to_sympy(a), to_sympy(b)) - (p(a) == 0)
-    assert sturm_count(p, a, b) == expected
+@given(rational_polys(), rational_polys(), rational_polys())
+def test_gcd_matches_sympy(shared, f, g):
+    a, b = sympy.expand(shared * f), sympy.expand(shared * g)
+    expected = sympy.Poly(sympy.gcd(a, b), X).monic().as_expr()
+    assert from_sympy(a).gcd(from_sympy(b)) == from_sympy(expected)
 
 
 inner_t = st.fractions(min_value=-2, max_value=2, max_denominator=9).filter(lambda t: abs(t) < 2)

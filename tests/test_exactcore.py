@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf
 
-from zetapoly.exactcore import RatPoly, chebyshev_T, is_self_inversive, rational_to_str, rref
+from zetapoly.exactcore import RatPoly, chebyshev_T, is_self_inversive, rref
 from zetapoly.habiro import habiro_r
 from zetapoly.modforms import eigenform
 from zetapoly.periods import cfi_quotient, odd_period_polynomial, relations_kernel
@@ -153,23 +153,27 @@ class TestRref:
         assert rref([]) == ([], [])
 
 
-class TestSquarefree:
+class TestGcd:
+    """gcd(p, p') is monic and holds each repeated root once less, so
+    p // gcd(p, p') is the squarefree part of p."""
+
     def test_double_root(self):
-        sf = (P(-1, 1) ** 2).squarefree_part()
-        assert sf.monic() == P(-1, 1)
+        p = P(-1, 1) ** 2
+        assert p.gcd(p.derivative()) == P(-1, 1)
 
     def test_already_squarefree(self):
-        sf = P(1, 0, 1).squarefree_part()
-        assert sf.monic() == P(1, 0, 1)
+        p = P(1, 0, 1)
+        assert p.gcd(p.derivative()) == RatPoly.one()
 
     def test_mixed_multiplicities(self):
         p = P(-1, 0, 1) ** 2 * P(-4, 0, 1)
-        expected = (P(-1, 0, 1) * P(-4, 0, 1)).monic()
-        assert p.squarefree_part().monic() == expected
+        assert p.gcd(p.derivative()) == P(-1, 0, 1)
+        assert (p // P(-1, 0, 1)).monic() == (P(-1, 0, 1) * P(-4, 0, 1)).monic()
 
-    def test_zero_raises(self):
-        with pytest.raises(ValueError):
-            RatPoly.zero().squarefree_part()
+    def test_zero_is_the_identity(self):
+        p = P(Fraction(1, 2), 3)
+        assert p.gcd(RatPoly.zero()) == RatPoly.zero().gcd(p) == p.monic()
+        assert RatPoly.zero().gcd(RatPoly.zero()) == RatPoly.zero()
 
     def test_output_coprime_with_derivative(self):
         rng = random.Random(7)
@@ -177,7 +181,7 @@ class TestSquarefree:
             p = RatPoly([rng.randint(-5, 5) for _ in range(rng.randint(2, 7))])
             if p.degree < 1:
                 continue
-            sf = p.squarefree_part()
+            sf = p // p.gcd(p.derivative())
             assert sf.gcd(sf.derivative()).degree == 0
 
 
@@ -299,11 +303,10 @@ def test_divrem_reconstruction_200_random_pairs():
 
 
 def test_rational_serialization():
-    assert rational_to_str(Fraction(-3, 7)) == "-3/7"
-    assert rational_to_str(Fraction(5)) == "5"
-    p = P(Fraction(1, 2), -3)
-    assert p.coeff_strings() == ["1/2", "-3"]
-    assert RatPoly.from_strings(["1/2", "-3"]) == p
+    p = P(Fraction(1, 2), -3, Fraction(-3, 7), Fraction(10, 2))
+    assert p.coeff_strings() == ["1/2", "-3", "-3/7", "5"]
+    assert RatPoly(Fraction(s) for s in p.coeff_strings()) == p
+    assert P(Fraction(5), -3).coeff_strings() == ["5", "-3"]
 
 
 def test_self_inversive_predicate():
@@ -331,6 +334,14 @@ def test_normal_form(cs):
     assert RatPoly(p.coeffs) == p
     q = (p * 3) * Fraction(1, 3)
     assert q == p and hash(q) == hash(p)
+
+
+@pytest.mark.parametrize("value", [3, Fraction(-5, 6), 0], ids=["int", "fraction", "zero"])
+def test_constant_hashes_as_its_value(value):
+    p = P(value)
+    assert p == value and hash(p) == hash(value)
+    assert len({value, p}) == 1
+    assert {value: "a"}.get(p) == "a" and {p: "a"}.get(value) == "a"
 
 
 def test_equal_values_hash_equal():

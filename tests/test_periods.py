@@ -3,14 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from zetapoly.exactcore import RatPoly, is_self_inversive
-from zetapoly.modforms import UnsupportedWeightError, dim_cuspforms
+from zetapoly.exactcore import ONE_DIM_WEIGHTS, RatPoly, is_self_inversive
+from zetapoly.modforms import UnsupportedWeightError, dim_cuspforms, eigenform
 from zetapoly.periods import (
     CFIQuotient,
     DivisibilityError,
-    MoebiusGen,
-    S_GEN,
-    U_GEN,
     _relation_image,
     cfi_divisor,
     cfi_quotient,
@@ -21,12 +18,27 @@ from zetapoly.periods import (
 
 SUPPORTED = (12, 16, 18, 20, 22, 26)
 GOLDEN_12 = RatPoly((0, 4, 0, -25, 0, 42, 0, -25, 0, 4))
+S_GEN = (0, -1, 1, 0)  # z -> -1/z
+U_GEN = (1, -1, 1, 0)  # z -> 1 - 1/z
+
+
+def merel_set(n):
+    """Merel's X_n: integer matrices (a, b, c, d) with ad - bc = n, a > b >= 0
+    and d > c >= 0, so a, d >= 1 and a + d <= n + 1 (ad <= n + bc <= n + (a-1)(d-1))."""
+    return [
+        (a, b, c, d)
+        for a in range(1, n + 1)
+        for d in range(1, n + 2 - a)
+        for b in range(a)
+        for c in range(d)
+        if a * d - b * c == n
+    ]
 
 
 class TestMoebiusGen:
     def test_determinant_check(self):
-        with pytest.raises(ValueError):
-            MoebiusGen(1, 1, 1, 1)
+        with pytest.raises(ValueError, match="determinant 0"):
+            slash_action(RatPoly.monomial(3), (1, 1, 1, 1), 4)
 
     def test_u_cubed_acts_trivially(self):
         w = 8
@@ -59,6 +71,27 @@ class TestSlashAction:
     def test_degree_overflow(self):
         with pytest.raises(ValueError):
             slash_action(RatPoly.monomial(5), S_GEN, 4)
+
+    def test_determinant_two_scales_the_variable(self):
+        # (2 0; 0 1) is z -> 2z with cz + d = 1: r|g = r(2z)
+        w = 6
+        r = RatPoly((5, -1, 0, Fraction(2, 3), 0, 0, 7))
+        assert slash_action(r, (2, 0, 0, 1), w) == r.compose(RatPoly((0, 2)))
+
+
+class TestHecke:
+    @pytest.mark.parametrize("n", (2, 3))
+    @pytest.mark.parametrize("k", ONE_DIM_WEIGHTS)
+    def test_odd_period_polynomial_is_a_hecke_eigenvector(self, k, n):
+        # T_n r = sum over X_n of r|_w adj(M), adj(a b; c d) = (d -b; -c a)
+        # (Merel 1994), with the eigenvalue a_n of the eigenform
+        w, r = k - 2, odd_period_polynomial(k)
+        matrices = merel_set(n)
+        assert len(matrices) == {2: 4, 3: 7}[n]
+        image = RatPoly.zero()
+        for a, b, c, d in matrices:
+            image = image + slash_action(r, (d, -b, -c, a), w)
+        assert image == eigenform(k).coeffs[n] * r
 
 
 class TestRelationImage:

@@ -1,4 +1,4 @@
-"""The value-class contract shared by the nine immutable records: field
+"""The value-class contract shared by the eight immutable records: field
 order, repr text, equality and hash by value, keyword construction,
 defaults, hidden fields and immutability.  The repr strings were recorded
 from the dataclass versions of these classes, so they pin the old text."""
@@ -12,7 +12,7 @@ import pytest
 from zetapoly.exactcore import RatPoly
 from zetapoly.habiro import CycloInt, HabiroTrunc, eval_at_root, habiro_r
 from zetapoly.modforms import QExpansion, eigenform
-from zetapoly.periods import MoebiusGen, cfi_quotient, odd_period_polynomial, relations_kernel
+from zetapoly.periods import cfi_quotient, odd_period_polynomial, relations_kernel
 from zetapoly.rvtransform import rv_polynomial, zeta_projective_space
 from zetapoly.zerocert import Certificate, critical_line_certify, unit_circle_certify
 
@@ -32,11 +32,6 @@ def certificate_16_d7():
 
 # name -> (builder of a fresh value, field names in order, its repr)
 CASES = {
-    "MoebiusGen": (
-        lambda: MoebiusGen(0, -1, 1, 0),
-        ("a", "b", "c", "d"),
-        "MoebiusGen(a=0, b=-1, c=1, d=0)",
-    ),
     "PeriodSpace": (
         lambda: relations_kernel(10, "odd"),
         ("w", "parity", "basis"),
@@ -192,11 +187,9 @@ class TestDefaultsAndHiddenFields:
 
 
 class TestValidation:
-    def test_moebius_determinant(self):
-        with pytest.raises(ValueError, match="determinant"):
-            MoebiusGen(1, 1, 1, 1)
-        with pytest.raises(ValueError, match="determinant"):
-            MoebiusGen(a=1, b=1, c=1, d=1)
+    def test_validate_runs_on_keyword_construction(self):
+        with pytest.raises(ValueError, match="prec >= 2"):
+            QExpansion(weight=4, coeffs=(1, 2))
 
     def test_qexpansion_normalizes_and_checks_length(self):
         f = QExpansion(4, [Fraction(2, 1), Fraction(1, 3), 5])

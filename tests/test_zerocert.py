@@ -17,57 +17,12 @@ from zetapoly.zerocert import (
     SymmetryError,
     critical_line_certify,
     critical_line_roots,
-    sturm_count,
     unit_circle_certify,
 )
 
 
 def P(*coeffs):
     return RatPoly(coeffs)
-
-
-class TestSturmCount:
-    def test_sqrt2(self):
-        assert sturm_count(P(-2, 0, 1), Fraction(0), Fraction(2)) == 1
-
-    def test_no_real_roots(self):
-        assert sturm_count(P(1, 0, 1), None, None) == 0
-
-    def test_three_roots(self):
-        p = P(1, 1) * P(2, 1) * P(3, 1)
-        assert sturm_count(p, Fraction(-4), Fraction(0)) == 3
-
-    def test_zero_polynomial_raises(self):
-        with pytest.raises(ValueError):
-            sturm_count(RatPoly.zero(), None, None)
-
-    def test_reversed_interval_raises(self):
-        with pytest.raises(ValueError):
-            sturm_count(P(-1, 0, 1), 2, -2)
-
-    def test_point_interval_is_empty(self):
-        assert sturm_count(P(-1, 0, 1), 1, 1) == 0
-
-    def test_multiplicities_collapsed(self):
-        p = P(-1, 1) ** 3 * P(-2, 1)
-        assert sturm_count(p, Fraction(0), Fraction(3)) == 2
-
-    def test_random_factor_products_oracle(self):
-        rng = random.Random(424242)
-        for _ in range(100):
-            real_roots = set()
-            p = RatPoly.one()
-            for _ in range(rng.randint(1, 4)):
-                if rng.random() < 0.6:
-                    root = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
-                    p = p * P(-root, 1)
-                    real_roots.add(root)
-                else:
-                    # irreducible quadratic (x-a)^2 + b, b > 0
-                    a = rng.randint(-5, 5)
-                    b = rng.randint(1, 9)
-                    p = p * P(a * a + b, -2 * a, 1)
-            assert sturm_count(p, None, None) == len(real_roots)
 
 
 class TestUnitCircleCertify:
@@ -213,14 +168,10 @@ class TestCriticalLineCertify:
         assert len(calls) == 1
 
     def test_peels_each_layer_with_one_division(self, monkeypatch):
-        # A = (v + 1)^3 (v + 2)^2 (v + 3): the layers of peeling by
-        # squarefree_part, from one gcd and one exact division per layer
+        # A = (v + 1)^3 (v + 2)^2 (v + 3): layer j holds the roots of
+        # multiplicity >= j, from one gcd and one exact division per layer
         A = P(1, 1) ** 3 * P(2, 1) ** 2 * P(3, 1)
-        expected, B = [], A
-        while B.degree > 0:
-            expected.append(B.squarefree_part())
-            B = B // expected[-1]
-        assert expected == [P(6, 11, 6, 1), P(2, 3, 1), P(1, 1)]
+        expected = [P(6, 11, 6, 1), P(2, 3, 1), P(1, 1)]
         divisions = []
         floordiv = RatPoly.__floordiv__
 
