@@ -10,7 +10,7 @@ zetapoly`` loads no submodule and each command loads only what it runs.
 import importlib
 
 _EXPORTS = {
-    "exactcore": ("RatPoly", "is_self_inversive", "chebyshev_T"),
+    "exactcore": ("RatPoly", "is_self_inversive"),
     "modforms": (
         "QExpansion",
         "eisenstein_qexp",
@@ -53,6 +53,7 @@ _EXPORTS = {
         "habiro_qinv",
         "eval_at_root",
         "psi_toric",
+        "chebyshev_T",
         "psi_chebyshev",
         "frobenius_congruence_check",
         "chebyshev_compatibility_check",

@@ -27,10 +27,7 @@ den db^n.
 
 This is the one module every command loads, so it also holds the few names
 that several others share: the supported weights and
-``UnsupportedWeightError``.  The Chebyshev polynomials ``chebyshev_T``,
-which only ``habiro`` uses, stay here because the package exports them from
-this module; each is built from the closed form of the Dickson polynomial
-D_k(r, 1), with no recursion.
+``UnsupportedWeightError``, and nothing that only one other module uses.
 """
 
 import operator
@@ -38,8 +35,7 @@ import sys
 from array import array
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 # weights k with dim S_k = 1 for PSL(2,Z)
 ONE_DIM_WEIGHTS = (12, 16, 18, 20, 22, 26)
@@ -336,11 +332,29 @@ class RatPoly:
         return self * Fraction(self.den, self.num[-1])
 
     def gcd(self, other: "RatPoly") -> "RatPoly":
-        """Monic gcd by the Euclidean algorithm over Q."""
-        a, b = self, (other if isinstance(other, RatPoly) else RatPoly((other,)))
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        """Monic gcd by the heuristic gcd of Char, Geddes and Gonnet (J. Symb.
+        Comput. 7, 1989), on the primitive integer parts a and b.  At
+        xi = 2^(8 width), wide enough for _pack to hold every coefficient and
+        so xi >= 2 min(|a|, |b|) + 2 in max norm, G = gcd(a(xi), b(xi)) is
+        read back as signed digits (G <= |a(xi)|, |b(xi)|, so it fits in the
+        shorter's length), and h is their primitive part.  By their theorem
+        an h that divides both a and b is their gcd g, so one exact division
+        check, in integers since h is primitive (Gauss's lemma), stands in
+        for any coefficient bound.  Otherwise the width doubles.  This ends:
+        G = k g(xi) with k dividing Res(a/g, b/g), which does not depend on
+        xi, so a wide enough xi reads G back as k g, whose primitive part is
+        g."""
+        other = other if isinstance(other, RatPoly) else RatPoly((other,))
+        a, b = self.primitive_integer().num, other.primitive_integer().num
+        if not (a and b):
+            return (self if a else other).monic()
+        width = (max(map(abs, a + b)).bit_length() + 8) // 8
+        while True:
+            G = gcd(_pack(a, width), _pack(b, width))
+            h = _poly(_unpack(G, width, min(len(a), len(b)))).primitive_integer()
+            if all(_mul(_schoolbook_divmod(list(p), h.num), h.num) == list(p) for p in (a, b)):
+                return h.monic()
+            width *= 2
 
     def primitive_integer(self) -> "RatPoly":
         """Scale to integer coefficients with content 1 and positive leading."""
@@ -526,19 +540,3 @@ def is_self_inversive(p: RatPoly) -> bool:
     """True iff p(1/z) * z^deg(p) == p(z)."""
     return bool(p) and p.num == p.num[::-1]
 
-
-@lru_cache(maxsize=None)
-def chebyshev_T(k: int) -> RatPoly:
-    """The integer polynomial T_k with T_k(q + 1/q) = q^k + q^(-k), monic for
-    k >= 1 and T_0 = 2: the Dickson polynomial D_k(r, 1) in closed form,
-    T_k(r) = sum_(0 <= j <= k/2) (-1)^j (C(k-j, j) + C(k-j-1, j-1)) r^(k-2j),
-    where C(k-j, j) + C(k-j-1, j-1) = k/(k-j) C(k-j, j) (Lidl, Mullen and
-    Turnwald, Dickson Polynomials, 1993).  It solves T_(k+1) = r T_k - T_(k-1)
-    from T_0 = 2 and T_1 = r, with no recursion and no products."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    c = [0] * (k + 1)
-    c[k] = 1 if k else 2
-    for j in range(1, k // 2 + 1):
-        c[k - 2 * j] = (-1) ** j * (comb(k - j, j) + comb(k - j - 1, j - 1))
-    return _poly(c)

@@ -6,9 +6,10 @@ Chebyshev systems of commuting Frobenius lifts.
 import random
 from functools import lru_cache
 from itertools import accumulate
+from math import comb
 from operator import add, mul, sub
 
-from .exactcore import RatPoly, _mul, _poly, _power, _Record, chebyshev_T
+from .exactcore import RatPoly, _mul, _poly, _power, _Record
 
 
 class LevelError(ValueError):
@@ -67,14 +68,20 @@ class CycloInt(_Record):
 # ---------------------------------------------------------------------
 
 
+_QPOCHHAMMER = [RatPoly.one()]  # (q)_0, (q)_1, ... as far as made
+
+
 @lru_cache(maxsize=None)
 def qpochhammer(n: int) -> RatPoly:
-    """(q)_n = (1-q)(1-q^2)...(1-q^n)."""
+    """(q)_n = (1-q)(1-q^2)...(1-q^n), by extending the list of the (q)_j
+    made so far one factor at a time, with no recursion, so ascending calls
+    reuse the earlier products.  The lru_cache holds the same values; it is
+    kept for its statistics, which bench/tracer.py reads."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return RatPoly.one()
-    return qpochhammer(n - 1) * (RatPoly.one() - RatPoly.monomial(n))
+    for j in range(len(_QPOCHHAMMER), n + 1):
+        _QPOCHHAMMER.append(_QPOCHHAMMER[-1] * (RatPoly.one() - RatPoly.monomial(j)))
+    return _QPOCHHAMMER[n]
 
 
 def _reduce(poly: RatPoly, n: int) -> RatPoly:
@@ -235,6 +242,23 @@ def psi_toric_divisibility_holds(k: int, N: int) -> bool:
             if not rem.is_zero():
                 return False
     return True
+
+
+@lru_cache(maxsize=None)
+def chebyshev_T(k: int) -> RatPoly:
+    """The integer polynomial T_k with T_k(q + 1/q) = q^k + q^(-k), monic for
+    k >= 1 and T_0 = 2: the Dickson polynomial D_k(r, 1) in closed form,
+    T_k(r) = sum_(0 <= j <= k/2) (-1)^j (C(k-j, j) + C(k-j-1, j-1)) r^(k-2j),
+    where C(k-j, j) + C(k-j-1, j-1) = k/(k-j) C(k-j, j) (Lidl, Mullen and
+    Turnwald, Dickson Polynomials, 1993).  It solves T_(k+1) = r T_k - T_(k-1)
+    from T_0 = 2 and T_1 = r, with no recursion and no products."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    c = [0] * (k + 1)
+    c[k] = 1 if k else 2
+    for j in range(1, k // 2 + 1):
+        c[k - 2 * j] = (-1) ** j * (comb(k - j, j) + comb(k - j - 1, j - 1))
+    return _poly(c)
 
 
 def psi_chebyshev(p: RatPoly, k: int) -> RatPoly:

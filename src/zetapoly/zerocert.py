@@ -187,18 +187,10 @@ def critical_line_certify(Q: RatPoly, c: Fraction, sign: int) -> Certificate:
     )
 
 
-def _scaled(a, n: int, s: int) -> int:
-    """2^(s deg a) a(n / 2^s) for the integer polynomial a (constant first),
-    by Horner in integers."""
-    acc = 0
-    for k, c in enumerate(reversed(a)):
-        acc = acc * n + (c << (s * k))
-    return acc
-
-
 def _scaled_with_slope(a, n: int, s: int) -> tuple:
-    """_scaled(a, n, s) and _scaled(a', n, s), a' the derivative of a, by one
-    Horner pass: the second is the derivative of the first in n."""
+    """2^(s deg a) a(n / 2^s) for the integer polynomial a (constant first),
+    and 2^(s (deg a - 1)) a'(n / 2^s), by one Horner pass in integers: the
+    second is the derivative of the first in n."""
     acc = slope = 0
     for k, c in enumerate(reversed(a)):
         slope = slope * n + acc
@@ -249,7 +241,8 @@ def _negative_roots(cert: Certificate, prec_bits: int):
                     V = V - step if lo < V - step < hi else (lo + hi) // 2
             h = max(1 << s, abs(V)) >> (prec_bits + 4)
             blo, bhi = max(V - h, lo), min(V + h, hi)
-            if (blo > lo and _scaled(a, blo, s) * slo <= 0) or (bhi < hi and _scaled(a, bhi, s) * slo >= 0):
+            flo, fhi = (_scaled_with_slope(a, x, s)[0] * slo for x in (blo, bhi))
+            if (blo > lo and flo <= 0) or (bhi < hi and fhi >= 0):
                 raise RuntimeError("sign test fails: A keeps its sign near its root in (%s, %s)" % ends)
             yield -(V >> (s - prec_bits - 64))
 

@@ -4,10 +4,12 @@ Each test prints one PASS/FAIL line (visible with `pytest -s` or on failure)
 and enforces its runtime budget.
 """
 
+import random
 import time
 from fractions import Fraction
 
 import mpmath
+import pytest
 from mpmath import mp, mpf
 
 from zetapoly import habiro, modforms, periods, rvtransform, zerocert
@@ -160,3 +162,27 @@ def test_criterion_8_intro_toys():
         ok = ok and abs(rvtransform.gamma_c(2) - 1 / (2 * mp.pi) ** 2) < mpf("1e-12")
     report("criterion 8: projective-space toy polynomial root sets and the finite "
            "gamma factor values", ok)
+
+
+def test_criterion_9_squarefree_gcd_budget():
+    # ROADMAP item 2's input: A = S T^2, S seeded of degree 30 with 64-bit
+    # coefficients and T of degree 3 with 8-bit ones, so deg A = 36
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(36)
+    S = RatPoly([rng.randint(-2**64, 2**64) for _ in range(30)] + [rng.randint(1, 2**64)])
+    T = RatPoly([rng.randint(-255, 255) for _ in range(3)] + [rng.randint(1, 255)])
+    A = S * T * T
+    t0 = time.perf_counter()
+    g = A.gcd(A.derivative())
+    elapsed = time.perf_counter() - t0
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(A.num[::-1]), x)
+    expected = sympy.gcd(poly, poly.diff(x)).monic()
+    ok = (
+        A.degree == 36
+        and g == RatPoly(Fraction(int(c.p), int(c.q)) for c in expected.all_coeffs()[::-1])
+        and g.degree >= 3
+        and elapsed < 0.05
+    )
+    report("criterion 9: gcd(A, A') of the degree-36 synthetic A = S T^2 matches "
+           "sympy, <0.05s", ok)

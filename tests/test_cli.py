@@ -211,7 +211,7 @@ class TestReportFailureCause:
                 assert row == ref
 
     def test_failed_sign_test_keeps_its_message(self, capsys, tmp_path, monkeypatch):
-        real_record, real_scaled = cli.zeta_record_for_d, zerocert._scaled
+        real_record, real_scaled = cli.zeta_record_for_d, zerocert._scaled_with_slope
         weights = []
 
         def recording(quot, d=None):
@@ -219,10 +219,11 @@ class TestReportFailureCause:
             return real_record(quot, d)
 
         def no_sign_change_at_20(a, n, s):
-            return 0 if weights[-1] == 20 else real_scaled(a, n, s)
+            value, slope = real_scaled(a, n, s)
+            return (0 if weights[-1] == 20 else value), slope
 
         monkeypatch.setattr(cli, "zeta_record_for_d", recording)
-        monkeypatch.setattr(zerocert, "_scaled", no_sign_change_at_20)
+        monkeypatch.setattr(zerocert, "_scaled_with_slope", no_sign_change_at_20)
         rows = self.report_rows(capsys, tmp_path)
         assert not (tmp_path / "roots_w20_d9.json").exists()
         for row, ref in zip(rows, REFERENCE_ROWS):

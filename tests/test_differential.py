@@ -54,6 +54,28 @@ def test_gcd_matches_sympy(shared, f, g):
     assert from_sympy(a).gcd(from_sympy(b)) == from_sympy(expected)
 
 
+def wide_polys(min_degree, max_degree):
+    """Polynomials with 64-bit integer coefficients over a small denominator."""
+    coeff = st.integers(-(2**64), 2**64)
+    return st.builds(
+        lambda cs, lead, den: RatPoly(Fraction(c, den) for c in cs + [lead]),
+        st.lists(coeff, min_size=min_degree, max_size=max_degree),
+        coeff.filter(bool),
+        st.integers(1, 12),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(wide_polys(2, 8), wide_polys(18, 24), wide_polys(18, 24))
+def test_gcd_matches_sympy_at_degree_20_and_64_bits(shared, f, g):
+    # the regime where Euclid over Q took seconds per gcd
+    a, b = shared * f, shared * g
+    assert min(a.degree, b.degree) >= 20
+    poly_a, poly_b = (sympy.Poly([to_sympy(c) for c in p.coeffs[::-1]], X) for p in (a, b))
+    expected = sympy.gcd(poly_a, poly_b).monic()
+    assert a.gcd(b) == RatPoly(Fraction(int(c.p), int(c.q)) for c in expected.all_coeffs()[::-1])
+
+
 inner_t = st.fractions(min_value=-2, max_value=2, max_denominator=9).filter(lambda t: abs(t) < 2)
 outer_t = st.one_of(
     st.sampled_from([Fraction(2), Fraction(-2)]),

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf
 
-from zetapoly.exactcore import RatPoly, chebyshev_T, is_self_inversive, rref
-from zetapoly.habiro import habiro_r
+from zetapoly import exactcore
+from zetapoly.exactcore import RatPoly, is_self_inversive, rref
+from zetapoly.habiro import chebyshev_T, habiro_r
 from zetapoly.modforms import eigenform
 from zetapoly.periods import cfi_quotient, odd_period_polynomial, relations_kernel
 from zetapoly.rvtransform import rv_polynomial
@@ -174,6 +175,46 @@ class TestGcd:
         p = P(Fraction(1, 2), 3)
         assert p.gcd(RatPoly.zero()) == RatPoly.zero().gcd(p) == p.monic()
         assert RatPoly.zero().gcd(RatPoly.zero()) == RatPoly.zero()
+
+    def test_unlucky_point_forces_a_wider_one(self, monkeypatch):
+        # both operands are 1-byte packable, so the first point is xi = 2^8;
+        # a(256) = 265 divides b(256), so the first candidate is x + 9, which
+        # does not divide b, and the gcd must come from a wider xi
+        a, b = P(9, 1), P(2, -4, -7, 4)
+        assert a(256) == 265 and b(256) % 265 == 0 and b(-9) != 0
+        widths, real = [], exactcore._pack
+        monkeypatch.setattr(exactcore, "_pack", lambda cs, w: widths.append(w) or real(cs, w))
+        assert a.gcd(b) == b.gcd(a) == RatPoly.one()
+        assert widths[0] == 1 and max(widths) > 1
+
+    def test_constants(self):
+        p = P(-3, 1) * P(1, 1)
+        assert p.gcd(P(5)) == P(Fraction(-2, 7)).gcd(p) == P(3).gcd(P(Fraction(1, 3))) == RatPoly.one()
+        assert p.gcd(5) == RatPoly.one()
+        assert P(7).gcd(RatPoly.zero()) == RatPoly.one()
+
+    def test_rational_coefficients(self):
+        shared = P(Fraction(-1, 2), 1) * P(Fraction(2, 3), 0, Fraction(5, 7))
+        a, b = shared * P(Fraction(1, 9), 1), shared * P(Fraction(-3, 4), Fraction(1, 5)) ** 2
+        assert a.gcd(b) == shared.monic()
+        assert a.gcd(b).coeffs == (Fraction(-7, 15), Fraction(14, 15), Fraction(-1, 2), 1)
+
+    def test_negative_leading_coefficients(self):
+        shared = P(3, -2)  # 3 - 2x
+        a, b = shared * P(1, 0, 1), shared * P(-5, 0, 0, 4)
+        assert a[3] < 0 and b[4] < 0
+        assert a.gcd(b) == (-a).gcd(b) == a.gcd(-b) == P(Fraction(-3, 2), 1)
+
+    def test_large_coefficients_and_degree(self):
+        # the regime where Euclid over Q blew up: degree 30 and 64-bit coefficients
+        rng = random.Random(2711)
+
+        def draw(degree):
+            return RatPoly([rng.randint(-2**64, 2**64) for _ in range(degree)] + [rng.randint(1, 2**64)])
+
+        for _ in range(5):
+            shared, f, g = draw(6), draw(24), draw(24)  # f and g coprime at this seed
+            assert (shared * f).gcd(shared * g) == shared.monic()
 
     def test_output_coprime_with_derivative(self):
         rng = random.Random(7)

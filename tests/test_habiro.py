@@ -160,6 +160,26 @@ class TestHabiroQinv:
                 series = series + RatPoly.monomial(n) * pochhammer
             assert habiro_qinv(N) == HabiroTrunc.make(N, series), N
 
+    def test_no_recursion_on_n(self):
+        # a fresh interpreter with a recursion limit of 100: (q)_150 built by
+        # one call per factor would need some 300 frames.  A larger n would
+        # meet the default limit, but the cached (q)_j take O(n^3) memory.
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys\n"
+            "from zetapoly.exactcore import RatPoly\n"
+            "from zetapoly.habiro import HabiroTrunc, habiro_qinv, qpochhammer\n"
+            "sys.setrecursionlimit(100)\n"
+            "g = qpochhammer(150)\n"
+            "if g.degree != 150 * 151 // 2 or g != qpochhammer(149) * RatPoly((1,) + (0,) * 149 + (-1,)):\n"
+            "    raise SystemExit('wrong (q)_150')\n"
+            "if habiro_qinv(150).residue != HabiroTrunc.make(150, RatPoly(g.num[1:]) * -1).residue:\n"
+            "    raise SystemExit('wrong q^(-1)')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.mark.parametrize("N", (1, 3, 8))
     def test_battery_sees_a_wrong_r(self, monkeypatch, N):
         # q^(-1) is built without r, so the battery's r = q + q^(-1) is a
