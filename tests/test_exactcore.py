@@ -205,17 +205,6 @@ class TestGcd:
         assert a[3] < 0 and b[4] < 0
         assert a.gcd(b) == (-a).gcd(b) == a.gcd(-b) == P(Fraction(-3, 2), 1)
 
-    def test_large_coefficients_and_degree(self):
-        # the regime where Euclid over Q blew up: degree 30 and 64-bit coefficients
-        rng = random.Random(2711)
-
-        def draw(degree):
-            return RatPoly([rng.randint(-2**64, 2**64) for _ in range(degree)] + [rng.randint(1, 2**64)])
-
-        for _ in range(5):
-            shared, f, g = draw(6), draw(24), draw(24)  # f and g coprime at this seed
-            assert (shared * f).gcd(shared * g) == shared.monic()
-
     def test_output_coprime_with_derivative(self):
         rng = random.Random(7)
         for _ in range(25):
