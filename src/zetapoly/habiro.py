@@ -68,20 +68,18 @@ class CycloInt(_Record):
 # ---------------------------------------------------------------------
 
 
-_QPOCHHAMMER = [RatPoly.one()]  # (q)_0, (q)_1, ... as far as made
-
-
 @lru_cache(maxsize=None)
 def qpochhammer(n: int) -> RatPoly:
-    """(q)_n = (1-q)(1-q^2)...(1-q^n), by extending the list of the (q)_j
-    made so far one factor at a time, with no recursion, so ascending calls
-    reuse the earlier products.  The lru_cache holds the same values; it is
-    kept for its statistics, which bench/tracer.py reads."""
+    """(q)_n = (1-q)(1-q^2)...(1-q^n), with no recursion: each factor
+    1 - q^j is one shifted subtraction c <- c - q^j c on the integer list,
+    and only the last list is kept, so (q)_n takes O(n^2) memory.  The
+    lru_cache is kept for its statistics, which bench/tracer.py reads."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    for j in range(len(_QPOCHHAMMER), n + 1):
-        _QPOCHHAMMER.append(_QPOCHHAMMER[-1] * (RatPoly.one() - RatPoly.monomial(j)))
-    return _QPOCHHAMMER[n]
+    c = [1]
+    for j in range(1, n + 1):
+        c = list(map(sub, c + [0] * j, [0] * j + c))
+    return _poly(c)
 
 
 def _reduce(poly: RatPoly, n: int) -> RatPoly:
@@ -179,11 +177,16 @@ def habiro_q(N: int) -> HabiroTrunc:
 
 @lru_cache(maxsize=None)
 def habiro_r(N: int) -> HabiroTrunc:
-    """r = 1 + q + sum_{n>=1} q^n (q)_n; terms with n >= N vanish mod (q)_N."""
-    acc = RatPoly((1, 1))
+    """r = 1 + q + sum_{n>=1} q^n (q)_n; terms with n >= N vanish mod (q)_N.
+    (q)_n is built as in qpochhammer, one shifted subtraction per factor,
+    and each q^n (q)_n is added into one list of N(N+1)/2 + 2 entries, which
+    holds the last term, of degree (N - 1)(N + 2)/2."""
+    acc = [1, 1] + [0] * (N * (N + 1) // 2)
+    c = [1]
     for n in range(1, N):
-        acc = acc + RatPoly.monomial(n) * qpochhammer(n)
-    return HabiroTrunc.make(N, acc)
+        c = list(map(sub, c + [0] * n, [0] * n + c))
+        acc[n : n + len(c)] = map(add, acc[n : n + len(c)], c)
+    return HabiroTrunc.make(N, _poly(acc))
 
 
 def habiro_qinv(N: int) -> HabiroTrunc:
@@ -231,9 +234,7 @@ def psi_toric(x: HabiroTrunc, k: int) -> HabiroTrunc:
 def psi_toric_divisibility_holds(k: int, N: int) -> bool:
     """Check that Phi_d^(floor(N/d)) divides prod_{j<=N} (1 - q^(kj)) for all
     d <= N; this is what makes psi_toric well-defined on the quotient."""
-    prod = RatPoly.one()
-    for j in range(1, N + 1):
-        prod = prod * (RatPoly.one() - RatPoly.monomial(k * j))
+    prod = _substitute_power(qpochhammer(N), k)  # psi^k((q)_N)
     for d in range(1, N + 1):
         phi = cyclotomic_poly(d)
         body = prod

@@ -159,11 +159,14 @@ class TestHabiroQinv:
                 pochhammer = pochhammer * (RatPoly.one() - RatPoly.monomial(n))
                 series = series + RatPoly.monomial(n) * pochhammer
             assert habiro_qinv(N) == HabiroTrunc.make(N, series), N
+            # and for r = q + q^(-1), whose top terms an accumulator one
+            # entry too short would drop
+            assert habiro_r(N) == HabiroTrunc.make(N, RatPoly.x() + series), N
 
     def test_no_recursion_on_n(self):
         # a fresh interpreter with a recursion limit of 100: (q)_150 built by
-        # one call per factor would need some 300 frames.  A larger n would
-        # meet the default limit, but the cached (q)_j take O(n^3) memory.
+        # one call per factor would need some 300 frames, where the default
+        # limit would need n near 500.
         src = Path(__file__).resolve().parents[1] / "src"
         code = (
             "import sys\n"
@@ -175,6 +178,30 @@ class TestHabiroQinv:
             "    raise SystemExit('wrong (q)_150')\n"
             "if habiro_qinv(150).residue != HabiroTrunc.make(150, RatPoly(g.num[1:]) * -1).residue:\n"
             "    raise SystemExit('wrong q^(-1)')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_memory_quadratic_in_n(self):
+        # a fresh interpreter: (q)_300 has 45151 coefficients, so keeping
+        # every (q)_j for j <= 300 would take some 200 MB, and keeping only
+        # the last list takes a few
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import resource\n"
+            "from zetapoly.exactcore import RatPoly\n"
+            "from zetapoly.habiro import habiro_r, qpochhammer\n"
+            "def rise(f, n):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "    f(n)\n"
+            "    kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+            "    if kib >= 48 * 1024:\n"
+            "        raise SystemExit(f'{f.__name__}({n}) raised ru_maxrss by {kib} KiB')\n"
+            "rise(qpochhammer, 300)\n"
+            "rise(habiro_r, 300)\n"
+            "if qpochhammer(300) != qpochhammer(299) * RatPoly((1,) + (0,) * 299 + (-1,)):\n"
+            "    raise SystemExit('wrong (q)_300')\n"
         )
         env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)

@@ -121,3 +121,67 @@ def test_kernel_references_see_aliases_and_attributes():
         ("__mul__", "_kronecker_mul"), ("__mul__", "_schoolbook_mul"),
         ("_mul", "_kronecker_mul"), (None, "_schoolbook_mul"),
     ]
+
+
+# a module-level list, dict or set that a function fills is a cache no one
+# can see or bound: one that kept every (q)_j grew as n^3.  Caches are
+# lru_caches, whose size and hits show in cache_info.
+DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+MUTATORS = {
+    "append", "extend", "insert", "update", "add", "pop", "clear", "popitem", "remove", "discard", "setdefault",
+}
+
+
+def mutated_module_containers(tree):
+    """(enclosing function, name) for every mutation, inside a function, of
+    a module-level name bound to a list, dict or set display: a mutating
+    method call, an item or slice assignment, or a del of an item."""
+    containers = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, DISPLAYS):
+            containers.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.value, DISPLAYS) and isinstance(node.target, ast.Name):
+            containers.add(node.target.id)
+
+    def walk(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, ast.Lambda):
+            owner = "<lambda>"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in MUTATORS:
+            changed = [node.func.value]
+        elif isinstance(node, (ast.Assign, ast.Delete)):
+            changed = [t.value for t in node.targets if isinstance(t, ast.Subscript)]
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)) and isinstance(node.target, ast.Subscript):
+            changed = [node.target.value]
+        else:
+            changed = []
+        if owner is not None:
+            yield from ((owner, t.id) for t in changed if isinstance(t, ast.Name) and t.id in containers)
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, owner)
+
+    yield from walk(tree, None)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_level_cache(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = sorted(set(mutated_module_containers(tree)))
+    assert not found, f"{path.name}: module-level containers mutated in functions: {found}; use an lru_cache"
+
+
+def test_mutated_module_containers_see_every_form():
+    tree = ast.parse(
+        "CACHE = [1]\nTABLE = {k: k for k in 'ab'}\nSEEN = {0}\nFIXED = {'a': 1}\nFIXED['b'] = 2\n"
+        "KEYS: set = {1}\nCALLED = list()\n"
+        "def f(x):\n    CACHE.append(x)\n    TABLE[x] += 1\n    CALLED.append(x)\n    SEEN = {x}\n"
+        "    return FIXED.get(x)\n"
+        "class C:\n    def g(self):\n        del TABLE['a']\n        KEYS.add(1)\n        CACHE[1:] = []\n"
+        "        self.CACHE.append(1)\n"
+        "h = lambda: {1}.pop() or TABLE.clear()\n"
+    )
+    assert sorted(mutated_module_containers(tree)) == [
+        ("<lambda>", "TABLE"), ("f", "CACHE"), ("f", "TABLE"),
+        ("g", "CACHE"), ("g", "KEYS"), ("g", "TABLE"),
+    ]
