@@ -186,7 +186,7 @@ class TestHabiroQinv:
     def test_memory_quadratic_in_n(self):
         # a fresh interpreter: (q)_300 has 45151 coefficients, so keeping
         # every (q)_j for j <= 300 would take some 200 MB, and keeping only
-        # the last list takes a few
+        # the last list takes a few (ru_maxrss is in KiB on Linux)
         src = Path(__file__).resolve().parents[1] / "src"
         code = (
             "import resource\n"
