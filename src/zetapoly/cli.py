@@ -45,7 +45,7 @@ def zeta_record_for_d(quot, d=None):
     if d is None:
         d = quot.e + 2
     record = rv_polynomial(quot.U_poly, d, weight=quot.weight)
-    return record, critical_line_certify(record.Q, record.critical_line, +1)
+    return record, critical_line_certify(record.Q, record.critical_line)
 
 
 def _emit(payload, out):

@@ -52,11 +52,11 @@ def _frozen(self, name, *value):
 
 class _Record:
     """Base of the immutable value classes.  The fields are the subclass's
-    ``__slots__``; a generated ``__init__`` takes them by position or keyword,
-    ``_defaults`` for the trailing ones, then calls ``_validate`` if defined.
+    ``__slots__``; a generated ``__init__`` takes every one of them, by
+    position or keyword, then calls ``_validate`` if defined.
     Fields in ``_hidden`` stay out of ==, hash and repr; a record equals only its own class."""
 
-    __slots__ = _defaults = _hidden = ()
+    __slots__ = _hidden = ()
 
     def __init_subclass__(cls):
         names = cls.__slots__
@@ -66,7 +66,6 @@ class _Record:
         scope = {"_set": object.__setattr__}
         exec(f"def __init__(self, {', '.join(names)}):{body}", scope)
         init = cls.__init__ = scope["__init__"]
-        init.__defaults__ = cls._defaults
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         cls._shown = tuple(name for name in names if name not in cls._hidden)
         cls._key = operator.attrgetter(*cls._shown)

@@ -234,6 +234,8 @@ def psi_toric(x: HabiroTrunc, k: int) -> HabiroTrunc:
 def psi_toric_divisibility_holds(k: int, N: int) -> bool:
     """Check that Phi_d^(floor(N/d)) divides prod_{j<=N} (1 - q^(kj)) for all
     d <= N; this is what makes psi_toric well-defined on the quotient."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     prod = _substitute_power(qpochhammer(N), k)  # psi^k((q)_N)
     for d in range(1, N + 1):
         phi = cyclotomic_poly(d)

@@ -107,11 +107,13 @@ def cuspform_basis(k: int, prec: int = DEFAULT_QEXP_PREC) -> list:
     """Echelonized basis of S_k from monomials E4^a E6^b Delta^c.
 
     Basis element i has leading coefficient 1 at q^(i+1) and zeros at the
-    earlier pivot powers.
+    earlier pivot powers, so prec must reach q^dim: PrecisionError otherwise.
     """
     if k % 2 != 0 or k < 0:
         return []
     dim = dim_cuspforms(k)
+    if prec < dim:
+        raise PrecisionError(f"q-expansion to q^{prec} too short for the {dim} forms of S_{k}")
     forms = []
     e4 = eisenstein_qexp(4, prec)
     e6 = eisenstein_qexp(6, prec)

@@ -3,7 +3,7 @@ critical-line roots refined in integers from the intervals that certified
 them.  No root is found in floating point: roots_json only rounds the exact
 roots to doubles for output.
 
-Both certificates are one count.  The zeros of R(u) = u^offset A(u^2) lie on
+Both certificates are one count.  The zeros of an even R(u) = A(u^2) lie on
 the line Re u = 0 iff every root of A is real and <= 0.  A is peeled into
 squarefree layers (_parity_layers), and the negative roots of each layer are
 isolated once, in integers, by Descartes' rule of signs (_isolate); the count
@@ -15,7 +15,7 @@ R(u) = Q(c + u); for the unit circle, R is the Cayley transform
 import math
 from fractions import Fraction
 
-from .exactcore import RatPoly, _linear_compose, _poly, _Record
+from .exactcore import RatPoly, _exact, _linear_compose, _poly, _Record
 
 
 class SymmetryError(ValueError):
@@ -24,14 +24,13 @@ class SymmetryError(ValueError):
 
 class Certificate(_Record):
     """A "unit_circle" or "critical_line" verdict.  Not in the JSON, ==, hash
-    or repr: the squarefree layers of the A that the count peeled, the
-    offset with R(u) = u^offset A(u^2), for R = Q(c + u) on the critical line
-    and the Cayley transform of U (offset 0) on the unit circle, and for each
-    layer the isolating intervals of its negative roots (_isolate)."""
+    or repr: the squarefree layers of the A that the count peeled, with
+    R(u) = A(u^2) for R = Q(c + u) on the critical line and the Cayley
+    transform of U on the unit circle, and for each layer the isolating
+    intervals of its negative roots (_isolate)."""
 
-    _hidden = ("layers", "offset", "intervals")
+    _hidden = ("layers", "intervals")
     __slots__ = ("kind", "passed", "counted_roots", "expected_roots", "witness") + _hidden
-    _defaults = ((), 0, ())
 
     def to_json_dict(self) -> dict:
         return {
@@ -50,20 +49,20 @@ def _variations(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _parity_layers(R: RatPoly, offset: int, claim: str):
-    """A with R(u) = u^offset A(u^2), the squarefree layers of A, and the
+def _parity_layers(R: RatPoly, claim: str):
+    """A with R(u) = A(u^2), the squarefree layers of A, and the
     isolating intervals of each layer's negative roots (_isolate).  Layer j
     holds, once each, the roots of multiplicity >= j, so a root lies in as
     many layers as its multiplicity.  From B = A, each step takes the one
     gcd g = gcd(B, B'), appends the layer B // g and sets B <- g, until B is
-    constant.  Raises SymmetryError(claim) when R has a term of the other
-    parity, i.e. R(-u) != (-1)^offset R(u)."""
-    if any(R.num[1 - offset :: 2]):
+    constant.  Raises SymmetryError(claim) when R has an odd term, i.e.
+    R(-u) != R(u)."""
+    if any(R.num[1::2]):
         raise SymmetryError(claim)
-    A = _poly(R.num[offset::2], R.den)
+    A = _poly(R.num[::2], R.den)
     # reconstruction guard: spreading A back out must give R
-    rec = [0] * (offset + 2 * len(A.num))
-    rec[offset::2] = A.num
+    rec = [0] * (2 * len(A.num))
+    rec[::2] = A.num
     if _poly(rec, A.den) != R:
         raise RuntimeError("even/odd decomposition failed to reconstruct input")
     layers, B = [], A
@@ -143,7 +142,7 @@ def unit_circle_certify(U: RatPoly) -> Certificate:
         raise ValueError("degree must be even")
     # two integer Taylor shifts and a reversal: z -> 2w - 1, w -> 1/w, w -> 1 - u
     R = U.compose(RatPoly((-1, 2))).reversed_coeffs().compose(RatPoly((1, -1)))
-    _, layers, intervals = _parity_layers(R, 0, "U must be self-inversive: U(1/z) z^e == U(z)")
+    _, layers, intervals = _parity_layers(R, "U must be self-inversive: U(1/z) z^e == U(z)")
     # the roots of A in (-inf, 0), by multiplicity: a root 0 is U(1) = 0
     count = sum(map(len, intervals))
     return Certificate(
@@ -157,24 +156,21 @@ def unit_circle_certify(U: RatPoly) -> Certificate:
     )
 
 
-def critical_line_certify(Q: RatPoly, c: Fraction, sign: int) -> Certificate:
-    """Certify that all zeros of Q lie on the vertical line Re x = c.
+def critical_line_certify(Q: RatPoly, c) -> Certificate:
+    """Certify that all zeros of Q lie on the vertical line Re x = c, for an
+    int or Fraction c (any other c raises TypeError).
 
-    Q must satisfy Q(2c - x) = sign * Q(x) exactly.  Substituting x = c + u
-    gives Q(c+u) = A(u^2) (sign +) or u A(u^2) (sign -); the zeros of Q are
-    on the line iff every root of A is real and <= 0.
+    Q must satisfy Q(2c - x) = Q(x) exactly, so Q has even degree and
+    Q(c + u) = A(u^2); the zeros of Q are on the line iff every root of A is
+    real and <= 0.  The Q of a zeta polynomial record always does: its sign
+    (-1)^e under x -> 2c - x is +1, as the weight k = e + 12 is even.
     """
     if Q.is_zero():
         raise ValueError("zero polynomial")
-    c = Fraction(c)
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    offset = 0 if sign == 1 else 1
-    A, layers, intervals = _parity_layers(
-        Q.compose(RatPoly((c, 1))), offset, f"Q(2c - x) != {sign:+d} Q(x) at c = {c}"
-    )
+    c = _exact(c)
+    A, layers, intervals = _parity_layers(Q.compose(RatPoly((c, 1))), f"Q(2c - x) != Q(x) at c = {c}")
     # A's roots in (-inf, 0], each counted once per layer it lies in, i.e. by multiplicity
-    counted = 2 * sum(len(iv) + (S.num[0] == 0) for S, iv in zip(layers, intervals)) + offset
+    counted = 2 * sum(len(iv) + (S.num[0] == 0) for S, iv in zip(layers, intervals))
     return Certificate(
         kind="critical_line",
         passed=counted == Q.degree,
@@ -182,7 +178,6 @@ def critical_line_certify(Q: RatPoly, c: Fraction, sign: int) -> Certificate:
         expected_roots=Q.degree,
         witness=f"A(v), deg {A.degree}" if A.degree > 0 else "A constant, trivially certified",
         layers=layers,
-        offset=offset,
         intervals=intervals,
     )
 
@@ -248,10 +243,11 @@ def _negative_roots(cert: Certificate, prec_bits: int):
 
 
 def critical_line_roots(cert: Certificate, c, prec_bits: int = 128) -> list[tuple]:
-    """All zeros of the Q of cert = critical_line_certify(Q, c, sign), with
-    Q(c + u) = u^offset A(u^2), as exact pairs (c, +-sqrt(-v)), the square
-    root to prec_bits + 64 fractional bits, over the roots v of A, ascending
-    in imaginary part and repeated by multiplicity.
+    """All zeros of the Q of cert = critical_line_certify(Q, c), with
+    Q(c + u) = A(u^2), as exact pairs (c, +-sqrt(-v)), the square root to
+    prec_bits + 64 fractional bits, over the roots v of A, ascending in
+    imaginary part and repeated by multiplicity.  c is an int or Fraction;
+    any other c raises TypeError.
 
     The roots of each squarefree layer of A are refined in integers
     (_negative_roots) from the isolating intervals that the certificate
@@ -260,12 +256,12 @@ def critical_line_roots(cert: Certificate, c, prec_bits: int = 128) -> list[tupl
     number fewer than deg A, or when a root's sign test fails; there is no
     fallback to a complex solve.
     """
-    found, deg = ((n - cert.offset) // 2 for n in (cert.counted_roots, cert.expected_roots))
-    if found != deg:
+    if not cert.passed:  # Q has even degree, so both counts are twice A's
+        found, deg = cert.counted_roots // 2, cert.expected_roots // 2
         raise RuntimeError(f"sign test fails: {found} of the deg A = {deg} roots of A are in (-oo, 0]")
-    c, F = Fraction(c), prec_bits + 64
+    c, F = _exact(c), prec_bits + 64
     ys = [Fraction(math.isqrt(W << F), 1 << F) for W in sorted(_negative_roots(cert, prec_bits))]
-    return [(c, -y) for y in reversed(ys)] + [(c, Fraction(0))] * cert.offset + [(c, y) for y in ys]
+    return [(c, -y) for y in reversed(ys)] + [(c, y) for y in ys]
 
 
 def roots_json(roots) -> list:

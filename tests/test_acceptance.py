@@ -76,7 +76,7 @@ def test_criterion_4_rv_grid():
             ok = ok and all(rec.H(Fraction(n)) == coeffs[n] for n in range(51))
             ok = ok and rvtransform.functional_equation_defect(rec.H, d, e).is_zero()
             ok = ok and all(rec.H(Fraction(-j)) == 0 for j in range(1, d - e))
-            cert = zerocert.critical_line_certify(rec.Q, rec.critical_line, +1)
+            cert = zerocert.critical_line_certify(rec.Q, rec.critical_line)
             ok = ok and cert.passed
     ok = ok and (time.monotonic() - t0) < 60.0
     report("criterion 4: 36-cell grid — series values, functional equation, "

@@ -323,7 +323,7 @@ class TestLazyImports:
         script = (
             "from zetapoly.exactcore import RatPoly\n"
             "from zetapoly.zerocert import critical_line_certify, critical_line_roots\n"
-            "cert = critical_line_certify(RatPoly((10**400, 0, 10**400 + 1, 0, 1)), 0, 1)\n"
+            "cert = critical_line_certify(RatPoly((10**400, 0, 10**400 + 1, 0, 1)), 0)\n"
             "assert len(critical_line_roots(cert, 0, 128)) == 4\n"
         )
         loaded = loaded_modules(script)

@@ -107,35 +107,36 @@ def test_unit_circle_fails_with_a_factor_off_the_circle(ts, bad, scale):
 
 @st.composite
 def line_factors(draw):
-    """Factors (x-c)^2 + b^2 and (x-c), repeats allowed; returns the product's
-    expression and its sign under x -> 2c - x."""
+    """Factors (x-c)^2 + b^2 and an even power of (x-c), repeats allowed, so
+    the product is even under x -> 2c - x; returns c and the product's
+    expression."""
     c = draw(small_rational)
     bs = draw(st.lists(small_rational, max_size=3))
-    linear = draw(st.integers(0, 2 if bs else 3).filter(lambda n: n or bs))
+    linear = 2 * draw(st.integers(0 if bs else 1, 1))
     expr = to_sympy(draw(nonzero_rational)) * (X - to_sympy(c)) ** linear
     for b in bs:
         expr *= (X - to_sympy(c)) ** 2 + to_sympy(b) ** 2
-    return c, expr, (-1) ** linear
+    return c, expr
 
 
 @SETTINGS
 @given(line_factors())
 def test_critical_line_passes_on_products_on_the_line(factors):
-    c, expr, sign = factors
+    c, expr = factors
     Q = from_sympy(expr)
-    cert = critical_line_certify(Q, c, sign)
+    cert = critical_line_certify(Q, c)
     assert cert.passed and cert.counted_roots == Q.degree
 
 
 @SETTINGS
 @given(line_factors(), nonzero_rational, small_rational)
 def test_critical_line_fails_with_a_pair_off_the_line(factors, a, b):
-    c, expr, sign = factors
+    c, expr = factors
     u = X - to_sympy(c)
     a, b = to_sympy(a), to_sympy(b)
     # roots c + a +- ib and c - a +- ib: symmetric about the line, not on it
     expr *= ((u - a) ** 2 + b**2) * ((u + a) ** 2 + b**2)
-    assert not critical_line_certify(from_sympy(expr), c, sign).passed
+    assert not critical_line_certify(from_sympy(expr), c).passed
 
 
 @st.composite
@@ -163,12 +164,12 @@ def roots_at_most_zero(A, zero=True):
 
 
 @SETTINGS
-@given(integer_a(), small_rational, st.integers(0, 1))
-def test_critical_line_count_matches_sympy(A, c, offset):
+@given(integer_a(), small_rational)
+def test_critical_line_count_matches_sympy(A, c):
     shift = sympy.Poly(X - to_sympy(c), X)
-    Q = from_poly(shift**offset * A.compose(shift**2))  # Q(c + u) = u^offset A(u^2)
-    cert = critical_line_certify(Q, c, (-1) ** offset)
-    assert cert.counted_roots == 2 * roots_at_most_zero(A) + offset
+    Q = from_poly(A.compose(shift**2))  # Q(c + u) = A(u^2)
+    cert = critical_line_certify(Q, c)
+    assert cert.counted_roots == 2 * roots_at_most_zero(A)
 
 
 @SETTINGS

@@ -301,6 +301,12 @@ class TestPsiToric:
         for k in (2, 3, 5):
             assert psi_toric_divisibility_holds(k, 8)
 
+    @pytest.mark.parametrize("k", (0, -1))
+    def test_divisibility_lemma_needs_k_at_least_1(self, k):
+        # psi^0((q)_N) = 0 would pass for any divisor; psi^k for k < 0 is not a polynomial
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            psi_toric_divisibility_holds(k, 8)
+
     def test_frobenius_toric(self):
         for p in (2, 3, 5):
             assert frobenius_congruence_toric(p, habiro_q(12))

@@ -93,6 +93,17 @@ class TestBasis:
         assert basis[0].coeffs[1] == 1 and basis[0].coeffs[2] == 0
         assert basis[1].coeffs[1] == 0 and basis[1].coeffs[2] == 1
 
+    @pytest.mark.parametrize("k, prec", ((36, 2), (48, 3)))
+    def test_precision_below_the_dimension_raises(self, k, prec):
+        # the pivots q^1..q^dim must be in the expansions: invalid input, not an internal fault
+        with pytest.raises(PrecisionError, match=f"too short for the {prec + 1} forms of S_{k}"):
+            cuspform_basis(k, prec)
+
+    def test_precision_at_the_dimension_suffices(self):
+        basis = cuspform_basis(36, 3)
+        assert len(basis) == 3
+        assert [[f.coeffs[n] for n in (1, 2, 3)] for f in basis] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
 
 class TestHecke:
     def test_t2_delta_is_eigen(self):

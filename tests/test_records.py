@@ -1,6 +1,6 @@
 """The value-class contract shared by the eight immutable records: field
-order, repr text, equality and hash by value, keyword construction,
-defaults, hidden fields and immutability.  The repr strings were recorded
+order, repr text, equality and hash by value, keyword construction, every
+field required, hidden fields and immutability.  The repr strings were recorded
 from the dataclass versions of these classes, so they pin the old text."""
 
 import copy
@@ -27,7 +27,7 @@ def record_16_d7():
 
 def certificate_16_d7():
     record = record_16_d7()
-    return critical_line_certify(record.Q, record.critical_line, +1)
+    return critical_line_certify(record.Q, record.critical_line)
 
 
 # name -> (builder of a fresh value, field names in order, its repr)
@@ -57,7 +57,7 @@ CASES = {
     ),
     "Certificate": (
         certificate_16_d7,
-        ("kind", "passed", "counted_roots", "expected_roots", "witness", "layers", "offset", "intervals"),
+        ("kind", "passed", "counted_roots", "expected_roots", "witness", "layers", "intervals"),
         "Certificate(kind='critical_line', passed=True, counted_roots=4,"
         " expected_roots=4, witness='A(v), deg 2')",
     ),
@@ -153,37 +153,34 @@ def test_values_holding_a_ratpoly_copy_and_pickle(copy_of):
     assert copy_of(quotient_16()).U_poly == quotient_16().U_poly
     c = certificate_16_d7()
     back = copy_of(c)
-    assert back == c and c.layers and (back.layers, back.offset) == (c.layers, c.offset)
+    assert back == c and c.layers and (back.layers, back.intervals) == (c.layers, c.intervals)
 
 
 class TestDefaultsAndHiddenFields:
-    def test_certificate_defaults(self):
-        c = Certificate("unit_circle", True, 2, 2, "V(t), deg 2")
-        assert c.layers == () and c.offset == 0
-        assert Certificate("unit_circle", True, 2, 2, "V(t), deg 2", (), 0) == c
-
     def test_certificate_hidden_fields(self):
         c = certificate_16_d7()
-        assert c.layers and c.offset == 0  # what the count peeled is kept
-        bare = Certificate(c.kind, c.passed, c.counted_roots, c.expected_roots, c.witness)
+        assert c.layers and c.intervals  # what the count peeled is kept
+        bare = Certificate(c.kind, c.passed, c.counted_roots, c.expected_roots, c.witness, (), ())
         other = Certificate(c.kind, c.passed, c.counted_roots, c.expected_roots, c.witness, (RatPoly.x(),), 3)
         assert c == bare == other
         assert hash(c) == hash(bare) == hash(other)
         assert repr(c) == repr(bare) == repr(other)
-        assert "layers" not in repr(other) and "offset" not in repr(other)
+        assert "layers" not in repr(other) and "intervals" not in repr(other)
         back = pickle.loads(pickle.dumps(Certificate("k", True, 1, 1, "w", (1, 2), 3)))
-        assert (back.layers, back.offset) == ((1, 2), 3)
+        assert (back.layers, back.intervals) == ((1, 2), 3)
 
     def test_shown_fields_tell_certificates_apart(self):
         c = unit_circle_certify(quotient_16().U_poly)
-        assert c != Certificate(c.kind, not c.passed, c.counted_roots, c.expected_roots, c.witness)
+        assert c != Certificate(c.kind, not c.passed, c.counted_roots, c.expected_roots, c.witness, c.layers, c.intervals)
 
-    def test_no_other_class_has_defaults(self):
+    def test_no_class_has_defaults(self):
+        # every field, hidden ones included, must be given
         for build, names, _ in CASES.values():
             x = build()
-            if type(x) is not Certificate:
-                with pytest.raises(TypeError, match="missing"):
-                    type(x)(*fields_of(x, names)[:-1])
+            for field in names:
+                rest = {n: getattr(x, n) for n in names if n != field}
+                with pytest.raises(TypeError, match=f"missing 1 required positional argument: '{field}'"):
+                    type(x)(**rest)
 
 
 class TestValidation:

@@ -185,3 +185,40 @@ def test_mutated_module_containers_see_every_form():
         ("<lambda>", "TABLE"), ("f", "CACHE"), ("f", "TABLE"),
         ("g", "CACHE"), ("g", "KEYS"), ("g", "TABLE"),
     ]
+
+
+# the package is exact only: Fraction(x) of one argument turns a float into
+# the double it rounds to and parses a string, so an inexact value passes
+# silently.  Check with exactcore._exact instead; Fraction(2) is fine.
+def one_argument_fractions(tree):
+    """The line of every call Fraction(x) or fractions.Fraction(x) of one
+    argument that is not a numeric literal."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or len(node.args) + len(node.keywords) != 1:
+            continue
+        if getattr(node.func, "id", getattr(node.func, "attr", None)) != "Fraction":
+            continue
+        arg = node.args[0] if node.args else node.keywords[0].value
+        if isinstance(arg, ast.UnaryOp) and isinstance(arg.op, (ast.USub, ast.UAdd)):
+            arg = arg.operand
+        if not (isinstance(arg, ast.Constant) and type(arg.value) in (int, float)):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_one_argument_fraction_of_a_variable(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = list(one_argument_fractions(tree))
+    assert not lines, f"{path.name}: Fraction(x) of one non-literal argument at line(s) {lines}; use _exact(x)"
+
+
+def test_one_argument_fractions_see_every_form():
+    tree = ast.parse(
+        "a = Fraction(2) ** 3 + Fraction(-1) + Fraction(0.5)\n"
+        "b = Fraction(c)\n"
+        "d = fractions.Fraction(x + 1)\n"
+        "e = Fraction(numerator=y)\n"
+        "f = Fraction(p, q) + Fraction(c, 1) + Fraction(\"1/2\")\n"
+        "g = Fraction(-n)\n"
+    )
+    assert sorted(one_argument_fractions(tree)) == [2, 3, 4, 5, 6]

@@ -89,9 +89,9 @@ class TestUnitCircleCertify:
         U = P(1, 0, 1) ** 2 * P(1, 1, 1)
         cert = unit_circle_certify(U)
         assert cert.passed and cert.counted_roots == 3
-        assert cert.layers == (P(12, 16, 4), P(1, 1)) and cert.offset == 0
+        assert cert.layers == (P(12, 16, 4), P(1, 1))
         assert "layers" not in cert.to_json_dict() and "layers" not in repr(cert)
-        bare = Certificate("unit_circle", True, 3, 3, "V(t), deg 3")
+        bare = Certificate("unit_circle", True, 3, 3, "V(t), deg 3", (), ())
         assert cert == bare and hash(cert) == hash(bare) and repr(cert) == repr(bare)
 
     @pytest.mark.parametrize("k", (12, 16, 18, 20, 22, 26))
@@ -104,49 +104,54 @@ class TestUnitCircleCertify:
 
 class TestCriticalLineCertify:
     def test_imaginary_pair_passes(self):
-        cert = critical_line_certify(P(1, 0, 1), Fraction(0), +1)
+        cert = critical_line_certify(P(1, 0, 1), Fraction(0))
         assert cert.passed and cert.counted_roots == 2
 
     def test_real_pair_fails(self):
-        cert = critical_line_certify(P(-1, 0, 1), Fraction(0), +1)
+        cert = critical_line_certify(P(-1, 0, 1), Fraction(0))
         assert not cert.passed
 
     def test_odd_symmetry(self):
-        # x(x^2+4) has all roots on Re x = 0 and is odd
-        cert = critical_line_certify(P(0, 4, 0, 1), Fraction(0), -1)
-        assert cert.passed and cert.counted_roots == 3
+        # x(x^2+4) has all roots on Re x = 0, but it is odd: only an even Q is certified
+        with pytest.raises(SymmetryError, match=re.escape("Q(2c - x) != Q(x) at c = 0")):
+            critical_line_certify(P(0, 4, 0, 1), Fraction(0))
 
     def test_symmetry_precondition(self):
         with pytest.raises(SymmetryError):
-            critical_line_certify(P(1, 1), Fraction(0), +1)
+            critical_line_certify(P(1, 1), Fraction(0))
 
-    @pytest.mark.parametrize("q,sign", (((1, 1), +1), ((1, 0, 1), -1), ((0, 1, 1), -1)))
-    def test_symmetry_error_names_the_condition(self, q, sign):
-        # x + 1 is not even about 0, x^2 + 1 and x^2 + x are not odd
-        with pytest.raises(SymmetryError, match=re.escape(f"Q(2c - x) != {sign:+d} Q(x) at c = 0")):
-            critical_line_certify(P(*q), Fraction(0), sign)
+    @pytest.mark.parametrize("q,c", (((1, 1), 1), ((1, 0, 1), -1), ((0, 1, 1), -1)))
+    def test_symmetry_error_names_the_condition(self, q, c):
+        # x + 1, x^2 + 1 and x^2 + x are not even about c
+        with pytest.raises(SymmetryError, match=re.escape(f"Q(2c - x) != Q(x) at c = {c}")):
+            critical_line_certify(P(*q), Fraction(c))
+
+    @pytest.mark.parametrize("c", (0.0, 0.1, 0j, "1/2"))
+    def test_inexact_c_raises(self, c):
+        # Fraction(0.1) is the double nearest 1/10, so a float c is refused
+        with pytest.raises(TypeError, match="inexact"):
+            critical_line_certify(P(1, 0, 1), c)
 
     def test_weight16_d5(self):
         U = cfi_quotient(odd_period_polynomial(16), 16).U_poly
         rec = rv_polynomial(U, 5, weight=16)
-        cert = critical_line_certify(rec.Q, rec.critical_line, +1)
+        cert = critical_line_certify(rec.Q, rec.critical_line)
         assert cert.passed and cert.counted_roots == 4
 
     def test_constant_q_trivially_certified(self):
-        cert = critical_line_certify(P(4), Fraction(-3, 2), +1)
+        cert = critical_line_certify(P(4), Fraction(-3, 2))
         assert cert.passed and cert.expected_roots == 0
         assert cert.witness == "A constant, trivially certified" and cert.layers == ()
 
     def test_constant_a_odd_sign(self):
-        # Q = 2(x - c): A = 2, and the one root c comes from the offset
-        cert = critical_line_certify(P(1, 2), Fraction(-1, 2), -1)
-        assert cert.passed and cert.counted_roots == 1 and cert.offset == 1
-        assert cert.witness == "A constant, trivially certified" and cert.layers == ()
+        # Q = 2(x - c) = 2u is odd about c: refused, as every odd Q is
+        with pytest.raises(SymmetryError, match=re.escape("Q(2c - x) != Q(x) at c = -1/2")):
+            critical_line_certify(P(1, 2), Fraction(-1, 2))
 
     def test_keeps_the_layers_it_counted(self):
         # A = (v + 1)^2 (v + 4): layers v^2 + 5v + 4 and v + 1
         Q = line_product(Fraction(1, 3), (1, 4), (2, 1))
-        cert = critical_line_certify(Q, Fraction(1, 3), +1)
+        cert = critical_line_certify(Q, Fraction(1, 3))
         assert cert.passed and cert.counted_roots == 6
         assert cert.layers == (P(4, 5, 1), P(1, 1))
         assert "layers" not in cert.to_json_dict()
@@ -164,7 +169,7 @@ class TestCriticalLineCertify:
         U = cfi_quotient(odd_period_polynomial(20), 20).U_poly
         rec = rv_polynomial(U, 11, weight=20)
         calls.clear()
-        assert critical_line_certify(rec.Q, rec.critical_line, +1).passed
+        assert critical_line_certify(rec.Q, rec.critical_line).passed
         assert len(calls) == 1
 
     def test_peels_each_layer_with_one_division(self, monkeypatch):
@@ -180,8 +185,8 @@ class TestCriticalLineCertify:
             return floordiv(self, other)
 
         monkeypatch.setattr(RatPoly, "__floordiv__", counting)
-        R = A.compose(P(0, 0, 1))  # R(u) = A(u^2), offset 0
-        A_out, layers, _ = zerocert._parity_layers(R, 0, "even")
+        R = A.compose(P(0, 0, 1))  # R(u) = A(u^2)
+        A_out, layers, _ = zerocert._parity_layers(R, "even")
         assert A_out == A and list(layers) == expected
         assert len(divisions) == len(layers)
 
@@ -219,7 +224,7 @@ def line_product(c, ts, multiplicities=None):
 
 def line_certificate(A, c):
     """The critical-line certificate of Q = A((x - c)^2), whose A is A."""
-    return critical_line_certify(A.compose(P(c * c, -2 * c, 1)), c, +1)
+    return critical_line_certify(A.compose(P(c * c, -2 * c, 1)), c)
 
 
 def assert_matches_polyroots(factors, roots, bits):
@@ -300,17 +305,26 @@ class TestCriticalLineRoots:
     def test_repeated_roots_keep_their_multiplicity(self):
         c = Fraction(-3, 2)
         Q = line_product(c, (1, 4), (2, 1))  # ((x-c)^2 + 1)^2 ((x-c)^2 + 4)
-        cert = critical_line_certify(Q, c, +1)
+        cert = critical_line_certify(Q, c)
         assert cert.passed
         roots = critical_line_roots(cert, c, 128)
         assert [complex(*z) for z in roots] == [-1.5 + y * 1j for y in (-2, -1, -1, 1, 1, 2)]
 
     def test_roots_at_c_and_odd_sign(self):
-        # x^3 (x^2 + 4): a root 0 of A and, for sign -1, the extra root c
-        cert = critical_line_certify(P(0, 0, 0, 4, 0, 1), Fraction(0), -1)
-        assert cert.passed and cert.offset == 1
+        # x^2 (x^2 + 4): A = v (v + 4) has the root 0, which is c twice;
+        # x^3 (x^2 + 4) is odd about c and has no certificate
+        cert = critical_line_certify(P(0, 0, 4, 0, 1), Fraction(0))
+        assert cert.passed and cert.counted_roots == 4
         roots = critical_line_roots(cert, 0, 128)
-        assert [complex(*z) for z in roots] == [-2j, 0, 0, 0, 2j]
+        assert [complex(*z) for z in roots] == [-2j, 0, 0, 2j]
+        with pytest.raises(SymmetryError):
+            critical_line_certify(P(0, 0, 0, 4, 0, 1), Fraction(0))
+
+    @pytest.mark.parametrize("c", (0.0, 0.1, "0"))
+    def test_inexact_c_raises(self, c):
+        cert = critical_line_certify(P(4, 0, 1), Fraction(0))
+        with pytest.raises(TypeError, match="inexact"):
+            critical_line_roots(cert, c, 128)
 
     def test_out_of_double_range_seeds_at_working_precision(self):
         # A = (v + 10^400)(v + 1) overflows complex doubles, and the integer
@@ -328,7 +342,7 @@ class TestCriticalLineRoots:
         # every root within 2^-bits max(1, |y|) of polyroots at twice the precision
         for k in (16, 18, 20, 22, 26):
             rec = rv_polynomial(cfi_quotient(odd_period_polynomial(k), k).U_poly, k - 9, weight=k)
-            cert = critical_line_certify(rec.Q, rec.critical_line, +1)
+            cert = critical_line_certify(rec.Q, rec.critical_line)
             assert_matches_polyroots([rec.Q], critical_line_roots(cert, rec.critical_line, bits), bits)
 
     @settings(max_examples=40, deadline=None)
@@ -341,7 +355,7 @@ class TestCriticalLineRoots:
     )
     def test_matches_polyroots(self, c, ts):
         Q = line_product(c, ts)
-        cert = critical_line_certify(Q, c, +1)
+        cert = critical_line_certify(Q, c)
         with mp.workprec(256):
             roots = [to_mpc(z) for z in critical_line_roots(cert, c, 128)]
             oracle = polyroots(Q)
@@ -363,7 +377,7 @@ class TestCertificateNumericAgreement:
     def test_critical_line(self, k, d):
         U = cfi_quotient(odd_period_polynomial(k), k).U_poly
         rec = rv_polynomial(U, d, weight=k)
-        cert = critical_line_certify(rec.Q, rec.critical_line, +1)
+        cert = critical_line_certify(rec.Q, rec.critical_line)
         assert cert.passed
         c = float(rec.critical_line)
         with mp.workprec(200):
