@@ -173,14 +173,27 @@ class TestDefaultsAndHiddenFields:
         c = unit_circle_certify(quotient_16().U_poly)
         assert c != Certificate(c.kind, not c.passed, c.counted_roots, c.expected_roots, c.witness, c.layers, c.intervals)
 
-    def test_no_class_has_defaults(self):
-        # every field, hidden ones included, must be given
+    @staticmethod
+    def _each_field_is_required(x, names):
+        for field in names:
+            rest = {n: getattr(x, n) for n in names if n != field}
+            with pytest.raises(TypeError, match=f"missing 1 required positional argument: '{field}'"):
+                type(x)(**rest)
+
+    def test_certificate_defaults(self):
+        # no field has a default, the hidden layers and intervals included
+        build, names, _ = CASES["Certificate"]
+        c = build()
+        assert names[-2:] == ("layers", "intervals")
+        self._each_field_is_required(c, names)
+        with pytest.raises(TypeError, match="missing 2 required positional arguments: 'layers' and 'intervals'"):
+            Certificate("unit_circle", True, 2, 2, "V(t), deg 2")
+
+    def test_no_other_class_has_defaults(self):
         for build, names, _ in CASES.values():
             x = build()
-            for field in names:
-                rest = {n: getattr(x, n) for n in names if n != field}
-                with pytest.raises(TypeError, match=f"missing 1 required positional argument: '{field}'"):
-                    type(x)(**rest)
+            if type(x) is not Certificate:
+                self._each_field_is_required(x, names)
 
 
 class TestValidation:
