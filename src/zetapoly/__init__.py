@@ -56,7 +56,6 @@ _EXPORTS = {
         "chebyshev_T",
         "psi_chebyshev",
         "frobenius_congruence_check",
-        "chebyshev_compatibility_check",
         "involution_invariance_check",
     ),
 }

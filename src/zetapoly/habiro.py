@@ -303,25 +303,10 @@ def frobenius_congruence_check(p: int, x: RatPoly) -> bool:
     return _poly(psi) == _poly(_power([c % p for c in x.num], p, [1], mul_mod))
 
 
-def frobenius_congruence_toric(p: int, x: HabiroTrunc) -> bool:
-    """True iff psi^p(x) == x^p mod p in Z[q]/((q)_N) (toric structure)."""
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _frobenius_toric_holds(p, x, psi_toric(x, p))
-
-
 def _frobenius_toric_holds(p: int, x: HabiroTrunc, psi_x: HabiroTrunc) -> bool:
     """Whether psi_x - x^p is 0 mod p, for psi_x = psi^p(x) already made."""
     defect = (psi_x - x**p).residue
     return all(c % p == 0 for c in defect.coeffs)
-
-
-def substitute_r(p: RatPoly, x: HabiroTrunc) -> HabiroTrunc:
-    """Evaluate an integer polynomial at a Habiro element: p composed with
-    the residue of x in integers, then one reduction."""
-    if p.den != 1:
-        raise ValueError("polynomial must have integer coefficients")
-    return HabiroTrunc.make(x.level, p.compose(x.residue))
 
 
 def _chebyshev_values(r: HabiroTrunc, K: int) -> list:
@@ -333,20 +318,26 @@ def _chebyshev_values(r: HabiroTrunc, K: int) -> list:
     return values[: K + 1]
 
 
-def chebyshev_compatibility_check(k: int, N: int) -> bool:
-    """psi_toric(r, k) == T_k(r) mod (q)_N, i.e. q^k + q^(-k) = T_k(q + 1/q)."""
-    if k < 1 or N < 1:
-        raise ValueError("k and N must be >= 1")
-    r = habiro_r(N)
-    return psi_toric(r, k) == _chebyshev_values(r, k)[k]
+def _value_at_root(p: RatPoly, m: int) -> CycloInt:
+    """The value of p(r) at a primitive m-th root of unity, for an integer
+    polynomial p, taken in Z[x]/Phi_m as p of the value v of r there.  Phi_m
+    divides (q)_m, so evaluation at zeta_m is a ring homomorphism on
+    Z[q]/((q)_m) and p(r)(zeta_m) = p(v): p is composed with the coordinates
+    of v = zeta + zeta^(-1), of degree < phi(m), and reduced once mod Phi_m,
+    with no product in the Habiro ring."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if p.den != 1:
+        raise ValueError("polynomial must have integer coefficients")
+    return CycloInt.from_poly(m, p.compose(RatPoly(eval_at_root(habiro_r(m), m).coords)))
 
 
 def involution_invariance_check(p: RatPoly, m: int) -> bool:
-    """Whether the value of p(r) at a primitive m-th root of unity is fixed by
-    zeta -> zeta^(-1)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    value = eval_at_root(substitute_r(p, habiro_r(m)), m)
+    """Whether the value of p(r) at a primitive m-th root of unity, for an
+    integer polynomial p, is fixed by zeta -> zeta^(-1).  The value is taken
+    in Z[x]/Phi_m (_value_at_root); a p with a fractional coefficient raises
+    ValueError."""
+    value = _value_at_root(p, m)
     return value == value.involution()
 
 

@@ -156,6 +156,14 @@ def unit_circle_certify(U: RatPoly) -> Certificate:
     )
 
 
+def _real_part(c):
+    """c, the real part of the critical line, as _exact makes it; any c that
+    is not an int or Fraction raises TypeError naming c."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"inexact real part c = {c!r} of the line; use int or Fraction")
+    return _exact(c)
+
+
 def critical_line_certify(Q: RatPoly, c) -> Certificate:
     """Certify that all zeros of Q lie on the vertical line Re x = c, for an
     int or Fraction c (any other c raises TypeError).
@@ -167,7 +175,7 @@ def critical_line_certify(Q: RatPoly, c) -> Certificate:
     """
     if Q.is_zero():
         raise ValueError("zero polynomial")
-    c = _exact(c)
+    c = _real_part(c)
     A, layers, intervals = _parity_layers(Q.compose(RatPoly((c, 1))), f"Q(2c - x) != Q(x) at c = {c}")
     # A's roots in (-inf, 0], each counted once per layer it lies in, i.e. by multiplicity
     counted = 2 * sum(len(iv) + (S.num[0] == 0) for S, iv in zip(layers, intervals))
@@ -259,7 +267,7 @@ def critical_line_roots(cert: Certificate, c, prec_bits: int = 128) -> list[tupl
     if not cert.passed:  # Q has even degree, so both counts are twice A's
         found, deg = cert.counted_roots // 2, cert.expected_roots // 2
         raise RuntimeError(f"sign test fails: {found} of the deg A = {deg} roots of A are in (-oo, 0]")
-    c, F = _exact(c), prec_bits + 64
+    c, F = _real_part(c), prec_bits + 64
     ys = [Fraction(math.isqrt(W << F), 1 << F) for W in sorted(_negative_roots(cert, prec_bits))]
     return [(c, -y) for y in reversed(ys)] + [(c, y) for y in ys]
 

@@ -16,12 +16,10 @@ from zetapoly.habiro import (
     HabiroTrunc,
     LevelError,
     chebyshev_T,
-    chebyshev_compatibility_check,
     cyclotomic_poly,
     eval_at_root,
     fixed_seed_elements,
     frobenius_congruence_check,
-    frobenius_congruence_toric,
     habiro_battery,
     habiro_one,
     habiro_q,
@@ -32,7 +30,6 @@ from zetapoly.habiro import (
     psi_toric,
     psi_toric_divisibility_holds,
     qpochhammer,
-    substitute_r,
 )
 
 
@@ -309,8 +306,8 @@ class TestPsiToric:
 
     def test_frobenius_toric(self):
         for p in (2, 3, 5):
-            assert frobenius_congruence_toric(p, habiro_q(12))
-            assert frobenius_congruence_toric(p, habiro_r(12))
+            for x in (habiro_q(12), habiro_r(12)):
+                assert habiro._frobenius_toric_holds(p, x, psi_toric(x, p))
 
     def test_commutes_with_reduction(self):
         x = habiro_r(10)
@@ -376,24 +373,10 @@ class TestFrobenius:
             frobenius_congruence_check(3, P(Fraction(1, 2), 1))
 
 
-class TestCompatibility:
-    def test_k1(self):
-        assert chebyshev_compatibility_check(1, 6)
-
-    def test_k2_level6(self):
-        assert chebyshev_compatibility_check(2, 6)
-
-    def test_k5_level8(self):
-        assert chebyshev_compatibility_check(5, 8)
-
-    def test_all_k_level12(self):
-        for k in range(1, 9):
-            assert chebyshev_compatibility_check(k, 12)
-
-
 def horner_at(p, x):
     """p(x) by Horner in HabiroTrunc arithmetic, one ring product per
-    coefficient: the oracle for the recurrence and for substitute_r."""
+    coefficient: the oracle for the recurrence and, at x = r, for the value
+    of p(r) at a root of unity."""
     acc = HabiroTrunc.make(x.level, RatPoly.zero())
     for c in reversed(p.num):
         acc = acc * x + c
@@ -424,21 +407,6 @@ class TestChebyshevValues:
         assert habiro._chebyshev_values(r, 1) == [habiro_one(5) * 2, r]
 
 
-class TestSubstituteR:
-    @pytest.mark.parametrize("m", range(1, 13))
-    def test_matches_horner(self, m):
-        # every residue is constant at level 1; from level 2 on, q is linear
-        # and r and q^(-1) are of degree >= 2: all three compose paths
-        xs = (habiro_r(m), habiro_q(m), habiro_qinv(m))
-        for p in fixed_seed_elements() + [RatPoly.zero(), P(-4)]:
-            for x in xs:
-                assert substitute_r(p, x) == horner_at(p, x), (p, x)
-
-    def test_fractional_polynomial_is_rejected(self):
-        with pytest.raises(ValueError, match="integer coefficients"):
-            substitute_r(P(Fraction(1, 2), 1), habiro_r(3))
-
-
 class TestInvolution:
     def test_r_at_4(self):
         assert involution_invariance_check(RatPoly.x(), 4)
@@ -456,6 +424,26 @@ class TestInvolution:
         for m in range(1, 13):
             for p in (RatPoly.x(), P(1, -3, 1), P(2, 0, 1, 1)):
                 assert involution_invariance_check(p, m)
+
+    @pytest.mark.parametrize("m", range(1, 25))
+    def test_value_matches_the_habiro_route(self, m):
+        # p(r) made in Z[q]/((q)_m) by Horner and then taken at zeta_m,
+        # against p of r(zeta_m) in Z[x]/Phi_m, for the battery's three
+        # probes, the seeded elements and two constants; r(zeta_m) is itself
+        # a constant at m = 1, 2, 3, 4 and 6
+        for p in [RatPoly.x(), P(1, -3, 1), P(2, 0, 1, 1)] + fixed_seed_elements() + [RatPoly.zero(), P(-4)]:
+            assert habiro._value_at_root(p, m) == eval_at_root(horner_at(p, habiro_r(m)), m), p
+
+    def test_fractional_polynomial_is_rejected(self):
+        with pytest.raises(ValueError, match="integer coefficients"):
+            involution_invariance_check(P(Fraction(1, 2), 1), 3)
+
+    @pytest.mark.parametrize("N", (4, 8, 12))
+    def test_battery_sees_a_wrong_r(self, monkeypatch, N):
+        # with q in place of r, p(q) at zeta_m is not fixed by zeta -> zeta^(-1)
+        # from m = 3 on: the entry reads False
+        monkeypatch.setattr(habiro, "habiro_r", habiro_q)
+        assert habiro_battery(N)["involution_invariance"] is False
 
 
 class TestFractionalInput:

@@ -222,3 +222,71 @@ def test_one_argument_fractions_see_every_form():
         "g = Fraction(-n)\n"
     )
     assert sorted(one_argument_fractions(tree)) == [2, 3, 4, 5, 6]
+
+
+# every top-level function or class is exported in __init__._EXPORTS or used
+# by other code in the package: one that only the tests call is a second
+# implementation that no command runs.  Dunder hooks such as the PEP 562
+# __getattr__ are called by the interpreter and are exempt.
+def unused_top_level_names(trees):
+    """(module, name) for every top-level function or class of the modules,
+    a dict of module name -> tree, whose name is neither in the _EXPORTS
+    table of the module "__init__" nor read outside its own definition: as
+    a name, an attribute or an imported name, in any of the modules."""
+    exported, used = set(), set()
+    for tree in trees.values():
+        for top in tree.body:
+            if isinstance(top, ast.Assign) and [getattr(t, "id", None) for t in top.targets] == ["_EXPORTS"]:
+                exported.update(name for names in ast.literal_eval(top.value).values() for name in names)
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, (ast.Attribute, ast.alias)):
+                    name = getattr(node, "attr", getattr(node, "name", None))
+                else:
+                    continue
+                if name != owner:
+                    used.add(name)
+    for module, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = top.name
+                if not (name.startswith("__") and name.endswith("__")) and name not in exported | used:
+                    yield module, name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_top_level_name_is_used_or_exported(path):
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    found = sorted(name for module, name in unused_top_level_names(trees) if module == path.stem)
+    assert not found, f"{path.name}: top-level names neither exported nor used in the package: {found}"
+
+
+def test_unused_top_level_names_see_every_form():
+    trees = {
+        "__init__": ast.parse(
+            '_EXPORTS = {"ring": ("Ring", "public")}\n'
+            "def __getattr__(name):\n    return importlib.import_module(name)\n"
+        ),
+        "ring": ast.parse(
+            "from .core import _imported\n"
+            "class Ring:\n    def f(self):\n        return _helper(self) + core._attribute(self)\n"
+            "def public(x, f=_called_in_a_default):\n    return f(x)\n"
+            "def _helper(x):\n    return x\n"
+            "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n"
+            "def test_only(x):\n    return _helper(x)\n"
+            "def _stored(x):\n    return x\n"
+            "TABLE = {'s': _stored}\n"
+        ),
+        "core": ast.parse(
+            "def _imported():\n    pass\n"
+            "def _attribute(x):\n    pass\n"
+            "def _called_in_a_default(x):\n    pass\n"
+            "class _Unused:\n    pass\n"
+            "async def _unused_async():\n    pass\n"
+        ),
+    }
+    assert sorted(unused_top_level_names(trees)) == [
+        ("core", "_Unused"), ("core", "_unused_async"), ("ring", "_recursive"), ("ring", "test_only"),
+    ]
