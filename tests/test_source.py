@@ -230,9 +230,9 @@ def test_one_argument_fractions_see_every_form():
 # __getattr__ are called by the interpreter and are exempt.
 def unused_top_level_names(trees):
     """(module, name) for every top-level function or class of the modules,
-    a dict of module name -> tree, whose name is neither in the _EXPORTS
-    table of the module "__init__" nor read outside its own definition: as
-    a name, an attribute or an imported name, in any of the modules."""
+    a dict of module name -> tree, whose name is neither in an _EXPORTS
+    table (the one in __init__) nor read outside its own definition: as a
+    name, an attribute or an imported name, in any of the modules."""
     exported, used = set(), set()
     for tree in trees.values():
         for top in tree.body:
@@ -243,7 +243,7 @@ def unused_top_level_names(trees):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     name = node.id
                 elif isinstance(node, (ast.Attribute, ast.alias)):
-                    name = getattr(node, "attr", getattr(node, "name", None))
+                    name = node.attr if isinstance(node, ast.Attribute) else node.name
                 else:
                     continue
                 if name != owner:
