@@ -84,9 +84,12 @@ def functional_equation_defect(H: RatPoly, d: int, e: int) -> RatPoly:
 
 
 def rv_polynomial(U: RatPoly, d: int, weight: int | None = None) -> ZetaPolyRecord:
-    """Build Q in closed form and H = Q prod_{t=1}^{d-e-1} (x+t), and verify H
-    against the exact series coefficients of U(z)/(1-z)^d, and all its other
-    contracts, before returning the record."""
+    """Build GQ = (d-1)! Q in closed form, check it, and return H = Q L, with
+    L(x) = prod_{t=1}^{d-e-1} (x+t).  The checks run on GQ and on L's closed
+    form, not on the expanded H: GQ(n) L(n), L(n) = (n+d-e-1)!/n!, is (d-1)!
+    times the series coefficient c_n of U(z)/(1-z)^d, and as L(e-d-x) =
+    (-1)^(d-e-1) L(x), H has its functional equation iff GQ(e-d-x) =
+    (-1)^e GQ(x)."""
     if U.is_zero():
         raise ValueError("U must be nonzero")
     e = U.degree
@@ -94,24 +97,20 @@ def rv_polynomial(U: RatPoly, d: int, weight: int | None = None) -> ZetaPolyReco
         raise ValueError(f"d = {d} must exceed deg U = {e}")
     if not is_self_inversive(U):
         raise ValueError("U must be self-inversive: U(1/z) z^e == U(z)")
-    # The checks run on G = (d-1)! H, which has the zeros and the functional
-    # equation of H and integer coefficients when U has.
     scale = math.factorial(d - 1)
-    coeffs = series_coefficients(U, d, 2 * d)
     GQ = _zeta_interpolant(U, d)
+    if GQ.degree != e:
+        raise RuntimeError(f"deg Q = {GQ.degree} != e = {e}")
+    if GQ.compose(RatPoly((e - d, -1))) != (-1) ** e * GQ:
+        raise RuntimeError("functional equation fails")
+    L = math.factorial(d - e - 1)
+    for n, c in enumerate(series_coefficients(U, d, 2 * d)):
+        if GQ(n) * L != scale * c:
+            raise RuntimeError(f"H({n}) disagrees with the series coefficient")
+        L = L * (n + d - e) // (n + 1)
     G = _linear_product(1, d - e - 1) * GQ
     if G.degree != d - 1:
         raise RuntimeError(f"deg H = {G.degree} != d-1 = {d - 1}")
-    for n in range(2 * d + 1):
-        if G(n) != scale * coeffs[n]:
-            raise RuntimeError(f"H({n}) disagrees with the series coefficient")
-    if not functional_equation_defect(G, d, e).is_zero():
-        raise RuntimeError("functional equation fails")
-    for j in range(1, d - e):
-        if G(-j) != 0:
-            raise RuntimeError(f"missing trivial zero at -{j}")
-    if GQ.degree != e:
-        raise RuntimeError(f"deg Q = {GQ.degree} != e = {e}")
     return ZetaPolyRecord(
         weight=weight,
         e=e,

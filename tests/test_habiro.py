@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from zetapoly import habiro
+from zetapoly import cli, habiro
 from zetapoly.exactcore import RatPoly
 from zetapoly.habiro import (
     CycloInt,
@@ -215,6 +215,17 @@ class TestHabiroQinv:
         results = habiro_battery(N)
         assert results["r_equals_q_plus_qinv"] is False
         assert results["q_times_qinv_is_one"] is True
+
+    def test_battery_sees_a_wrong_q(self, monkeypatch, capsys):
+        # habiro_qinv does not check q q^(-1) = 1 itself, so a wrong q
+        # reaches the battery, which records it instead of raising
+        real = habiro.habiro_q
+        monkeypatch.setattr(habiro, "habiro_q", lambda n: real(n) + real(n))
+        results = habiro_battery(6)
+        assert results["q_times_qinv_is_one"] is False
+        assert results["r_equals_q_plus_qinv"] is False
+        assert cli.main(["habiro", "--level", "6"]) == 1
+        assert '"q_times_qinv_is_one": false' in capsys.readouterr().out
 
 
 class TestEvalAtRoot:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from zetapoly import rvtransform
 from zetapoly.exactcore import RatPoly
 from zetapoly.periods import cfi_quotient, odd_period_polynomial
 from zetapoly.rvtransform import (
@@ -102,6 +103,15 @@ class TestRvPolynomial:
         assert time.perf_counter() - t0 < 20.0
         assert rec.H.degree == 199 and rec.Q.degree == 14
 
+    def test_weight26_d800_budget(self):
+        # the checks run on the degree-e factor GQ and the closed form of the
+        # strip, O(d e) big-integer steps, not on the degree-799 H
+        U = cfi_quotient(odd_period_polynomial(26), 26).U_poly
+        t0 = time.process_time()
+        rec = rv_polynomial(U, 800, weight=26)
+        assert time.process_time() - t0 < 0.5
+        assert rec.H.degree == 799 and rec.Q.degree == 14
+
     def test_degree_bookkeeping(self):
         for k in (12, 16, 18):
             U = cfi_quotient(odd_period_polynomial(k), k).U_poly
@@ -111,6 +121,34 @@ class TestRvPolynomial:
                 assert rec.H.degree == d - 1
                 assert rec.Q.degree == e
                 assert rec.H.degree - rec.Q.degree == d - e - 1
+
+
+class TestFactoredChecks:
+    # U of odd degree e: GQ(e-d-x) = -GQ(x), so a check of GQ(e-d-x) = GQ(x),
+    # which holds for the even e of every weight, would reject valid input
+    @pytest.mark.parametrize("U", (RatPoly((1, 1)), RatPoly((2, -1, -1, 2)), RatPoly((1, 3, 3, 1))))
+    def test_self_inversive_u_of_odd_degree(self, U):
+        e = U.degree
+        for d in range(e + 1, e + 31):
+            rec = rv_polynomial(U, d)
+            assert functional_equation_defect(rec.H, d, e).is_zero(), d
+            coeffs = series_coefficients(U, d, 40)
+            assert [rec.H(n) for n in range(41)] == coeffs, d
+
+    def test_a_wrong_constant_fails_the_series_check(self, monkeypatch):
+        # GQ + 1 keeps the symmetry GQ(e-d-x) = GQ(x) of e = 14
+        real = rvtransform._zeta_interpolant
+        monkeypatch.setattr(rvtransform, "_zeta_interpolant", lambda U, d: real(U, d) + 1)
+        U = cfi_quotient(odd_period_polynomial(26), 26).U_poly
+        with pytest.raises(RuntimeError, match="disagrees with the series coefficient"):
+            rv_polynomial(U, 40, weight=26)
+
+    def test_an_asymmetric_gq_fails_the_functional_equation(self, monkeypatch):
+        real = rvtransform._zeta_interpolant
+        monkeypatch.setattr(rvtransform, "_zeta_interpolant", lambda U, d: real(U, d) + RatPoly.x())
+        U = cfi_quotient(odd_period_polynomial(26), 26).U_poly
+        with pytest.raises(RuntimeError, match="functional equation fails"):
+            rv_polynomial(U, 40, weight=26)
 
 
 class TestClosedFormQ:
