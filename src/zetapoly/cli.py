@@ -11,7 +11,7 @@ the help from it.  An option is given as `--opt value` or `--opt=value`, by
 its full name or an unambiguous prefix, and a value may start with a single
 `-`.  There is no argparse, so past the interpreter's start-up a job loads
 only json, fractions, array and its own zetapoly modules (and `report`
-csv).
+csv), and `habiro`, whose numbers are all ints, json and array only.
 """
 
 import json

@@ -27,14 +27,18 @@ den db^n.
 
 This is the one module every command loads, so it also holds the few names
 that several others share: the supported weights and
-``UnsupportedWeightError``, and nothing that only one other module uses.
+``UnsupportedWeightError``, and nothing that only one other module uses.  It
+imports ``fractions`` only inside a function that makes a Fraction, once per
+call, and tells a Fraction it is given by the class of the loaded module
+(``_is_fraction``).  So past the interpreter's start-up a job whose numbers
+are all ints, such as ``habiro``, loads ``json`` and ``array`` only, and not
+``fractions`` or the ``decimal`` that it imports.
 """
 
 import operator
 import sys
 from array import array
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from math import gcd, lcm
 
 # weights k with dim S_k = 1 for PSL(2,Z)
@@ -88,12 +92,19 @@ class _Record:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
+def _is_fraction(c) -> bool:
+    """Whether c is a Fraction, told without importing fractions: while no
+    code has imported that module, no Fraction exists."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(c, fractions.Fraction)
+
+
 def _exact(c):
     """c as an int when it is integral, else as a Fraction; anything that is
     not an exact rational (float, complex, mpmath) raises TypeError."""
     if type(c) is int:
         return c
-    if isinstance(c, Fraction):
+    if _is_fraction(c):
         return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
         return int(c)
@@ -106,6 +117,8 @@ def rref(rows: Sequence[Sequence]) -> tuple[list, list]:
     Returns the nonzero reduced rows, each with a 1 in its pivot column and
     zeros in the other pivot columns, and the list of pivot columns.
     """
+    from fractions import Fraction
+
     mat = [[_exact(v) for v in row] for row in rows]
     pivots = []
     for col in range(len(mat[0]) if mat else 0):
@@ -170,7 +183,9 @@ class RatPoly:
         den = self.den
         if den == 1:
             return self.num
-        return tuple(_ratio(c, den) for c in self.num)
+        from fractions import Fraction  # den > 1 in lowest terms: some c is not a multiple
+
+        return tuple(c // den if c % den == 0 else Fraction(c, den) for c in self.num)
 
     @property
     def degree(self) -> int:
@@ -314,7 +329,7 @@ class RatPoly:
         """The exact value at an int or Fraction x = p/q, by Horner in
         integers: sum_i num_i p^i q^(n-i) over q^n den.  Any other x (float,
         complex, mpmath) raises TypeError, as in every other operation."""
-        if not isinstance(x, (int, Fraction)):
+        if not (isinstance(x, int) or _is_fraction(x)):
             raise TypeError(f"inexact point {x!r}; use int or Fraction")
         p, q = x.numerator, x.denominator
         acc, scale = 0, 1
@@ -328,7 +343,8 @@ class RatPoly:
     def monic(self) -> "RatPoly":
         if self.is_zero():
             return self
-        return self * Fraction(self.den, self.num[-1])
+        lead = self.num[-1]  # num / den times den / lead
+        return _poly(self.num, lead) if lead > 0 else _poly([-c for c in self.num], -lead)
 
     def gcd(self, other: "RatPoly") -> "RatPoly":
         """Monic gcd by the heuristic gcd of Char, Geddes and Gonnet (J. Symb.
@@ -387,7 +403,11 @@ def _poly(num, den: int = 1) -> RatPoly:
 
 def _ratio(n: int, d: int):
     """n / d for ints n and d >= 1: an int when d divides n, else a Fraction."""
-    return n // d if n % d == 0 else Fraction(n, d)
+    if n % d == 0:
+        return n // d
+    from fractions import Fraction
+
+    return Fraction(n, d)
 
 
 def _power(base, n: int, one, mul):
@@ -530,7 +550,7 @@ def _linear_compose(num: Sequence, den: int, line: RatPoly) -> RatPoly:
 def _coerce(v) -> RatPoly:
     if isinstance(v, RatPoly):
         return v
-    if isinstance(v, (int, Fraction)):
+    if isinstance(v, int) or _is_fraction(v):
         return RatPoly((v,))
     return None
 

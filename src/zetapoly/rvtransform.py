@@ -12,7 +12,7 @@ symmetry line Re x = -(d-e)/2 of that functional equation.
 import math
 from fractions import Fraction
 
-from .exactcore import RatPoly, _Record, is_self_inversive
+from .exactcore import RatPoly, _poly, _Record, is_self_inversive
 
 
 class ZetaPolyRecord(_Record):
@@ -51,11 +51,12 @@ def series_coefficients(U: RatPoly, d: int, N: int) -> list:
 
 
 def _linear_product(lo: int, hi: int) -> RatPoly:
-    """prod_{t=lo}^{hi} (x + t), or 1 when hi < lo."""
-    p = RatPoly.one()
+    """prod_{t=lo}^{hi} (x + t), or 1 when hi < lo: each factor is one pass
+    c <- t c + x c over the integer coefficients, constant first."""
+    c = [1]
     for t in range(lo, hi + 1):
-        p = p * RatPoly((t, 1))
-    return p
+        c = [a * t + b for a, b in zip(c + [0], [0] + c)]
+    return _poly(c)
 
 
 def _zeta_interpolant(U: RatPoly, d: int) -> RatPoly:

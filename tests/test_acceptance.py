@@ -15,6 +15,8 @@ from mpmath import mp, mpf
 from zetapoly import habiro, modforms, periods, rvtransform, zerocert
 from zetapoly.exactcore import RatPoly
 
+from test_habiro import fixed_seed_elements
+
 WEIGHTS = (12, 16, 18, 20, 22, 26)
 GOLDEN_12 = RatPoly((0, 4, 0, -25, 0, 42, 0, -25, 0, 4))
 
@@ -134,7 +136,7 @@ def test_criterion_7_habiro_battery():
     for a in range(1, 9):
         for b in range(1, 9):
             ok = ok and habiro.psi_chebyshev(habiro.chebyshev_T(b), a) == habiro.chebyshev_T(a * b)
-    elements = [RatPoly.x()] + habiro.fixed_seed_elements()
+    elements = [RatPoly.x()] + fixed_seed_elements()
     for p in (2, 3, 5, 7, 11):
         for x in elements:
             ok = ok and habiro.frobenius_congruence_check(p, x)

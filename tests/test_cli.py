@@ -307,6 +307,9 @@ class TestLazyImports:
         # the command line is read from cli.COMMANDS, with no argparse and the
         # gettext and locale it loads
         assert not {"argparse", "gettext", "locale", "__future__"}.intersection(loaded)
+        # habiro's numbers are all ints, so it loads no fractions and not the
+        # decimal that fractions imports; every other command works over Q
+        assert {"fractions", "decimal"}.isdisjoint(loaded) == (command == "habiro")
 
     @pytest.mark.parametrize(
         "argv", (["habiro", "--level", "8"], ["lfun", "--weight", "12"], ["rv", "--weight", "26", "--d", "60"])
@@ -317,6 +320,48 @@ class TestLazyImports:
         loaded = loaded_modules(RUN_CLI, *argv, cwd=tmp_path, flags=("-S",))
         assert "zetapoly.cli" in loaded
         assert not {"typing", "pathlib", "fnmatch", "urllib"}.intersection(loaded)
+
+    def test_habiro_loads_no_random_without_site(self, tmp_path):
+        # the seeded sample of the Frobenius check is gone from the battery;
+        # the interpreter's site hook may load random itself, so -S
+        loaded = loaded_modules(RUN_CLI, "habiro", "--level", "8", cwd=tmp_path, flags=("-S",))
+        assert "zetapoly.habiro" in loaded
+        assert not {"random", "fractions", "decimal"}.intersection(loaded)
+
+    def test_inexact_values_raise_before_and_after_fractions_loads(self):
+        # exactcore tells a Fraction by the loaded fractions module, so in a
+        # fresh interpreter a float, Decimal, complex or mpmath coefficient,
+        # point or scalar is refused while fractions is not loaded, and after
+        # mpmath and fractions are; a Fraction is accepted
+        script = (
+            "import sys\n"
+            "from decimal import Decimal\n"
+            "from zetapoly.exactcore import RatPoly\n"
+            "x = RatPoly.x()\n"
+            "uses = (lambda v: RatPoly((1, v)), lambda v: x(v), lambda v: x * v, lambda v: v * x,\n"
+            "        lambda v: x + v, lambda v: x.compose(v))\n"
+            "def refused(v):\n"
+            "    for use in uses:\n"
+            "        try:\n"
+            "            use(v)\n"
+            "        except TypeError:\n"
+            "            continue\n"
+            "        sys.exit(f'{v!r} accepted')\n"
+            "for v in (1.5, Decimal('1.5'), 1j):\n"
+            "    refused(v)\n"
+            "if 'fractions' in sys.modules:\n"
+            "    sys.exit('fractions loaded')\n"
+            "from mpmath import mpf\n"
+            "from fractions import Fraction\n"
+            "for v in (1.5, Decimal('1.5'), 1j, mpf(3)):\n"
+            "    refused(v)\n"
+            "half = Fraction(1, 2)\n"
+            "if [use(half) for use in uses] != [RatPoly((1, half)), half, RatPoly((0, half)), RatPoly((0, half)),\n"
+            "                                   RatPoly((half, 1)), RatPoly((half,))]:\n"
+            "    sys.exit('a Fraction is not taken exactly')\n"
+        )
+        loaded = loaded_modules(script)
+        assert "fractions" in loaded
 
     def test_roots_past_double_range_load_no_float_solver(self):
         # A = (v + 10^400)(v + 1) overflows doubles; its roots are still refined in integers

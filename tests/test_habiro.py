@@ -18,7 +18,6 @@ from zetapoly.habiro import (
     chebyshev_T,
     cyclotomic_poly,
     eval_at_root,
-    fixed_seed_elements,
     frobenius_congruence_check,
     habiro_battery,
     habiro_one,
@@ -35,6 +34,21 @@ from zetapoly.habiro import (
 
 def P(*coeffs):
     return RatPoly(coeffs)
+
+
+def fixed_seed_elements():
+    """Twenty deterministic pseudo-random nonzero integer polynomials in r, of
+    degree 1 to 5 with coefficients in -9..9, for the reproducible
+    congruence batteries."""
+    rng = random.Random(20260823)
+    out = []
+    while len(out) < 20:
+        deg = rng.randint(1, 5)
+        coeffs = [rng.randint(-9, 9) for _ in range(deg + 1)]
+        p = RatPoly(coeffs)
+        if not p.is_zero():
+            out.append(p)
+    return out
 
 
 class TestCyclotomic:
@@ -309,6 +323,29 @@ class TestPsiToric:
         for k in (2, 3, 5):
             assert psi_toric_divisibility_holds(k, 8)
 
+    @pytest.mark.parametrize("N", range(1, 13))
+    def test_divisibility_is_the_cyclotomic_statement(self, N):
+        # (q)_N = (-1)^N prod_(d<=N) Phi_d^(floor(N/d)), so one division by
+        # (q)_N is floor(N/d) divisions by each Phi_d
+        product = RatPoly.one()
+        for d in range(1, N + 1):
+            product = product * cyclotomic_poly(d) ** (N // d)
+        assert qpochhammer(N) == (-1) ** N * product
+        for k in (1, 2, 3, 4, 7):
+            assert psi_toric_divisibility_holds(k, N)
+            body = habiro._substitute_power(qpochhammer(N), k)
+            for d in range(1, N + 1):
+                assert (body % cyclotomic_poly(d) ** (N // d)).is_zero()
+
+    @pytest.mark.parametrize("N", (1, 4, 8, 12))
+    def test_battery_sees_a_wrong_psi_of_the_pochhammer(self, monkeypatch, N):
+        # psi^k((q)_N) off by the monomial q is not a multiple of (q)_N
+        real = habiro._substitute_power
+        monkeypatch.setattr(habiro, "_substitute_power", lambda poly, k: real(poly, k) + RatPoly.x())
+        for k in (2, 3):
+            assert psi_toric_divisibility_holds(k, min(N, 8)) is False
+        assert habiro_battery(N)["toric_divisibility_lemma"] is False
+
     @pytest.mark.parametrize("k", (0, -1))
     def test_divisibility_lemma_needs_k_at_least_1(self, k):
         # psi^0((q)_N) = 0 would pass for any divisor; psi^k for k < 0 is not a polynomial
@@ -359,10 +396,12 @@ class TestFrobenius:
             frobenius_congruence_check(4, RatPoly.x())
 
     def test_fixed_seed_battery(self):
+        # psi^p and the p-th power are ring endomorphisms of F_p[r], so the
+        # battery's congruence on the generator carries over to every element
         elements = fixed_seed_elements()
         assert len(elements) == 20
         assert elements == fixed_seed_elements()  # deterministic
-        for p in (2, 3, 5, 7, 11):
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
             for x in elements:
                 assert frobenius_congruence_check(p, x)
 
@@ -382,6 +421,19 @@ class TestFrobenius:
     def test_non_integral_rejected(self):
         with pytest.raises(ValueError, match="integer coefficients"):
             frobenius_congruence_check(3, P(Fraction(1, 2), 1))
+
+    def test_battery_checks_the_generator_at_every_prime_below_32(self, monkeypatch):
+        # T_13 with its constant term plus 1 breaks T_13(r) == r^13 mod 13; the
+        # seeded sample at p <= 11 cannot see it, the generator check at p < 32 does
+        real = habiro.chebyshev_T
+        monkeypatch.setattr(habiro, "chebyshev_T", lambda k: real(k) + 1 if k == 13 else real(k))
+        assert all(
+            frobenius_congruence_check(p, x)
+            for p in (2, 3, 5, 7, 11)
+            for x in [RatPoly.x()] + fixed_seed_elements()
+        )
+        assert not frobenius_congruence_check(13, RatPoly.x())
+        assert habiro_battery(8)["frobenius_chebyshev"] is False
 
 
 def horner_at(p, x):

@@ -98,9 +98,9 @@ class TestRvPolynomial:
 
     def test_weight26_d200_budget(self):
         U = cfi_quotient(odd_period_polynomial(26), 26).U_poly
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         rec = rv_polynomial(U, 200, weight=26)
-        assert time.perf_counter() - t0 < 20.0
+        assert time.process_time() - t0 < 0.25
         assert rec.H.degree == 199 and rec.Q.degree == 14
 
     def test_weight26_d800_budget(self):
@@ -217,6 +217,13 @@ class TestIntroToys:
         for j in range(6):
             assert sp.poly(Fraction(j)) == 0
         assert sp.poly.degree == 6
+
+    @pytest.mark.parametrize("lo, hi", ((1, 0), (3, 3), (-5, 0), (-4, 7), (1, 40), (786, 799)))
+    def test_linear_product_matches_the_factor_products(self, lo, hi):
+        expected = RatPoly.one()
+        for t in range(lo, hi + 1):
+            expected = expected * RatPoly((t, 1))
+        assert rvtransform._linear_product(lo, hi) == expected
 
     def test_gamma_c_values(self):
         with mp.workprec(80):
