@@ -5,9 +5,20 @@ Frobenius-lift structures.
 
 The exported names are resolved on first use (PEP 562), so ``import
 zetapoly`` loads no submodule and each command loads only what it runs.
+The two names that several submodules share, the supported weights and
+``UnsupportedWeightError``, are defined here, so sharing them loads no
+submodule either.
 """
 
 import importlib
+
+# weights k with dim S_k = 1 for PSL(2,Z)
+ONE_DIM_WEIGHTS = (12, 16, 18, 20, 22, 26)
+
+
+class UnsupportedWeightError(ValueError):
+    pass
+
 
 _EXPORTS = {
     "exactcore": ("RatPoly", "is_self_inversive"),

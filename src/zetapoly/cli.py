@@ -9,9 +9,17 @@ One table, COMMANDS, gives each command its handler, its help line and its
 options (type, default or REQUIRED, help); parse_args reads argv and prints
 the help from it.  An option is given as `--opt value` or `--opt=value`, by
 its full name or an unambiguous prefix, and a value may start with a single
-`-`.  There is no argparse, so past the interpreter's start-up a job loads
-only json, fractions, array and its own zetapoly modules (and `report`
-csv), and `habiro`, whose numbers are all ints, json and array only.
+`-`.  There is no argparse, and the module imports only json, os, sys,
+types and the package root, so each command loads past the interpreter's
+start-up only what it runs:
+
+    periods                 json, fractions, array; exactcore, intmul, periods
+    rv, certify, report     the same, and rvtransform, zerocert (report csv)
+    habiro                  json, array; exactcore, intmul, habiro
+    lfun                    json, array; intmul, lvalues
+
+`habiro` and `lfun` compute in ints only, so they load neither fractions
+nor the decimal and numbers that it imports.
 """
 
 import json
@@ -19,7 +27,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .exactcore import ONE_DIM_WEIGHTS as WEIGHTS
+from . import ONE_DIM_WEIGHTS as WEIGHTS
 
 # Each command imports the modules it runs inside its body, so a job loads
 # only those.  No command loads mpmath: `report` refines its roots in integers
@@ -93,15 +101,15 @@ def cmd_habiro(args) -> int:
 
 
 def cmd_lfun(args) -> int:
-    from .modforms import _mpf_str, eigenform, lambda_numeric, qexp_prec_for
+    from .lvalues import _mpf_str, eigenform_coeffs, lambda_fixed, qexp_prec_for
 
     k = args.weight
     if args.s is not None and not 1 <= args.s <= k - 1:
         raise ValueError(f"s = {args.s} outside the critical strip 1..{k - 1}")
-    f = eigenform(k, qexp_prec_for(k, args.prec_bits))
-    lam = lambda_numeric(f, args.prec_bits)
+    coeffs = eigenform_coeffs(k, qexp_prec_for(k, args.prec_bits))
+    lam, W = lambda_fixed(k, coeffs, args.prec_bits)
     ss = [args.s] if args.s is not None else range(1, k)
-    values = {str(s): _mpf_str(lam[s - 1], args.prec_bits) for s in ss}
+    values = {str(s): _mpf_str(lam[s - 1], W, args.prec_bits) for s in ss}
     _emit({"weight": k, "prec_bits": args.prec_bits, "lambda": values}, args.out)
     return 0
 

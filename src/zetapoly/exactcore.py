@@ -10,14 +10,13 @@ exactly when ``den == 1``.  ``coeffs`` reads the coefficients back, an
 ``int`` where integral and a ``Fraction`` elsewhere.  All values are
 immutable; ``_poly`` builds every result.
 
-Every product of numerators goes through ``_mul``, the one integer product
-path: Kronecker substitution (``_kronecker_mul``) when both are long, and
-schoolbook otherwise.  A product multiplies the numerators by it and the
-denominators; a power is square-and-multiply on the numerator by it, over
-den^n.  A division is Knuth's pseudo-division (TAOCP vol. 2, 4.6.1,
-Algorithm R): the dividend's numerator times |lead|^(deg a - deg b + 1),
-with lead the divisor's leading numerator, makes every quotient step an
-exact integer division.  Evaluation is exact only: a polynomial is called at
+Every product of numerators goes through ``intmul._mul``, the one integer
+product path of the package.  A product multiplies the numerators by it and
+the denominators; a power is square-and-multiply on the numerator by it,
+over den^n (``_power``, which ``habiro`` shares).  A division is Knuth's
+pseudo-division (TAOCP vol. 2, 4.6.1, Algorithm R): the dividend's
+numerator times |lead|^(deg a - deg b + 1), with lead the divisor's leading
+numerator, makes every quotient step an exact integer division.  Evaluation is exact only: a polynomial is called at
 an int or Fraction p/q by Horner's scheme in integers, and a float, complex
 or mpmath point raises TypeError, as every other operation does with an
 inexact operand.  Composition with a constant is evaluation, with a linear
@@ -25,28 +24,23 @@ polynomial one Taylor shift in integers (``_linear_compose``), and with any
 other B / db Horner's scheme on the numerators, one ``_mul`` per step, over
 den db^n.
 
-This is the one module every command loads, so it also holds the few names
-that several others share: the supported weights and
-``UnsupportedWeightError``, and nothing that only one other module uses.  It
-imports ``fractions`` only inside a function that makes a Fraction, once per
-call, and tells a Fraction it is given by the class of the loaded module
-(``_is_fraction``).  So past the interpreter's start-up a job whose numbers
-are all ints, such as ``habiro``, loads ``json`` and ``array`` only, and not
-``fractions`` or the ``decimal`` that it imports.
+Every command but ``lfun``, whose numbers are all ints, loads this module.
+The names that several modules share, the supported weights and
+``UnsupportedWeightError``, live in the package root, and a name that only
+one other module uses lives in that module.  It imports ``fractions`` only
+inside a function that makes a Fraction, once per call, and tells a
+Fraction it is given by the class of the loaded module (``_is_fraction``).
+So past the interpreter's start-up a job whose numbers are all ints, such
+as ``habiro``, loads ``json`` and ``array`` only, and not ``fractions`` or
+the ``decimal`` that it imports.
 """
 
 import operator
 import sys
-from array import array
 from collections.abc import Iterable, Sequence
 from math import gcd, lcm
 
-# weights k with dim S_k = 1 for PSL(2,Z)
-ONE_DIM_WEIGHTS = (12, 16, 18, 20, 22, 26)
-
-
-class UnsupportedWeightError(ValueError):
-    pass
+from .intmul import _mul, _pack, _unpack
 
 
 def _frozen(self, name, *value):
@@ -423,85 +417,6 @@ def _power(base, n: int, one, mul):
         if n:
             base = mul(base, base)
     return result
-
-
-# -- integer kernels -------------------------------------------------
-
-# Products whose shorter operand has at least this many coefficients go by
-# Kronecker substitution; below it integer schoolbook is faster.
-_KRONECKER_MIN_LEN = 12
-
-# Signed array type codes by item size in bytes: digits of these widths are
-# packed and unpacked by the array module instead of one by one.
-_ARRAY_CODES = {array(t).itemsize: t for t in "bhiq"}
-
-
-def _mul(a: Sequence, b: Sequence) -> list:
-    """The product of the int coefficient sequences a and b, the one integer
-    product path: Kronecker substitution when both are long, schoolbook
-    otherwise."""
-    if min(len(a), len(b)) >= _KRONECKER_MIN_LEN:
-        return _kronecker_mul(a, b)
-    return _schoolbook_mul(a, b)
-
-
-def _schoolbook_mul(a: Sequence, b: Sequence) -> list:
-    if len(a) > len(b):  # the shorter outside, so a scalar is one pass over the other
-        a, b = b, a
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return out
-
-
-def _kronecker_mul(a: Sequence, b: Sequence) -> list:
-    """Kronecker substitution: a(2^w) * b(2^w) as one big-integer product,
-    read back digit by digit.  Every product coefficient is at most
-    max|a| * max|b| * min(len) in absolute value, so a signed digit of w bits
-    (w a multiple of 8) above that bound holds it without overlap."""
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    width = (bound.bit_length() + 8) // 8  # bytes
-    width = next((w for w in _ARRAY_CODES if w >= width), width)
-    x = _pack(a, width)
-    y = x if a is b else _pack(b, width)
-    return _unpack(x * y, width, len(a) + len(b) - 1)
-
-
-def _sign_bits(width: int, n: int) -> int:
-    """The integer with only the top bit of each of n digits of width bytes
-    set.  Adding it to a packed value makes every signed digit d into
-    d + 2^(8 width - 1) >= 0 with no carry between digits; XOR with it then
-    turns that into the two's-complement bits of d."""
-    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-
-
-def _pack(cs: Sequence, width: int) -> int:
-    """sum_i cs[i] * 2^(8 width i) for ints with |cs[i]| < 2^(8 width - 1)."""
-    code = _ARRAY_CODES.get(width)
-    if code:
-        digits = array(code, cs)
-        if sys.byteorder == "big":
-            digits.byteswap()
-        raw = digits.tobytes()
-    else:
-        raw = b"".join(c.to_bytes(width, "little", signed=True) for c in cs)
-    top = _sign_bits(width, len(cs))
-    return (int.from_bytes(raw, "little") ^ top) - top
-
-
-def _unpack(v: int, width: int, n: int) -> list:
-    """The n signed digits of width bytes of v, the inverse of _pack."""
-    top = _sign_bits(width, n)
-    raw = ((v + top) ^ top).to_bytes(width * n, "little")
-    code = _ARRAY_CODES.get(width)
-    if code:
-        digits = array(code, raw)
-        if sys.byteorder == "big":
-            digits.byteswap()
-        return digits.tolist()
-    return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width)]
 
 
 def _schoolbook_divmod(rem: list, div: Sequence) -> list:

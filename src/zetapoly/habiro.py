@@ -8,7 +8,8 @@ from itertools import accumulate
 from math import comb
 from operator import add, mul, sub
 
-from .exactcore import RatPoly, _mul, _poly, _power, _Record
+from .exactcore import RatPoly, _poly, _power, _Record
+from .intmul import _mul
 
 
 class LevelError(ValueError):

@@ -6,7 +6,8 @@ fixed degree-10 factor z(z^2-4)(z^2-1/4)(z^2-1)^2.
 from fractions import Fraction
 from math import comb
 
-from .exactcore import ONE_DIM_WEIGHTS, RatPoly, UnsupportedWeightError, _Record, is_self_inversive, rref
+from . import ONE_DIM_WEIGHTS, UnsupportedWeightError
+from .exactcore import RatPoly, _Record, is_self_inversive, rref
 
 
 class DivisibilityError(ValueError):

@@ -120,7 +120,9 @@ def test_criterion_6_full_period_polynomial_unimodular_roots():
 
 
 def test_criterion_7_habiro_battery():
-    t0 = time.monotonic()
+    # CPU time, about 10x the 13-14 ms the checks take: wall time on a
+    # shared host would need a margin too wide to see a slowdown
+    t0 = time.process_time()
     ok = True
     for n in range(1, 13):
         r = habiro.habiro_r(n)
@@ -147,10 +149,10 @@ def test_criterion_7_habiro_battery():
     for m in (3, 4):
         v = habiro.eval_at_root(habiro.habiro_q(m), m)
         ok = ok and v != v.involution()
-    ok = ok and (time.monotonic() - t0) < 30.0
+    ok = ok and (time.process_time() - t0) < 0.15
     report("criterion 7: Habiro battery — r = q + 1/q, inverses, root-of-unity "
            "values, Chebyshev semigroup, Frobenius congruences, involution "
-           "invariance with q-witness, <30s", ok)
+           "invariance with q-witness, <0.15 s of CPU", ok)
 
 
 def test_criterion_8_intro_toys():

@@ -114,7 +114,7 @@ class TestLfunCommand:
         def no_eigenform(*args):
             raise AssertionError("eigenform built for an invalid --s")
 
-        monkeypatch.setattr("zetapoly.modforms.eigenform", no_eigenform)
+        monkeypatch.setattr("zetapoly.lvalues.eigenform_coeffs", no_eigenform)
         argv = ["lfun", "--weight", "26", "--s", "30", "--prec-bits", "4096"]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: s = 30 outside the critical strip 1..25\n"
@@ -267,13 +267,13 @@ def loaded_modules(script, *argv, cwd=None, flags=()):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-PIPELINE = ("exactcore", "periods", "rvtransform", "zerocert")
+PIPELINE = ("exactcore", "intmul", "periods", "rvtransform", "zerocert")
 
 # command -> (its arguments, the zetapoly modules besides cli it may load)
 COMMAND_MODULES = {
-    "habiro": (["--level", "8"], ("exactcore", "habiro")),
-    "lfun": (["--weight", "12"], ("exactcore", "modforms")),
-    "periods": (["--weight", "12"], ("exactcore", "periods")),
+    "habiro": (["--level", "8"], ("exactcore", "habiro", "intmul")),
+    "lfun": (["--weight", "12"], ("intmul", "lvalues")),
+    "periods": (["--weight", "12"], ("exactcore", "intmul", "periods")),
     "rv": (["--weight", "16", "--d", "5"], PIPELINE),
     "certify": (["--weight", "26", "--d", "15"], PIPELINE),
     "report": ([], PIPELINE),
@@ -307,9 +307,25 @@ class TestLazyImports:
         # the command line is read from cli.COMMANDS, with no argparse and the
         # gettext and locale it loads
         assert not {"argparse", "gettext", "locale", "__future__"}.intersection(loaded)
-        # habiro's numbers are all ints, so it loads no fractions and not the
-        # decimal that fractions imports; every other command works over Q
-        assert {"fractions", "decimal"}.isdisjoint(loaded) == (command == "habiro")
+        # the numbers of habiro and lfun are all ints, so they load no
+        # fractions and not the decimal and numbers that fractions imports;
+        # every other command works over Q
+        ints_only = command in ("habiro", "lfun")
+        assert {"fractions", "decimal", "numbers"}.isdisjoint(loaded) == ints_only
+
+    def test_lfun_loads_no_rational_layer(self, tmp_path):
+        # the eigenform is Delta E4^a E6^b in ints and the L-values one
+        # integer moment sum: no Fraction, RatPoly or QExpansion is made
+        loaded = loaded_modules(RUN_CLI, "lfun", "--weight", "26", "--prec-bits", "512", cwd=tmp_path)
+        assert "zetapoly.lvalues" in loaded
+        unwanted = {"fractions", "decimal", "numbers", "zetapoly.exactcore", "zetapoly.modforms"}
+        assert not unwanted.intersection(loaded)
+
+    def test_import_cli_loads_no_other_submodule(self):
+        # the shared names live in the package root, so the CLI's import
+        # loads nothing that a command may not need
+        loaded = loaded_modules("import zetapoly.cli")
+        assert [m for m in loaded if m.startswith("zetapoly")] == ["zetapoly", "zetapoly.cli"]
 
     @pytest.mark.parametrize(
         "argv", (["habiro", "--level", "8"], ["lfun", "--weight", "12"], ["rv", "--weight", "26", "--d", "60"])
@@ -379,7 +395,7 @@ class TestLazyImports:
         assert [m for m in loaded if m.startswith("zetapoly")] == ["zetapoly"]
         loaded = loaded_modules("import zetapoly\nzetapoly.periods.relations_kernel")
         assert [m for m in loaded if m.startswith("zetapoly")] == [
-            "zetapoly", "zetapoly.exactcore", "zetapoly.periods"
+            "zetapoly", "zetapoly.exactcore", "zetapoly.intmul", "zetapoly.periods"
         ]
 
     def test_exports_are_the_submodules_objects(self):

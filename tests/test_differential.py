@@ -10,8 +10,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zetapoly.exactcore import _KRONECKER_MIN_LEN, RatPoly
+from zetapoly.exactcore import RatPoly
 from zetapoly.habiro import habiro_q, habiro_qinv, habiro_r, psi_toric
+from zetapoly.intmul import _KRONECKER_MIN_LEN
 from zetapoly.zerocert import critical_line_certify, unit_circle_certify
 
 sympy = pytest.importorskip("sympy")

@@ -555,11 +555,12 @@ class TestPower:
 
 
 def test_battery_level_24_budget():
-    t0 = time.perf_counter()
+    # CPU time, about 10x the 31-32 ms the battery takes
+    t0 = time.process_time()
     results = habiro_battery(24)
-    elapsed = time.perf_counter() - t0
+    elapsed = time.process_time() - t0
     assert all(results.values())
-    assert elapsed < 10.0
+    assert elapsed < 0.3
 
 
 class TestReductionCoherence:

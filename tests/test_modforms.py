@@ -10,11 +10,10 @@ import mpmath
 from mpmath import ldexp, mp, mpf, mpc
 from mpmath.libmp import from_man_exp, prec_to_dps, to_str
 
-from zetapoly import modforms
+from zetapoly import ONE_DIM_WEIGHTS, UnsupportedWeightError, lvalues, modforms
 from zetapoly.modforms import (
     PrecisionError,
     QExpansion,
-    UnsupportedWeightError,
     cuspform_basis,
     delta_qexp,
     eichler_integral_numeric,
@@ -144,13 +143,77 @@ class TestEigenform:
         with pytest.raises(UnsupportedWeightError):
             eigenform(28)
 
-    @pytest.mark.parametrize("k", modforms.ONE_DIM_WEIGHTS)
+    @pytest.mark.parametrize("k", ONE_DIM_WEIGHTS)
     def test_eigen_for_small_hecke(self, k):
         f = eigenform(k, 60)
         for m in (2, 3, 4, 5):
             tf = hecke_Tm(f, m)
             for n in range(tf.prec + 1):
                 assert tf.coeffs[n] == f.coeffs[m] * f.coeffs[n]
+
+
+class TestEigenformCoeffs:
+    """lvalues.eigenform_coeffs: Delta E4^a E6^b in ints, with its checks."""
+
+    @pytest.mark.parametrize("k", ONE_DIM_WEIGHTS)
+    @pytest.mark.parametrize("bits", [None, 4096], ids=["prec64", "prec_for_4096_bits"])
+    def test_matches_the_cusp_form_basis(self, k, bits):
+        # oracle: the echelonized basis of S_k, built from the Fraction
+        # q-expansion of Delta, RatPoly products and rref
+        prec = 64 if bits is None else lvalues.qexp_prec_for(k, bits)
+        coeffs = lvalues.eigenform_coeffs(k, prec)
+        assert len(coeffs) == prec + 1 and all(type(c) is int for c in coeffs)
+        assert coeffs == list(cuspform_basis(k, prec)[0].coeffs)
+
+    @pytest.mark.parametrize("k, factor", [(4, 240), (6, -504)])
+    def test_eisenstein_divisor_sums(self, k, factor):
+        # the sieve against divisor sums by trial division
+        sigma = [sum(d ** (k - 1) for d in range(1, n + 1) if n % d == 0) for n in range(1, 301)]
+        assert lvalues.eisenstein_coeffs(k, 300) == [1] + [factor * s for s in sigma]
+
+    @staticmethod
+    def patch_eisenstein(monkeypatch, change):
+        """Make eigenform_coeffs build from change(k, E_k) in place of E_k."""
+        real = lvalues.eisenstein_coeffs
+        monkeypatch.setattr(lvalues, "eisenstein_coeffs", lambda k, prec: change(k, real(k, prec)))
+
+    @pytest.mark.parametrize("k", ONE_DIM_WEIGHTS)
+    def test_e6_sign_flip_fails_the_hecke_check(self, monkeypatch, k):
+        # E6 enters Delta squared, so -E6 changes f only where b = 1, to -f,
+        # and T_p(-f) = -a_p f is not (-a_p)(-f)
+        expected = lvalues.eigenform_coeffs(k, 64)
+        self.patch_eisenstein(monkeypatch, lambda j, e: [-c for c in e] if j == 6 else e)
+        if (k - 12) % 4 == 0:
+            assert lvalues.eigenform_coeffs(k, 64) == expected
+        else:
+            with pytest.raises(RuntimeError, match=f"T_2 eigenvalue check failed for weight {k}"):
+                lvalues.eigenform_coeffs(k, 64)
+
+    @pytest.mark.parametrize("k", ONE_DIM_WEIGHTS)
+    @pytest.mark.parametrize("n", [2, 7, 21])
+    def test_perturbed_coefficient_fails_the_hecke_check(self, monkeypatch, k, n):
+        # E4 + 1728 q^n keeps E4^3 - E6^2 divisible by 1728, so only the
+        # eigenvalue checks stand between it and a wrong a_n
+        self.patch_eisenstein(monkeypatch, lambda j, e: e[:n] + [e[n] + 1728] + e[n + 1:] if j == 4 else e)
+        with pytest.raises(RuntimeError, match=f"T_[23] eigenvalue check failed for weight {k}"):
+            lvalues.eigenform_coeffs(k, 64)
+
+    @pytest.mark.parametrize("k", ONE_DIM_WEIGHTS)
+    def test_e4_constant_term_fails_the_divisibility_check(self, monkeypatch, k):
+        # with E4 = 2 + ..., the constant term of E4^3 - E6^2 is 7
+        self.patch_eisenstein(monkeypatch, lambda j, e: [2] + e[1:] if j == 4 else e)
+        with pytest.raises(RuntimeError, match="not divisible by 1728"):
+            lvalues.eigenform_coeffs(k, 64)
+
+    @pytest.mark.parametrize("k", [10, 14, 24, 28])
+    def test_weight_without_one_eigenform_raises(self, k):
+        with pytest.raises(UnsupportedWeightError, match="requires dim S_k = 1"):
+            lvalues.eigenform_coeffs(k, 64)
+
+    def test_expansion_too_short_for_t3_raises(self):
+        assert lvalues.eigenform_coeffs(12, 6)[:4] == [0, 1, -24, 252]
+        with pytest.raises(PrecisionError):
+            lvalues.eigenform_coeffs(12, 5)
 
 
 class TestLambda:
@@ -186,7 +249,7 @@ class TestLambda:
         l11 = lam[10]
         assert abs(l1 - l11) < Fraction(1, 2**120)
 
-    @pytest.mark.parametrize("k", modforms.ONE_DIM_WEIGHTS)
+    @pytest.mark.parametrize("k", ONE_DIM_WEIGHTS)
     def test_functional_equation_all_weights(self, k):
         f = eigenform(k)
         sign = (-1) ** (k // 2)
@@ -203,7 +266,7 @@ class TestLambdaMomentForm:
     def test_matches_incomplete_gamma_series(self, k, bits):
         # independent oracle: the direct series over n with mpmath's own
         # upper incomplete gamma, sum_n a_n [G(s,x)/x^s + eps G(k-s,x)/x^(k-s)]
-        f = eigenform(k, modforms.qexp_prec_for(k, bits))
+        f = eigenform(k, lvalues.qexp_prec_for(k, bits))
         lam = lambda_numeric(f, bits)
         assert len(lam) == k - 1
         sign = (-1) ** (k // 2)
@@ -231,18 +294,13 @@ class TestFixedPointConstants:
     def test_pi_within_two_units(self):
         for W in self.WIDTHS:
             with mp.workprec(W + 64):
-                assert abs(mpf(modforms._pi_fixed(W)) - ldexp(mp.pi, W)) < 2, W
+                assert abs(mpf(lvalues._pi_fixed(W)) - ldexp(mp.pi, W)) < 2, W
 
     def test_exp_neg_twopi_within_one_unit(self):
         for W in self.WIDTHS:
             with mp.workprec(W + 64):
                 exact = ldexp(mp.exp(-2 * mp.pi), W)
-                assert abs(mpf(modforms._exp_neg_twopi(W)) - exact) < mpf("1.01"), W
-
-
-def dyadic(n, W):
-    """n / 2^W as the Fraction lambda_numeric returns; W <= 0 is an integer."""
-    return Fraction(n, 2**W) if W >= 0 else Fraction(n << -W)
+                assert abs(mpf(lvalues._exp_neg_twopi(W)) - exact) < mpf("1.01"), W
 
 
 def mpmath_str(n, W, prec_bits):
@@ -284,26 +342,29 @@ FORMAT_EDGES = {
 class TestMpfStr:
     @pytest.mark.parametrize("n, W, bits", FORMAT_EDGES.values(), ids=list(FORMAT_EDGES))
     def test_edge_cases_match_mpmath(self, n, W, bits):
-        assert modforms._mpf_str(dyadic(n, W), bits) == mpmath_str(n, W, bits)
+        assert lvalues._mpf_str(n, W, bits) == mpmath_str(n, W, bits)
 
     @settings(max_examples=1000, deadline=None)
     @given(
         st.integers(-(2**400), 2**400), st.integers(-300, 700), st.integers(1, 1200)
     )
     def test_matches_mpmath(self, n, W, bits):
-        assert modforms._mpf_str(dyadic(n, W), bits) == mpmath_str(n, W, bits)
+        assert lvalues._mpf_str(n, W, bits) == mpmath_str(n, W, bits)
+        # n / 2^W need not be in lowest terms
+        assert lvalues._mpf_str(n << 7, W + 7, bits) == mpmath_str(n, W, bits)
 
     def test_rejects_what_it_does_not_port(self):
-        with pytest.raises(ValueError):
-            modforms._mpf_str(Fraction(1, 3), 53)
-        with pytest.raises(ValueError):
-            modforms._mpf_str(Fraction(1, 2**4000), 53)
+        # mpmath divides by a rounded power of ten past |log2 x| = 3500
+        with pytest.raises(ValueError, match="out of range"):
+            lvalues._mpf_str(1, 4000, 53)
+        with pytest.raises(ValueError, match="out of range"):
+            lvalues._mpf_str(-1, -4000, 53)
 
 
 class TestProvenTruncation:
     GRID = [(12, 128), (12, 512), (26, 128), (26, 512)]
 
-    @pytest.mark.parametrize("k", modforms.ONE_DIM_WEIGHTS)
+    @pytest.mark.parametrize("k", ONE_DIM_WEIGHTS)
     @pytest.mark.parametrize("bits, y", [(53, 1), (128, 1), (4096, 1), (128, 0.5), (512, 3)])
     def test_least_n_meets_the_bound(self, k, bits, y):
         # the bound of step 4 of _terms_needed, in mpmath: met at N, missed at N - 1
@@ -315,11 +376,11 @@ class TestProvenTruncation:
                 return mp.inf
             return 4 * mpf(n) ** (k // 2) * mp.exp(-2 * mp.pi * n * y) / ((1 - rho) * gap)
 
-        N = modforms._terms_needed(k, bits, y)
+        N = lvalues._terms_needed(k, bits, y)
         with mp.workprec(64):
             assert bound(N) <= mpf(2) ** -(bits + 16) < bound(N - 1)
 
-    @pytest.mark.parametrize("k", modforms.ONE_DIM_WEIGHTS)
+    @pytest.mark.parametrize("k", ONE_DIM_WEIGHTS)
     def test_rounding_scale(self, k):
         # the sums of step 3 of _terms_needed with |a_n| at its bound:
         # T = max_s T_s + T_(k-s) < 2^14, where
@@ -352,7 +413,7 @@ class TestProvenTruncation:
 
     @pytest.mark.parametrize("k, bits", GRID)
     def test_n_terms_within_bound_of_direct_sum(self, k, bits):
-        N = modforms._terms_needed(k, bits)
+        N = lvalues._terms_needed(k, bits)
         self.assert_n_terms_within_bound(eigenform(k, 2 * N), N, bits)
 
     @pytest.mark.parametrize("scale_bits", [0, 20, 40])
@@ -361,7 +422,7 @@ class TestProvenTruncation:
         # are sized for 128 + scale_bits bits (step 7 of _terms_needed); sized
         # for 128 bits alone, 2^40 Delta missed the bound by 28 bits
         bits = 128
-        N = modforms._terms_needed(12, bits + scale_bits)
+        N = lvalues._terms_needed(12, bits + scale_bits)
         f = delta_qexp(2 * N) * 2**scale_bits
         self.assert_n_terms_within_bound(f, N, bits)
         with pytest.raises(PrecisionError):
@@ -377,7 +438,7 @@ class TestProvenTruncation:
     def test_unproven_weight_raises(self):
         # dim S_24 = 2: no form there is a multiple of one eigenform
         with pytest.raises(ValueError):
-            modforms._terms_needed(24, 128)
+            lvalues._terms_needed(24, 128)
         f = cuspform_basis(24, 80)[0]
         with pytest.raises(ValueError):
             lambda_numeric(f, 128)
@@ -386,7 +447,7 @@ class TestProvenTruncation:
 
     @pytest.mark.parametrize("k, bits", GRID)
     def test_one_term_short_raises(self, k, bits):
-        N = modforms._terms_needed(k, bits)
+        N = lvalues._terms_needed(k, bits)
         f = eigenform(k, N)
         short = QExpansion(k, f.coeffs[:N])
         with pytest.raises(PrecisionError):
@@ -408,7 +469,7 @@ class TestProvenTruncation:
     def test_qexp_prec_for_does_not_load_mpmath(self):
         code = (
             "import sys\n"
-            "from zetapoly.modforms import qexp_prec_for\n"
+            "from zetapoly.lvalues import qexp_prec_for\n"
             "qexp_prec_for(26, 4096)\n"
             "print('mpmath' in sys.modules)\n"
         )

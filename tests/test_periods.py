@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from zetapoly.exactcore import ONE_DIM_WEIGHTS, RatPoly, is_self_inversive
-from zetapoly.modforms import UnsupportedWeightError, dim_cuspforms, eigenform
+from zetapoly import ONE_DIM_WEIGHTS, UnsupportedWeightError
+from zetapoly.exactcore import RatPoly, is_self_inversive
+from zetapoly.modforms import dim_cuspforms, eigenform
 from zetapoly.periods import (
     CFIQuotient,
     DivisibilityError,
