@@ -4,8 +4,9 @@ are long and by schoolbook otherwise.  ``exactcore`` multiplies polynomial
 numerators by it, ``habiro`` residues mod p and ``lvalues`` q-expansions,
 and ``exactcore``'s gcd packs and unpacks by ``_pack`` and ``_unpack``.
 
-It imports only ``array`` and ``sys``, so a job that needs products and no
-rational arithmetic, such as ``lfun``, loads no ``exactcore``.
+It imports only ``array``, ``sys`` and ``collections.abc``, so a job that
+needs products and no rational arithmetic, such as ``lfun``, loads no
+``exactcore``.
 """
 
 import sys
