@@ -13,13 +13,16 @@ its full name or an unambiguous prefix, and a value may start with a single
 types and the package root, so each command loads past the interpreter's
 start-up only what it runs:
 
-    periods                 json, fractions, array; exactcore, intmul, periods
-    rv, certify, report     the same, and rvtransform, zerocert (report csv)
+    periods                 json, array; exactcore, intmul, periods
+    certify, report         the same, and rvtransform, zerocert (report csv)
+    rv                      the same as certify, and fractions
     habiro                  json, array; exactcore, intmul, habiro
     lfun                    json, array; intmul, lvalues
 
-`habiro` and `lfun` compute in ints only, so they load neither fractions
-nor the decimal and numbers that it imports.
+Every command computes in ints, so only `rv` loads fractions, and with it
+decimal and numbers, for the one Fraction of its record, the critical line
+Re x = c.  `certify` and `report` take c as the linear polynomial c + u and
+write its string and the roots' doubles from ints.
 """
 
 import json
@@ -44,16 +47,15 @@ def weight_stages(k: int):
     return quot, unit_circle_certify(quot.U_poly)
 
 
-def zeta_record_for_d(quot, d=None):
-    """Per-d part: the zeta polynomial record of U at d (default e + 2),
-    with its critical-line certificate."""
-    from .rvtransform import rv_polynomial
+def zeta_record_for_d(quot, d):
+    """Per-d part of `certify` and `report`: Q of U at d and its critical
+    line c + u (rvtransform.zeta_quotient), with the critical-line
+    certificate of Q."""
+    from .rvtransform import zeta_quotient
     from .zerocert import critical_line_certify
 
-    if d is None:
-        d = quot.e + 2
-    record = rv_polynomial(quot.U_poly, d, weight=quot.weight)
-    return record, critical_line_certify(record.Q, record.critical_line)
+    Q, line = zeta_quotient(quot.U_poly, d)
+    return Q, line, critical_line_certify(Q, line)
 
 
 def _emit(payload, out):
@@ -73,17 +75,24 @@ def cmd_periods(args) -> int:
 
 
 def cmd_rv(args) -> int:
-    """Both `rv` (the full record) and `certify` (certificates only)."""
+    """Both `rv` (the full record) and `certify` (certificates only), at d
+    (default e + 2)."""
     quot, circle = weight_stages(args.weight)
-    record, line = zeta_record_for_d(quot, args.d)
+    d = quot.e + 2 if args.d is None else args.d
     if args.command == "rv":
+        from .rvtransform import rv_polynomial
+        from .zerocert import critical_line_certify
+
+        record = rv_polynomial(quot.U_poly, d, weight=quot.weight)
+        line = critical_line_certify(record.Q, record.critical_line)
         payload = record.to_json_dict()
         payload["unit_circle"] = circle.to_json_dict()
         payload["critical_line_certificate"] = line.to_json_dict()
     else:
+        line = zeta_record_for_d(quot, d)[2]
         payload = {
             "weight": args.weight,
-            "d": record.d,
+            "d": d,
             "unit_circle": circle.to_json_dict(),
             "critical_line": line.to_json_dict(),
         }
@@ -117,7 +126,8 @@ def cmd_lfun(args) -> int:
 def cmd_report(args) -> int:
     import csv
 
-    from .zerocert import critical_line_roots, roots_json
+    from .exactcore import _ratio_str
+    from .zerocert import roots_json
 
     os.makedirs(args.out_dir or ".", exist_ok=True)  # "" is the working directory
     rows = []
@@ -133,22 +143,22 @@ def cmd_report(args) -> int:
             try:
                 if weight_error is not None:
                     raise weight_error
-                record, line = zeta_record_for_d(quot, d)
+                Q, c_u, line = zeta_record_for_d(quot, d)  # c_u: the line as c + u
                 funceq = "pass"
                 uc = "pass" if circle.passed else "fail"
                 cl = "pass" if line.passed else "fail"
                 if not (circle.passed and line.passed):
                     any_failed = True
-                if record.Q.degree > 0:
+                if Q.degree > 0:
                     try:
-                        roots = critical_line_roots(line, record.critical_line, args.prec_bits)
+                        roots = roots_json(line, c_u, args.prec_bits)
                     except RuntimeError as exc:
                         raise RuntimeError(f"weight {k}, d {d}: {exc}") from exc
                     roots_payload = {
                         "weight": k,
                         "d": d,
-                        "critical_line": str(record.critical_line),
-                        "roots": roots_json(roots),
+                        "critical_line": _ratio_str(c_u.num[0], c_u.den),
+                        "roots": roots,
                     }
                     _emit(roots_payload, os.path.join(args.out_dir, f"roots_w{k}_d{d}.json"))
             except Exception as exc:  # keep the sweep going, record the failure

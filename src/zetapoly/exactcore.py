@@ -1,5 +1,4 @@
-"""Dense univariate polynomials with exact rational coefficients, and exact
-row reduction.
+"""Dense univariate polynomials with exact rational coefficients.
 
 A polynomial is an integer polynomial over one common denominator, as in
 FLINT's ``fmpq_poly``: ``num`` is a tuple of ints, constant first and with no
@@ -7,8 +6,9 @@ trailing zero, and ``den`` an int >= 1 prime to every entry of ``num``, so
 the coefficient of ``z**i`` is ``num[i] / den``.  The zero polynomial has
 ``num == ()``, ``den == 1`` and degree -1, and a polynomial is integral
 exactly when ``den == 1``.  ``coeffs`` reads the coefficients back, an
-``int`` where integral and a ``Fraction`` elsewhere.  All values are
-immutable; ``_poly`` builds every result.
+``int`` where integral and a ``Fraction`` elsewhere; ``coeff_strings``
+writes them as ``str(Fraction)`` does, from num and den (``_ratio_str``).
+All values are immutable; ``_poly`` builds every result.
 
 Every product of numerators goes through ``intmul._mul``, the one integer
 product path of the package.  A product multiplies the numerators by it and
@@ -16,23 +16,25 @@ the denominators; a power is square-and-multiply on the numerator by it,
 over den^n (``_power``, which ``habiro`` shares).  A division is Knuth's
 pseudo-division (TAOCP vol. 2, 4.6.1, Algorithm R): the dividend's
 numerator times |lead|^(deg a - deg b + 1), with lead the divisor's leading
-numerator, makes every quotient step an exact integer division.  Evaluation is exact only: a polynomial is called at
-an int or Fraction p/q by Horner's scheme in integers, and a float, complex
+numerator, makes every quotient step an exact integer division.
+Evaluation is exact only: a polynomial is called at an int or Fraction p/q by Horner's scheme in integers, and a float, complex
 or mpmath point raises TypeError, as every other operation does with an
 inexact operand.  Composition with a constant is evaluation, with a linear
 polynomial one Taylor shift in integers (``_linear_compose``), and with any
 other B / db Horner's scheme on the numerators, one ``_mul`` per step, over
 den db^n.
 
-Every command but ``lfun``, whose numbers are all ints, loads this module.
+Every command but ``lfun`` loads this module.
 The names that several modules share, the supported weights and
 ``UnsupportedWeightError``, live in the package root, and a name that only
-one other module uses lives in that module.  It imports ``fractions`` only
-inside a function that makes a Fraction, once per call, and tells a
-Fraction it is given by the class of the loaded module (``_is_fraction``).
-So past the interpreter's start-up a job whose numbers are all ints, such
-as ``habiro``, loads ``json`` and ``array`` only, and not ``fractions`` or
-the ``decimal`` that it imports.
+one other module uses lives in that module: Gauss-Jordan over Q, ``rref``,
+lives in ``modforms``, whose `cuspform_basis` is its one caller.  It
+imports ``fractions`` only inside a function that makes a Fraction, once
+per call, and tells a Fraction it is given by the class of the loaded
+module (``_is_fraction``).  So past the interpreter's start-up a job whose
+numbers are all ints loads ``json`` and ``array`` only, and not
+``fractions`` or the ``decimal`` and ``numbers`` that it imports: every
+command but ``rv``, which makes its record's critical line a Fraction.
 """
 
 import operator
@@ -105,32 +107,6 @@ def _exact(c):
     raise TypeError(f"inexact coefficient {c!r}; use int or Fraction")
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[list, list]:
-    """Reduced row echelon form over Q by Gauss-Jordan elimination.
-
-    Returns the nonzero reduced rows, each with a 1 in its pivot column and
-    zeros in the other pivot columns, and the list of pivot columns.
-    """
-    from fractions import Fraction
-
-    mat = [[_exact(v) for v in row] for row in rows]
-    pivots = []
-    for col in range(len(mat[0]) if mat else 0):
-        top = len(pivots)
-        pick = next((r for r in range(top, len(mat)) if mat[r][col] != 0), None)
-        if pick is None:
-            continue
-        mat[top], mat[pick] = mat[pick], mat[top]
-        lead = mat[top][col]
-        prow = mat[top] = [_exact(Fraction(v, lead)) for v in mat[top]]
-        for r, row in enumerate(mat):
-            fac = row[col]
-            if r != top and fac != 0:
-                mat[r] = [_exact(v - fac * p) for v, p in zip(row, prow)]
-        pivots.append(col)
-    return mat[: len(pivots)], pivots
-
-
 class RatPoly:
     """Immutable dense polynomial over Q: num / den (see the module docstring)."""
 
@@ -197,7 +173,8 @@ class RatPoly:
         return 0
 
     def coeff_strings(self) -> list:
-        return [str(c) for c in self.coeffs]
+        """str of each coefficient, as str(Fraction) writes it."""
+        return [_ratio_str(c, self.den) for c in self.num]
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -402,6 +379,14 @@ def _ratio(n: int, d: int):
     from fractions import Fraction
 
     return Fraction(n, d)
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for ints n and d >= 1, without making one: n/d in
+    lowest terms, or the int alone when the denominator is 1."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _power(base, n: int, one, mul):

@@ -54,12 +54,15 @@ def hecke_coeffs(k: int, coeffs, m: int) -> list:
 def eigenform_coeffs(k: int, prec: int) -> list:
     """a_0..a_prec of the normalized Hecke eigenform of weight k, dim S_k = 1
     only, as ints: Delta E4^a E6^b with 4a + 6b = k - 12 and b in {0, 1},
-    each product truncated at q^prec.
+    each product truncated at q^(2 prec).
 
     Three checks raise RuntimeError: 1728 divides E4^3 - E6^2 on every
     coefficient; T_p f = a_p f for p = 2 and 3 on every coefficient of T_p f
-    that q^prec determines; and a_0 = 0, a_1 = 1.  The eigenvalue checks run
-    first, since they also refuse any multiple c f with c != 1:
+    that q^(2 prec) determines; and a_0 = 0, a_1 = 1.  The series runs to
+    2 prec so that the T_2 check reads every a_n, n <= prec, returned: as
+    a_2 a_n against a_2n + 2^(k-1) a_(n/2).  To q^prec alone no check would
+    read an a_n with prec/2 < n <= prec and gcd(n, 6) = 1.  The eigenvalue
+    checks run first, since they also refuse any multiple c f with c != 1:
     T_p (c f) = c a_p f, where the check asks for c a_p (c f).
     """
     if k not in ONE_DIM_WEIGHTS:
@@ -69,24 +72,27 @@ def eigenform_coeffs(k: int, prec: int) -> list:
         )
     if prec < 6:
         raise PrecisionError(f"q-expansion to q^{prec} too short for the T_3 check; q^6 needed")
-    n = prec + 1
-    e4, e6 = eisenstein_coeffs(4, prec), eisenstein_coeffs(6, prec)
-    cube, square = _mul(_mul(e4, e4)[:n], e4), _mul(e6, e6)
+    top = 2 * prec
+    n = top + 1
+    e4, e6 = eisenstein_coeffs(4, top), eisenstein_coeffs(6, top)
+    powers = [[1], e4, _mul(e4, e4)[:n]]  # E4^a, a <= 2, and E4^3 = E4^2 E4
     f = []
-    for c, s in zip(cube[:n], square):
+    for c, s in zip(_mul(powers[2], e4), _mul(e6, e6)[:n]):
         a, r = divmod(c - s, 1728)
         if r:
             raise RuntimeError(f"E4^3 - E6^2 is not divisible by 1728 (weight {k})")
         f.append(a)
     b = (k - 12) % 4 // 2  # one E6 when k - 12 = 2 mod 4
-    for g in [e4] * ((k - 12 - 6 * b) // 4) + [e6] * b:
-        f = _mul(f, g)[:n]
+    g = powers[(k - 12 - 6 * b) // 4]
+    if b:
+        g = _mul(g, e6)[:n]
+    f = _mul(f, g)[:n]
     for p in (2, 3):
-        if hecke_coeffs(k, f, p) != [f[p] * c for c in f[: prec // p + 1]]:
+        if hecke_coeffs(k, f, p) != [f[p] * c for c in f[: top // p + 1]]:
             raise RuntimeError(f"T_{p} eigenvalue check failed for weight {k}")
     if f[0] != 0 or f[1] != 1:
         raise RuntimeError(f"cusp form of weight {k} is not normalized")
-    return f
+    return f[: prec + 1]
 
 
 def _terms_needed(k: int, prec_bits: int, y: float = 1.0) -> int:

@@ -3,7 +3,8 @@ cusp-form basis of any weight, and high-precision completed L-values,
 period polynomials and Eichler integrals.
 
 q-expansion arithmetic is exact over Q, through ``RatPoly`` products and
-``rref``: this is the generic machinery for any dim S_k.  The eigenform of a
+Fraction Gauss-Jordan elimination (``rref``, which only `cuspform_basis`
+uses): this is the generic machinery for any dim S_k.  The eigenform of a
 weight with dim S_k = 1 and its completed L-values come from ``lvalues``,
 in integers: `eigenform` wraps its closed form and `lambda_numeric` its one
 moment sum, as exact dyadic Fractions.  mpmath, at a configurable mantissa
@@ -12,9 +13,10 @@ moment sum, as exact dyadic Fractions.  mpmath, at a configurable mantissa
 """
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
-from .exactcore import RatPoly, _exact, _Record, rref
+from .exactcore import RatPoly, _exact, _Record
 from .lvalues import (
     DEFAULT_QEXP_PREC, PrecisionError, _sized_pass, eigenform_coeffs, eisenstein_coeffs, hecke_coeffs,
     lambda_fixed,
@@ -60,6 +62,30 @@ class QExpansion(_Record):
         return QExpansion(self.weight + other.weight, out + (0,) * (n + 1 - len(out)))
 
     __rmul__ = __mul__
+
+
+def rref(rows: Sequence[Sequence]) -> tuple[list, list]:
+    """Reduced row echelon form over Q by Gauss-Jordan elimination.
+
+    Returns the nonzero reduced rows, each with a 1 in its pivot column and
+    zeros in the other pivot columns, and the list of pivot columns.
+    """
+    mat = [[_exact(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(len(mat[0]) if mat else 0):
+        top = len(pivots)
+        pick = next((r for r in range(top, len(mat)) if mat[r][col] != 0), None)
+        if pick is None:
+            continue
+        mat[top], mat[pick] = mat[pick], mat[top]
+        lead = mat[top][col]
+        prow = mat[top] = [_exact(Fraction(v, lead)) for v in mat[top]]
+        for r, row in enumerate(mat):
+            fac = row[col]
+            if r != top and fac != 0:
+                mat[r] = [_exact(v - fac * p) for v, p in zip(row, prow)]
+        pivots.append(col)
+    return mat[: len(pivots)], pivots
 
 
 def eisenstein_qexp(k: int, prec: int = DEFAULT_QEXP_PREC) -> QExpansion:

@@ -1,13 +1,15 @@
 """Period-polynomial spaces from the slash-action relations, parity split,
 odd period polynomials for one-dimensional weights, and the quotient by the
 fixed degree-10 factor z(z^2-4)(z^2-1/4)(z^2-1)^2.
+
+Everything here is computed in integers: the kernel of the relations by
+fraction-free elimination, the fixed factor as an integer polynomial over 4.
 """
 
-from fractions import Fraction
 from math import comb
 
 from . import ONE_DIM_WEIGHTS, UnsupportedWeightError
-from .exactcore import RatPoly, _Record, is_self_inversive, rref
+from .exactcore import RatPoly, _poly, _Record, is_self_inversive
 
 
 class DivisibilityError(ValueError):
@@ -40,10 +42,10 @@ def slash_action(r: RatPoly, g: tuple, w: int) -> RatPoly:
         num_pows.append(num_pows[-1] * num)
         den_pows.append(den_pows[-1] * den)
     out = RatPoly.zero()
-    for j, c in enumerate(r.coeffs):
+    for j, c in enumerate(r.num):
         if c != 0:
             out = out + c * num_pows[j] * den_pows[w - j]
-    return out
+    return _poly(out.num, r.den)
 
 
 def _relation_image(j: int, w: int) -> list[int]:
@@ -59,18 +61,47 @@ def _relation_image(j: int, w: int) -> list[int]:
     return rel_s + rel_u
 
 
-def _rational_nullspace(rows: list[list], ncols: int) -> list[list]:
-    """Basis of the right nullspace, one vector per free column of the
-    reduced row echelon form."""
-    reduced, pivots = rref(rows)
-    basis = []
+def _integer_nullspace(rows: list, ncols: int) -> tuple:
+    """(D, vectors), the vectors / D the basis of the right nullspace of the
+    integer rows that reduced row echelon form gives: one vector per free
+    column, D in that column and 0 in the other free ones.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968):
+    each step takes row <- (p row - row[col] prow) / prev, with p the new
+    pivot and prev the one before, a division that Sylvester's identity
+    makes exact, on every row but the pivot row.  So at the end every pivot
+    row holds the last pivot D in its pivot column and 0 in the others: it
+    is D times its reduced row.  A row equal to another up to sign, or zero,
+    spans nothing more and is dropped first, as are rows that become zero."""
+    todo = list({max(row, tuple(-v for v in row)): None for row in map(tuple, rows) if any(row)})
+    done, pivots, prev = [], [], 1
+    for col in range(ncols):
+        found = [row for row in todo if row[col]]
+        if not found:
+            continue
+        prow = min(found, key=lambda row: abs(row[col]))  # the smallest pivot keeps the entries small
+        p = prow[col]
+
+        def step(row):
+            f = row[col]
+            if f:
+                return [(p * a - f * b) // prev for a, b in zip(row, prow)]
+            return [p * a // prev for a in row]
+
+        todo = [row for row in map(step, (row for row in todo if row is not prow)) if any(row)]
+        done = [*map(step, done), prow]
+        pivots.append(col)
+        prev = p
+    D = abs(prev)
+    sign = 1 if prev > 0 else -1
+    vectors = []
     for fc in (c for c in range(ncols) if c not in pivots):
         vec = [0] * ncols
-        vec[fc] = 1
-        for row, pc in zip(reduced, pivots):
-            vec[pc] = -row[fc]
-        basis.append(vec)
-    return basis
+        vec[fc] = D
+        for row, pc in zip(done, pivots):
+            vec[pc] = -sign * row[fc]
+        vectors.append(vec)
+    return D, vectors
 
 
 def relations_kernel(w: int, parity: str = "all") -> PeriodSpace:
@@ -82,14 +113,13 @@ def relations_kernel(w: int, parity: str = "all") -> PeriodSpace:
         raise ValueError("parity must be all, even, or odd")
     exps = range(w + 1) if parity == "all" else range(parity == "odd", w + 1, 2)
     cols = [_relation_image(j, w) for j in exps]
-    nrows = 2 * (w + 1)
-    rows = [[cols[c][r] for c in range(len(exps))] for r in range(nrows)]
+    D, vectors = _integer_nullspace(zip(*cols), len(exps))
     basis = []
-    for vec in _rational_nullspace(rows, len(exps)):
-        coeffs = [0] * (w + 1)
+    for vec in vectors:
+        num = [0] * (w + 1)
         for x, j in zip(vec, exps):
-            coeffs[j] = x
-        basis.append(RatPoly(coeffs))
+            num[j] = x
+        basis.append(_poly(num, D))
     return PeriodSpace(w, parity, tuple(basis))
 
 
@@ -108,14 +138,9 @@ def odd_period_polynomial(k: int) -> RatPoly:
 
 
 def cfi_divisor() -> RatPoly:
-    """z(z^2-4)(z^2-1/4)(z^2-1)^2, expanded exactly."""
-    z = RatPoly.x()
-    return (
-        z
-        * (z * z - 4)
-        * (z * z - Fraction(1, 4))
-        * (z * z - 1) ** 2
-    )
+    """z(z^2-4)(z^2-1/4)(z^2-1)^2, expanded exactly: the integer
+    z(z^2-4)(4z^2-1)(z^2-1)^2 over 4."""
+    return _poly((0, 4, 0, -25, 0, 42, 0, -25, 0, 4), 4)
 
 
 def cfi_quotient(rminus: RatPoly, k: int) -> CFIQuotient:

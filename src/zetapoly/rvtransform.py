@@ -7,10 +7,13 @@ U(z)/(1-z)^d are values H(n) of a degree d-1 polynomial H.  H satisfies
 
 vanishes at x = -1, ..., -(d-e-1), and its remaining zeros sit on the
 symmetry line Re x = -(d-e)/2 of that functional equation.
+
+Q, H divided by its trivial zeros, is built and checked once, in integers,
+as (d-1)! Q (`zeta_quotient`); `rv_polynomial` makes the full record over
+it, and only its ``critical_line`` is a Fraction.
 """
 
 import math
-from fractions import Fraction
 
 from .exactcore import RatPoly, _poly, _Record, is_self_inversive
 
@@ -60,22 +63,27 @@ def _linear_product(lo: int, hi: int) -> RatPoly:
 
 
 def _zeta_interpolant(U: RatPoly, d: int) -> RatPoly:
-    """(d-1)! Q(x), where Q = H / prod_{t=1}^{d-e-1} (x+t) and
-    H(x) = sum_j u_j C(x-j+d-1, d-1).
+    """(d-1)! D Q(x), an integer polynomial, where D = U.den,
+    Q = H / prod_{t=1}^{d-e-1} (x+t) and H(x) = sum_j u_j C(x-j+d-1, d-1).
 
     (d-1)! H = sum_j u_j prod_{t=1-j}^{d-1-j} (x+t), and for 0 <= j <= e < d
     every one of those products contains the strip t = 1..d-e-1, so
-    (d-1)! Q = sum_j u_j prod_{t=1-j}^{0} (x+t) prod_{t=d-e}^{d-1-j} (x+t),
-    a sum of products of e linear factors; integral when U is.  Each product
-    P_j comes from the one before, P_j = P_(j-1) (x-j+1) / (x+d-j), by an
-    exact division by a monic linear factor."""
-    e = U.degree
-    P = _linear_product(d - e, d - 1)
-    G = U[0] * P
+    (d-1)! Q = sum_j u_j P_j with P_j = prod_{t=1-j}^{0} (x+t)
+    prod_{t=d-e}^{d-1-j} (x+t), a product of e linear factors.  Each P_j
+    comes from the one before: P_j = P_(j-1) (x-j+1) / (x+d-j)
+    = P_(j-1) + (1-d) P_(j-1) / (x+d-j), one exact synthetic division by a
+    monic linear factor of P_(j-1)."""
+    num, e = U.num, U.degree
+    P = list(_linear_product(d - e, d - 1).num)
+    G = [num[0] * c for c in P]
     for j in range(1, e + 1):
-        P = P * RatPoly((1 - j, 1)) // RatPoly((d - j, 1))
-        G = G + U[j] * P
-    return G
+        carry = 0  # coefficient i of P_(j-1) / (x+d-j), from the top
+        for i in range(e, -1, -1):
+            c = P[i]
+            P[i] = c + (1 - d) * carry
+            carry = c - (d - j) * carry
+        G = [g + num[j] * c for g, c in zip(G, P)]
+    return _poly(G)
 
 
 def functional_equation_defect(H: RatPoly, d: int, e: int) -> RatPoly:
@@ -84,13 +92,16 @@ def functional_equation_defect(H: RatPoly, d: int, e: int) -> RatPoly:
     return H - (-1) ** (d - 1) * reflected
 
 
-def rv_polynomial(U: RatPoly, d: int, weight: int | None = None) -> ZetaPolyRecord:
-    """Build GQ = (d-1)! Q in closed form, check it, and return H = Q L, with
-    L(x) = prod_{t=1}^{d-e-1} (x+t).  The checks run on GQ and on L's closed
-    form, not on the expanded H: GQ(n) L(n), L(n) = (n+d-e-1)!/n!, is (d-1)!
-    times the series coefficient c_n of U(z)/(1-z)^d, and as L(e-d-x) =
-    (-1)^(d-e-1) L(x), H has its functional equation iff GQ(e-d-x) =
-    (-1)^e GQ(x)."""
+def zeta_quotient(U: RatPoly, d: int) -> tuple:
+    """(Q, c + u): Q = H / L, L(x) = prod_{t=1}^{d-e-1} (x+t), over (d-1)!,
+    and the critical line Re x = c = -(d-e)/2 as the linear polynomial c + u.
+
+    GQ = (d-1)! D Q, D = U.den, is built in closed form (_zeta_interpolant)
+    and checked in integers, on GQ and on L's closed form rather than on the
+    expanded H: GQ(n) L(n), L(n) = (n+d-e-1)!/n!, is (d-1)! times the series
+    coefficient of D U(z)/(1-z)^d, and as L(e-d-x) = (-1)^(d-e-1) L(x), H
+    has its functional equation iff GQ(e-d-x) = (-1)^e GQ(x).  So the checks
+    take O(d e) integer steps."""
     if U.is_zero():
         raise ValueError("U must be nonzero")
     e = U.degree
@@ -105,19 +116,26 @@ def rv_polynomial(U: RatPoly, d: int, weight: int | None = None) -> ZetaPolyReco
     if GQ.compose(RatPoly((e - d, -1))) != (-1) ** e * GQ:
         raise RuntimeError("functional equation fails")
     L = math.factorial(d - e - 1)
-    for n, c in enumerate(series_coefficients(U, d, 2 * d)):
+    for n, c in enumerate(series_coefficients(_poly(U.num), d, 2 * d)):
         if GQ(n) * L != scale * c:
             raise RuntimeError(f"H({n}) disagrees with the series coefficient")
         L = L * (n + d - e) // (n + 1)
-    G = _linear_product(1, d - e - 1) * GQ
-    if G.degree != d - 1:
-        raise RuntimeError(f"deg H = {G.degree} != d-1 = {d - 1}")
+    return _poly(GQ.num, scale * U.den), _poly((e - d, 2), 2)
+
+
+def rv_polynomial(U: RatPoly, d: int, weight: int | None = None) -> ZetaPolyRecord:
+    """The record of U at d over the checked Q of `zeta_quotient`: H = L Q,
+    with L(x) = prod_{t=1}^{d-e-1} (x+t), and the Fraction c of its line."""
+    from fractions import Fraction
+
+    Q, _ = zeta_quotient(U, d)
+    e = U.degree
     return ZetaPolyRecord(
         weight=weight,
         e=e,
         d=d,
-        H=G * Fraction(1, scale),
-        Q=GQ * Fraction(1, scale),
+        H=_linear_product(1, d - e - 1) * Q,
+        Q=Q,
         critical_line=Fraction(-(d - e), 2),
     )
 

@@ -1,7 +1,8 @@
 """Exact certificates for unit-circle and critical-line zero claims, and the
 critical-line roots refined in integers from the intervals that certified
 them.  No root is found in floating point: roots_json only rounds the exact
-roots to doubles for output.
+roots to doubles for output.  Every interval end and root is an integer over
+a power of 2; `critical_line_roots` alone makes Fractions, as a view.
 
 Both certificates are one count.  The zeros of an even R(u) = A(u^2) lie on
 the line Re u = 0 iff every root of A is real and <= 0.  A is peeled into
@@ -9,13 +10,13 @@ squarefree layers (_parity_layers), and the negative roots of each layer are
 isolated once, in integers, by Descartes' rule of signs (_isolate); the count
 is the number of isolating intervals.  For the critical line Re x = c,
 R(u) = Q(c + u); for the unit circle, R is the Cayley transform
-(1-u)^e U((1+u)/(1-u)), which takes the circle onto that line.
+(1-u)^e U((1+u)/(1-u)), which takes the circle onto that line.  The line
+travels as the linear polynomial c + u, whose den of 2 holds a half-integer c.
 """
 
 import math
-from fractions import Fraction
 
-from .exactcore import RatPoly, _exact, _linear_compose, _poly, _Record
+from .exactcore import RatPoly, _is_fraction, _linear_compose, _poly, _ratio, _ratio_str, _Record
 
 
 class SymmetryError(ValueError):
@@ -27,7 +28,7 @@ class Certificate(_Record):
     or repr: the squarefree layers of the A that the count peeled, with
     R(u) = A(u^2) for R = Q(c + u) on the critical line and the Cayley
     transform of U on the unit circle, and for each layer the isolating
-    intervals of its negative roots (_isolate)."""
+    intervals of its negative roots, as triples of ints (_isolate)."""
 
     _hidden = ("layers", "intervals")
     __slots__ = ("kind", "passed", "counted_roots", "expected_roots", "witness") + _hidden
@@ -77,11 +78,19 @@ def _flips(P) -> int:
     return _variations(_linear_compose(P[::-1], 1, _X_PLUS_1).num)
 
 
+def _dyadic(lo: int, hi: int, t: int) -> tuple:
+    """The interval (lo 2^t, hi 2^t) as (lo', hi', e), the ends lo' / 2^e and
+    hi' / 2^e with e >= 0 least: for t < 0, lo and hi are consecutive ints
+    or one odd int, so no power of 2 divides both."""
+    return (lo << t, hi << t, 0) if t >= 0 else (lo, hi, -t)
+
+
 def _isolate(S: RatPoly) -> tuple:
-    """The negative roots of the squarefree S, each as a pair (lo, hi) of
-    dyadic Fractions, ascending: S has exactly one root in the open interval
-    (lo, hi), or the root lo = hi.  A root 0 is left out: it stays on the
-    left end of the nodes that reach it.
+    """The negative roots of the squarefree S, each as a triple (lo, hi, e)
+    of ints, ascending: S has exactly one root in the open interval
+    (lo / 2^e, hi / 2^e), or the root lo / 2^e = hi / 2^e, and e >= 0 is the
+    least exponent that holds both ends (_dyadic).  A root 0 is left out: it
+    stays on the left end of the nodes that reach it.
 
     Descartes' rule of signs with bisection, in integers (Collins and Akritas
     1976; Rouillier and Zimmermann 2004).  The roots x = -v of S(-x) lie in
@@ -104,18 +113,18 @@ def _isolate(S: RatPoly) -> tuple:
     while todo:
         i, j, P, flips = todo.pop()
         if flips == 1:
-            w = Fraction(2) ** (k - j)  # the width of the node
-            found.append((-(i + 1) * w, -i * w))
+            found.append(_dyadic(-(i + 1), -i, k - j))  # the node, 2^(k-j) wide
         elif flips > 1:
             left = [c << (len(P) - 1 - d) for d, c in enumerate(P)]
             todo.append((2 * i, j + 1, left, _flips(left)))
             if todo[-1][3] < flips:  # else the right half holds no root
                 right = list(_linear_compose(left, 1, _X_PLUS_1).num)
                 if right[0] == 0:
-                    found.append((-(2 * i + 1) * Fraction(2) ** (k - j - 1),) * 2)
+                    found.append(_dyadic(-(2 * i + 1), -(2 * i + 1), k - j - 1))
                     del right[0]
                 todo.append((2 * i + 1, j + 1, right, _flips(right)))
-    return tuple(sorted(found))
+    e = max((iv[2] for iv in found), default=0)
+    return tuple(sorted(found, key=lambda iv: (iv[0] << (e - iv[2]), iv[1] << (e - iv[2]))))
 
 
 def unit_circle_certify(U: RatPoly) -> Certificate:
@@ -151,17 +160,20 @@ def unit_circle_certify(U: RatPoly) -> Certificate:
     )
 
 
-def _real_part(c):
-    """c, the real part of the critical line, as _exact makes it; any c that
-    is not an int or Fraction raises TypeError naming c."""
-    if not isinstance(c, (int, Fraction)):
-        raise TypeError(f"inexact real part c = {c!r} of the line; use int or Fraction")
-    return _exact(c)
+def _line(c) -> RatPoly:
+    """The critical line Re x = c as the polynomial c + u, from an int or
+    Fraction c or from c + u itself; any other c raises TypeError naming c."""
+    if isinstance(c, RatPoly) and len(c.num) == 2 and c.num[1] == c.den:
+        return c
+    if not (isinstance(c, int) or _is_fraction(c)):
+        raise TypeError(f"inexact real part c = {c!r} of the line; use int, Fraction or the RatPoly c + u")
+    return RatPoly((c, 1))
 
 
 def critical_line_certify(Q: RatPoly, c) -> Certificate:
     """Certify that all zeros of Q lie on the vertical line Re x = c, for an
-    int or Fraction c (any other c raises TypeError).
+    int or Fraction c, or the line as the RatPoly c + u (any other c raises
+    TypeError).
 
     Q must satisfy Q(2c - x) = Q(x) exactly, so Q has even degree and
     Q(c + u) = A(u^2); the zeros of Q are on the line iff every root of A is
@@ -170,8 +182,9 @@ def critical_line_certify(Q: RatPoly, c) -> Certificate:
     """
     if Q.is_zero():
         raise ValueError("zero polynomial")
-    c = _real_part(c)
-    A, layers, intervals = _parity_layers(Q.compose(RatPoly((c, 1))), f"Q(2c - x) != Q(x) at c = {c}")
+    line = _line(c)
+    c = _ratio_str(line.num[0], line.den)
+    A, layers, intervals = _parity_layers(Q.compose(line), f"Q(2c - x) != Q(x) at c = {c}")
     # A's roots in (-inf, 0], each counted once per layer it lies in, i.e. by multiplicity
     counted = 2 * sum(len(iv) + (S.num[0] == 0) for S, iv in zip(layers, intervals))
     return Certificate(
@@ -218,8 +231,9 @@ def _negative_roots(cert: Certificate, prec_bits: int):
         a = S.primitive_integer().num
         yield from [0] * (a[0] == 0)  # a squarefree layer has 0 as a root at most once
         for ends in intervals:
-            s = max(min(128, prec_bits) + 64, max(x.denominator for x in ends).bit_length() - 1)
-            lo, hi = (x.numerator * (1 << s) // x.denominator for x in ends)
+            lo, hi, e = ends
+            s = max(min(128, prec_bits) + 64, e)
+            lo, hi = lo << (s - e), hi << (s - e)
             fv, dv = _scaled_with_slope(a, lo, s)
             slo = fv or dv  # the sign of S just right of lo
             V, p = (lo + hi) // 2, 0
@@ -241,32 +255,51 @@ def _negative_roots(cert: Certificate, prec_bits: int):
             blo, bhi = max(V - h, lo), min(V + h, hi)
             flo, fhi = (_scaled_with_slope(a, x, s)[0] * slo for x in (blo, bhi))
             if (blo > lo and flo <= 0) or (bhi < hi and fhi >= 0):
-                raise RuntimeError("sign test fails: A keeps its sign near its root in (%s, %s)" % ends)
+                lo, hi = (_ratio_str(x, 1 << e) for x in ends[:2])
+                raise RuntimeError(f"sign test fails: A keeps its sign near its root in ({lo}, {hi})")
             yield -(V >> (s - prec_bits - 64))
+
+
+def _heights(cert: Certificate, prec_bits: int) -> list:
+    """The roots c +- i y of the Q of a critical-line certificate cert, as
+    the ints Y = floor(y 2^F), F = prec_bits + 64, of y >= 0, ascending and
+    repeated by multiplicity: Y = isqrt(-V 2^F) over the roots V / 2^F <= 0
+    of A that _negative_roots refines.  RuntimeError is raised when cert
+    did not pass."""
+    if not cert.passed:  # Q has even degree, so both counts are twice A's
+        found, deg = cert.counted_roots // 2, cert.expected_roots // 2
+        raise RuntimeError(f"sign test fails: {found} of the deg A = {deg} roots of A are in (-oo, 0]")
+    return [math.isqrt(W << (prec_bits + 64)) for W in sorted(_negative_roots(cert, prec_bits))]
 
 
 def critical_line_roots(cert: Certificate, c, prec_bits: int = 128) -> list[tuple]:
     """All zeros of the Q of cert = critical_line_certify(Q, c), with
     Q(c + u) = A(u^2), as exact pairs (c, +-sqrt(-v)), the square root to
     prec_bits + 64 fractional bits, over the roots v of A, ascending in
-    imaginary part and repeated by multiplicity.  c is an int or Fraction;
-    any other c raises TypeError.
+    imaginary part and repeated by multiplicity.  c is an int or Fraction,
+    or the line c + u; any other c raises TypeError.
 
     The roots of each squarefree layer of A are refined in integers
-    (_negative_roots) from the isolating intervals that the certificate
-    counted, so a root lies in as many layers as its multiplicity, and
-    nothing is isolated again.  RuntimeError is raised when the intervals
-    number fewer than deg A, or when a root's sign test fails; there is no
-    fallback to a complex solve.
+    (_negative_roots, _heights) from the isolating intervals that the
+    certificate counted, so a root lies in as many layers as its
+    multiplicity, and nothing is isolated again.  RuntimeError is raised
+    when the intervals number fewer than deg A, or when a root's sign test
+    fails; there is no fallback to a complex solve.  The pairs are Fractions
+    over those integers.
     """
-    if not cert.passed:  # Q has even degree, so both counts are twice A's
-        found, deg = cert.counted_roots // 2, cert.expected_roots // 2
-        raise RuntimeError(f"sign test fails: {found} of the deg A = {deg} roots of A are in (-oo, 0]")
-    c, F = _real_part(c), prec_bits + 64
-    ys = [Fraction(math.isqrt(W << F), 1 << F) for W in sorted(_negative_roots(cert, prec_bits))]
+    from fractions import Fraction
+
+    heights, line = _heights(cert, prec_bits), _line(c)
+    c, one = _ratio(line.num[0], line.den), 1 << (prec_bits + 64)
+    ys = [Fraction(Y, one) for Y in heights]
     return [(c, -y) for y in reversed(ys)] + [(c, y) for y in ys]
 
 
-def roots_json(roots) -> list:
-    """The (re, im) pairs of critical_line_roots as correctly rounded doubles."""
-    return [{"re": float(re), "im": float(im)} for re, im in roots]
+def roots_json(cert: Certificate, c, prec_bits: int) -> list:
+    """The roots of critical_line_roots(cert, c, prec_bits) as correctly
+    rounded doubles {"re": .., "im": ..}, made from its integers: int true
+    division rounds correctly, as float() of a Fraction does."""
+    heights, line = _heights(cert, prec_bits), _line(c)
+    re, one = line.num[0] / line.den, 1 << (prec_bits + 64)
+    ims = [-Y / one for Y in reversed(heights)] + [Y / one for Y in heights]
+    return [{"re": re, "im": im} for im in ims]

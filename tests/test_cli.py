@@ -149,12 +149,14 @@ class TestLfunCommand:
 
 class TestInternalFailure:
     def test_runtime_error_exits_1_with_message(self, capsys, monkeypatch):
-        def broken(quot, d=None):
+        # rv and certify reach the one construction of Q, rv through rv_polynomial
+        def broken(U, d):
             raise RuntimeError("functional equation fails")
 
-        monkeypatch.setattr(cli, "zeta_record_for_d", broken)
-        assert main(["rv", "--weight", "12"]) == 1
-        assert "error: functional equation fails" in capsys.readouterr().err
+        monkeypatch.setattr("zetapoly.rvtransform.zeta_quotient", broken)
+        for command in ("rv", "certify"):
+            assert main([command, "--weight", "12"]) == 1
+            assert "error: functional equation fails" in capsys.readouterr().err
 
 
 class TestUnwritableOutput:
@@ -307,10 +309,10 @@ class TestLazyImports:
         # the command line is read from cli.COMMANDS, with no argparse and the
         # gettext and locale it loads
         assert not {"argparse", "gettext", "locale", "__future__"}.intersection(loaded)
-        # the numbers of habiro and lfun are all ints, so they load no
-        # fractions and not the decimal and numbers that fractions imports;
-        # every other command works over Q
-        ints_only = command in ("habiro", "lfun")
+        # every command computes in ints, so none loads fractions, or the
+        # decimal and numbers that fractions imports, but rv, whose record
+        # holds its critical line as a Fraction
+        ints_only = command != "rv"
         assert {"fractions", "decimal", "numbers"}.isdisjoint(loaded) == ints_only
 
     def test_lfun_loads_no_rational_layer(self, tmp_path):
@@ -320,6 +322,14 @@ class TestLazyImports:
         assert "zetapoly.lvalues" in loaded
         unwanted = {"fractions", "decimal", "numbers", "zetapoly.exactcore", "zetapoly.modforms"}
         assert not unwanted.intersection(loaded)
+
+    @pytest.mark.parametrize("argv", (["certify", "--weight", "26", "--d", "20"], ["report", "--prec-bits", "256"]))
+    def test_certify_and_report_load_no_rational_layer(self, tmp_path, argv):
+        # the kernel is integer elimination, Q is (d-1)! Q over (d-1)!, the
+        # line is c + u, and the intervals and roots are ints over powers of 2
+        loaded = loaded_modules(RUN_CLI, *argv, cwd=tmp_path)
+        assert {"zetapoly.periods", "zetapoly.rvtransform", "zetapoly.zerocert"} <= set(loaded)
+        assert not {"fractions", "decimal", "numbers", "zetapoly.modforms"}.intersection(loaded)
 
     def test_import_cli_loads_no_other_submodule(self):
         # the shared names live in the package root, so the CLI's import

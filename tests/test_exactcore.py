@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf
 
 from zetapoly import exactcore
-from zetapoly.exactcore import RatPoly, is_self_inversive, rref
+from zetapoly.exactcore import RatPoly, is_self_inversive
 from zetapoly.habiro import chebyshev_T, habiro_r
 from zetapoly.modforms import eigenform
 from zetapoly.periods import cfi_quotient, odd_period_polynomial, relations_kernel
@@ -133,25 +133,6 @@ class TestImmutable:
         with pytest.raises(AttributeError):
             chebyshev_T(2).coeffs = (9,)
         assert chebyshev_T(2) == P(-2, 0, 1)
-
-
-class TestRref:
-    def test_full_rank(self):
-        rows, pivots = rref([[2, 4], [1, 3]])
-        assert rows == [[1, 0], [0, 1]] and pivots == [0, 1]
-
-    def test_rank_deficient(self):
-        rows, pivots = rref([[0, 2, 4, 2], [0, 1, 2, 3], [0, 3, 6, 5]])
-        assert pivots == [1, 3]
-        assert rows == [[0, 1, 2, 0], [0, 0, 0, 1]]
-        assert all(type(v) is int for row in rows for v in row)
-
-    def test_rational_entries(self):
-        rows, pivots = rref([[3, 1], [0, 0]])
-        assert rows == [[1, Fraction(1, 3)]] and pivots == [0]
-
-    def test_empty(self):
-        assert rref([]) == ([], [])
 
 
 class TestGcd:

@@ -22,6 +22,7 @@ from zetapoly.modforms import (
     hecke_Tm,
     lambda_numeric,
     period_polynomial_numeric,
+    rref,
 )
 from zetapoly.periods import odd_period_polynomial
 
@@ -102,6 +103,25 @@ class TestBasis:
         basis = cuspform_basis(36, 3)
         assert len(basis) == 3
         assert [[f.coeffs[n] for n in (1, 2, 3)] for f in basis] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+class TestRref:
+    def test_full_rank(self):
+        rows, pivots = rref([[2, 4], [1, 3]])
+        assert rows == [[1, 0], [0, 1]] and pivots == [0, 1]
+
+    def test_rank_deficient(self):
+        rows, pivots = rref([[0, 2, 4, 2], [0, 1, 2, 3], [0, 3, 6, 5]])
+        assert pivots == [1, 3]
+        assert rows == [[0, 1, 2, 0], [0, 0, 0, 1]]
+        assert all(type(v) is int for row in rows for v in row)
+
+    def test_rational_entries(self):
+        rows, pivots = rref([[3, 1], [0, 0]])
+        assert rows == [[1, Fraction(1, 3)]] and pivots == [0]
+
+    def test_empty(self):
+        assert rref([]) == ([], [])
 
 
 class TestHecke:
@@ -197,6 +217,17 @@ class TestEigenformCoeffs:
         self.patch_eisenstein(monkeypatch, lambda j, e: e[:n] + [e[n] + 1728] + e[n + 1:] if j == 4 else e)
         with pytest.raises(RuntimeError, match=f"T_[23] eigenvalue check failed for weight {k}"):
             lvalues.eigenform_coeffs(k, 64)
+
+    @pytest.mark.parametrize("k", ONE_DIM_WEIGHTS)
+    @pytest.mark.parametrize("n", [37, 61])
+    def test_perturbed_top_coefficient_fails_the_t2_check(self, monkeypatch, k, n):
+        # E4 + 1728 q^n changes a_n and the coefficients above it, so at
+        # prec = n only a_n, with prec/2 < n and gcd(n, 6) = 1: to q^prec no
+        # check reads it, so the series runs to q^(2 prec), where T_2 reads a_2n
+        # against a_2 a_n
+        self.patch_eisenstein(monkeypatch, lambda j, e: e[:n] + [e[n] + 1728] + e[n + 1:] if j == 4 else e)
+        with pytest.raises(RuntimeError, match=f"T_2 eigenvalue check failed for weight {k}"):
+            lvalues.eigenform_coeffs(k, n)
 
     @pytest.mark.parametrize("k", ONE_DIM_WEIGHTS)
     def test_e4_constant_term_fails_the_divisibility_check(self, monkeypatch, k):

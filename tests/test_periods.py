@@ -1,11 +1,12 @@
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from zetapoly import ONE_DIM_WEIGHTS, UnsupportedWeightError
+from zetapoly import ONE_DIM_WEIGHTS, UnsupportedWeightError, periods
 from zetapoly.exactcore import RatPoly, is_self_inversive
-from zetapoly.modforms import dim_cuspforms, eigenform
+from zetapoly.modforms import dim_cuspforms, eigenform, rref
 from zetapoly.periods import (
     CFIQuotient,
     DivisibilityError,
@@ -105,6 +106,61 @@ class TestRelationImage:
             rel_u = r + ru + slash_action(ru, U_GEN, w)
             expected = [rel_s[i] for i in range(w + 1)] + [rel_u[i] for i in range(w + 1)]
             assert _relation_image(j, w) == expected
+
+
+def fraction_nullspace(w, parity):
+    """The kernel basis of relations_kernel by Gauss-Jordan over Q
+    (modforms.rref): one vector per free column, 1 there and 0 in the other
+    free columns, as polynomials."""
+    exps = range(w + 1) if parity == "all" else range(parity == "odd", w + 1, 2)
+    cols = [_relation_image(j, w) for j in exps]
+    reduced, pivots = rref([list(row) for row in zip(*cols)])
+    basis = []
+    for fc in (c for c in range(len(exps)) if c not in pivots):
+        coeffs = [0] * (w + 1)
+        coeffs[exps[fc]] = 1
+        for row, pc in zip(reduced, pivots):
+            coeffs[exps[pc]] = -row[fc]
+        basis.append(RatPoly(coeffs))
+    return tuple(basis)
+
+
+class TestKernelOracles:
+    # the integer elimination against two independent oracles at every even
+    # w <= 60: the Fraction nullspace, and Eichler-Shimura, by which the odd
+    # kernel is S_(w+2), the even one S_(w+2) plus the Eisenstein class, and
+    # the whole kernel both, for dim S_k = floor(k/12) - [k = 2 mod 12]
+    @pytest.mark.parametrize("w", range(2, 61, 2))
+    def test_equals_the_fraction_nullspace(self, w):
+        for parity in ("odd", "even", "all"):
+            assert relations_kernel(w, parity).basis == fraction_nullspace(w, parity), parity
+
+    @pytest.mark.parametrize("w", range(2, 61, 2))
+    def test_eichler_shimura_dimensions(self, w):
+        k = w + 2
+        dim = k // 12 - (k % 12 == 2)
+        assert [len(relations_kernel(w, p).basis) for p in ("odd", "even", "all")] == [dim, dim + 1, 2 * dim + 1]
+
+    def test_random_matrices_match_gauss_jordan_over_q(self):
+        # rank-deficient integer matrices, with negative and non-unit pivots;
+        # rows repeated up to sign and zero rows change nothing
+        rng = random.Random(34)
+        for _ in range(300):
+            ncols, rank = rng.randint(1, 8), rng.randint(0, 5)
+            gens = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(rank)]
+            rows = [[sum(rng.randint(-3, 3) * g[c] for g in gens) for c in range(ncols)] for _ in range(rng.randint(1, 7))]
+            reduced, pivots = rref(rows)
+            expected = []
+            for fc in (c for c in range(ncols) if c not in pivots):
+                vec = [0] * ncols
+                vec[fc] = 1
+                for row, pc in zip(reduced, pivots):
+                    vec[pc] = -row[fc]
+                expected.append(vec)
+            padded = rows + [[-x for x in row] for row in rows] + [[0] * ncols]
+            for given in (rows, rng.sample(padded, len(padded))):
+                D, vectors = periods._integer_nullspace(given, ncols)
+                assert [[Fraction(x, D) for x in vec] for vec in vectors] == expected
 
 
 class TestRelationsKernel:

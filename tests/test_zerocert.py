@@ -17,6 +17,7 @@ from zetapoly.zerocert import (
     SymmetryError,
     critical_line_certify,
     critical_line_roots,
+    roots_json,
     unit_circle_certify,
 )
 
@@ -281,7 +282,8 @@ class TestCriticalLineRoots:
 
     def test_root_on_a_split_point_is_exact(self):
         cert = line_certificate(P(1, 1) * P(2, 1) * P(3, 1), Fraction(0))
-        assert cert.intervals == (((-4, -2), (-2, -2), (-2, 0)),)
+        # (lo, hi, e) is the interval (lo / 2^e, hi / 2^e): (-4, -2), the root -2, (-2, 0)
+        assert cert.intervals == (((-4, -2, 0), (-2, -2, 0), (-2, 0, 0)),)
         roots = [complex(*z) for z in critical_line_roots(cert, 0, 128)]
         assert roots[3:] == [1j, math.sqrt(2) * 1j, math.sqrt(3) * 1j]
 
@@ -319,6 +321,25 @@ class TestCriticalLineRoots:
         assert [complex(*z) for z in roots] == [-2j, 0, 0, 2j]
         with pytest.raises(SymmetryError):
             critical_line_certify(P(0, 0, 0, 4, 0, 1), Fraction(0))
+
+    @pytest.mark.parametrize("c", (Fraction(-3, 2), Fraction(5, 7), 2, 0))
+    def test_the_line_c_plus_u_stands_for_c(self, c):
+        # certify and report pass the line as the RatPoly c + u, with no
+        # Fraction; the certificate, its layers and intervals, the roots and
+        # their doubles are those of c, and the doubles are float() of the roots
+        Q = line_product(c, (1, Fraction(7, 3), 40))
+        line = P(c, 1)
+        by_c, by_line = critical_line_certify(Q, c), critical_line_certify(Q, line)
+        assert by_c == by_line and (by_c.layers, by_c.intervals) == (by_line.layers, by_line.intervals)
+        roots = critical_line_roots(by_c, c, 128)
+        assert critical_line_roots(by_line, line, 128) == roots
+        doubles = [{"re": float(re), "im": float(im)} for re, im in roots]
+        assert roots_json(by_c, c, 128) == roots_json(by_line, line, 128) == doubles
+
+    @pytest.mark.parametrize("line", (P(1, 2), P(0, 1, 1), P(3)), ids=("slope-2", "quadratic", "constant"))
+    def test_a_polynomial_other_than_c_plus_u_raises(self, line):
+        with pytest.raises(TypeError, match=re.escape(f"inexact real part c = {line!r} of the line")):
+            critical_line_certify(P(4, 0, 1), line)
 
     @pytest.mark.parametrize("c", (0.0, 0.1, "0"))
     def test_inexact_c_raises(self, c):
@@ -383,3 +404,101 @@ class TestCertificateNumericAgreement:
         with mp.workprec(200):
             for z in polyroots(rec.Q):
                 assert abs(z.real - c) < mpf("1e-8")
+
+
+def scaled_value(S, x, e):
+    """2^(e n) S(x / 2^e), n = deg S, in integers: S at the dyadic x / 2^e, up to a positive factor."""
+    n = S.degree
+    return sum(c * x**i << (e * (n - i)) for i, c in enumerate(S.num))
+
+
+def side_sign(S, x, e, side):
+    """The sign of the squarefree S just to the side (+1 right, -1 left) of
+    x / 2^e: that of S there, or of side S' at a root, which S' cannot share."""
+    v = scaled_value(S, x, e) or side * scaled_value(S.derivative(), x, e)
+    return 1 if v > 0 else -1
+
+
+def recheck_intervals(layers, intervals, A):
+    """A third party's check of what a certificate counted, with no isolation:
+    the layers multiply to A up to a constant; each layer S has, in
+    (-oo, 0], deg S disjoint intervals (lo, hi, e) (ints over 2^e), each the
+    exact root lo = hi or an open interval across which S changes sign
+    strictly, counting a root 0 of S as one more.  An open interval may end
+    at an exact root of its own (a root on a split point of the isolation),
+    so the sign is taken just inside each end.  Then every root of A is real
+    and <= 0.  Returns the first failure, or None."""
+    if math.prod(layers, start=RatPoly.one()).monic() != A.monic():
+        return "the layers do not multiply to A"
+    for S, ivs in zip(layers, intervals):
+        if len(ivs) + (S.num[0] == 0) != S.degree:
+            return f"{len(ivs)} intervals for a layer of degree {S.degree}"
+        for lo, hi, e in ivs:
+            if lo > hi or hi > 0 or lo == hi == 0:
+                return f"({lo}, {hi}) / 2^{e} is not an interval in (-oo, 0)"
+            if lo == hi and scaled_value(S, lo, e) != 0:
+                return f"{lo} / 2^{e} is not a root of the layer"
+            if lo < hi and side_sign(S, lo, e, 1) == side_sign(S, hi, e, -1):
+                return f"the layer keeps its sign across ({lo}, {hi}) / 2^{e}"
+        top = max((e for _, _, e in ivs), default=0)
+        ends = sorted((lo << (top - e), hi << (top - e)) for lo, hi, e in ivs)
+        for (a, b), (c, d) in zip(ends, ends[1:]):
+            if c < b or a == b == c == d:
+                return "two intervals overlap"
+    return None
+
+
+@pytest.fixture(scope="module")
+def certificates():
+    """The 36 critical-line certificates of `report`, with their A, and the
+    six unit-circle certificates, with theirs."""
+    out = []
+    for k in (12, 16, 18, 20, 22, 26):
+        U = cfi_quotient(odd_period_polynomial(k), k).U_poly
+        R = U.compose(P(-1, 2)).reversed_coeffs().compose(P(1, -1))
+        out.append((unit_circle_certify(U), RatPoly(R.coeffs[::2])))
+        for d in range(k - 11, k - 5):
+            rec = rv_polynomial(U, d, weight=k)
+            R = rec.Q.compose(P(rec.critical_line, 1))
+            out.append((critical_line_certify(rec.Q, rec.critical_line), RatPoly(R.coeffs[::2])))
+    return out
+
+
+class TestIntervalRecheck:
+    def test_every_stored_interval_rechecks(self, certificates):
+        assert len(certificates) == 42
+        for cert, A in certificates:
+            assert cert.passed
+            assert recheck_intervals(cert.layers, cert.intervals, A) is None
+
+    def test_an_exact_root_rechecks(self):
+        cert = line_certificate(P(1, 1) * P(2, 1) * P(3, 1), Fraction(0))
+        assert recheck_intervals(cert.layers, cert.intervals, P(1, 1) * P(2, 1) * P(3, 1)) is None
+
+    def test_a_moved_endpoint_fails(self, certificates):
+        # each open interval cut to its half without the root
+        tampered = 0
+        for cert, A in certificates:
+            for j, ivs in enumerate(cert.intervals):
+                S = cert.layers[j]
+                for i, (lo, hi, e) in enumerate(ivs):
+                    if lo == hi:
+                        continue
+                    lo, hi, e = 2 * lo, 2 * hi, e + 1
+                    mid = (lo + hi) // 2
+                    empty = side_sign(S, lo, e, 1) == side_sign(S, mid, e, -1)  # no root in (lo, mid)
+                    moved = (lo, mid, e) if empty else (mid, hi, e)
+                    bad = cert.intervals[:j] + (ivs[:i] + (moved,) + ivs[i + 1:],) + cert.intervals[j + 1:]
+                    assert "keeps its sign" in recheck_intervals(cert.layers, bad, A)
+                    tampered += 1
+        assert tampered >= 50
+
+    def test_a_dropped_interval_fails(self, certificates):
+        dropped = 0
+        for cert, A in certificates:
+            for j, ivs in enumerate(cert.intervals):
+                for i in range(len(ivs)):
+                    bad = cert.intervals[:j] + (ivs[:i] + ivs[i + 1:],) + cert.intervals[j + 1:]
+                    assert "intervals for a layer of degree" in recheck_intervals(cert.layers, bad, A)
+                    dropped += 1
+        assert dropped >= 50
