@@ -14,27 +14,27 @@ Every product of numerators goes through ``intmul._mul``, the one integer
 product path of the package.  A product multiplies the numerators by it and
 the denominators; a power is square-and-multiply on the numerator by it,
 over den^n (``_power``, which ``habiro`` shares).  A division is Knuth's
-pseudo-division (TAOCP vol. 2, 4.6.1, Algorithm R): the dividend's
-numerator times |lead|^(deg a - deg b + 1), with lead the divisor's leading
-numerator, makes every quotient step an exact integer division.
-Evaluation is exact only: a polynomial is called at an int or Fraction p/q by Horner's scheme in integers, and a float, complex
-or mpmath point raises TypeError, as every other operation does with an
-inexact operand.  Composition with a constant is evaluation, with a linear
-polynomial one Taylor shift in integers (``_linear_compose``), and with any
-other B / db Horner's scheme on the numerators, one ``_mul`` per step, over
-den db^n.
+pseudo-division (TAOCP vol. 2, 4.6.1, Algorithm R): the dividend's numerator
+times |lead|^(deg a - deg b + 1), with lead the divisor's leading numerator,
+makes every quotient step an exact integer division.  Evaluation is exact
+only: a polynomial is called at an int or Fraction p/q by Horner's scheme in
+integers, and a float, complex or mpmath point raises TypeError, as every
+other operation does with an inexact operand.  Composition with a constant
+is evaluation, with a linear polynomial one Taylor shift in integers
+(``_linear_compose``), and with any other B / db Horner's scheme on the
+numerators, one ``_mul`` per step, over den db^n.
 
-Every command but ``lfun`` loads this module.
-The names that several modules share, the supported weights and
-``UnsupportedWeightError``, live in the package root, and a name that only
-one other module uses lives in that module: Gauss-Jordan over Q, ``rref``,
-lives in ``modforms``, whose `cuspform_basis` is its one caller.  It
-imports ``fractions`` only inside a function that makes a Fraction, once
-per call, and tells a Fraction it is given by the class of the loaded
-module (``_is_fraction``).  So past the interpreter's start-up a job whose
-numbers are all ints loads ``json`` and ``array`` only, and not
-``fractions`` or the ``decimal`` and ``numbers`` that it imports: every
-command but ``rv``, which makes its record's critical line a Fraction.
+Every command but ``lfun`` loads this module.  The names that several
+modules share, the supported weights and ``UnsupportedWeightError``, live in
+the package root, and a name that only one other module uses lives in that
+module: Gauss-Jordan over Q, ``rref``, lives in ``modforms``, whose
+`cuspform_basis` is its one caller.  It imports ``fractions`` only inside a
+function that makes a Fraction, once per call, and tells a Fraction it is
+given by the class of the loaded module (``_is_fraction``).  So past the
+interpreter's start-up a job whose numbers are all ints loads ``json`` and
+``array`` only, and not ``fractions`` or the ``decimal`` and ``numbers``
+that it imports: every command but ``rv``, which makes its record's critical
+line a Fraction.
 """
 
 import operator
